@@ -48,20 +48,6 @@ METRIC_MARKERS = (
     "speedup",
 )
 
-#: metrics the hard gate refuses to pass without: the serving-cliff
-#: rows cannot silently vanish from the artifact (deleted bench, typo'd
-#: key) and still count as "no regression". Only enforced when a fail
-#: threshold is set AND the previous run produced the artifact — warn-
-#: only runs and bench subsets that skip the file stay tolerant.
-REQUIRED_METRICS = {
-    "BENCH_serve.json": (
-        "single_shard.decisions_per_second",
-        "batch_single_shard.decisions_per_second",
-        "loopback_binary.decisions_per_second",
-        "loopback_cluster_2w.decisions_per_second",
-    ),
-}
-
 
 def throughput_metrics(document, prefix: str = "") -> Dict[str, float]:
     """Flatten a bench document into ``dotted.path -> value`` metrics."""
@@ -112,16 +98,6 @@ def compare_directories(
 ) -> CompareReport:
     """Compare every artifact pair; track added/removed metric names too."""
     report = CompareReport()
-    if fail_threshold is not None:
-        for name, required in REQUIRED_METRICS.items():
-            if not (Path(old_dir) / name).is_file():
-                continue
-            present = _load_metrics(Path(new_dir) / name)
-            for path in required:
-                if path not in present:
-                    report.failures.append(
-                        f"{name}: required metric {path} missing from this run"
-                    )
     old_files = {path.name for path in Path(old_dir).glob("BENCH_*.json")}
     new_files = {path.name for path in Path(new_dir).glob("BENCH_*.json")}
     for name in sorted(old_files - new_files):

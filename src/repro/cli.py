@@ -530,10 +530,9 @@ def _command_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.serve import TokenAccountLimiter, run_server
-    from repro.serve.event_loop import install_event_loop
 
     if args.workers:
-        # Multi-process cluster: N worker servers behind a binary
+        # Multi-process cluster: N worker servers behind a
         # consistent-hash router on the public port.
         from repro.serve.cluster import ClusterConfig, serve_cluster
 
@@ -549,9 +548,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             cold_start=args.cold_start,
-            uvloop=args.uvloop,
         )
-        print(f"event loop: {install_event_loop(args.uvloop)}")
         stats = serve_cluster(config, duration=args.duration)
         if stats:
             print(
@@ -562,7 +559,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             )
         return 0
 
-    print(f"event loop: {install_event_loop(args.uvloop)}")
     limiter = TokenAccountLimiter(
         args.strategy,
         period=args.period,
@@ -599,10 +595,7 @@ def _command_loadgen(args: argparse.Namespace) -> int:
 
     from repro.scenarios import ArrivalSpec
     from repro.serve import run_loadgen
-    from repro.serve.event_loop import install_event_loop
 
-    if args.uvloop:
-        print(f"event loop: {install_event_loop(True)}")
     spec = ArrivalSpec(
         pattern=args.pattern,
         rate=args.rate,
@@ -620,7 +613,6 @@ def _command_loadgen(args: argparse.Namespace) -> int:
                 connections=args.connections,
                 keys=args.keys,
                 seed=args.seed,
-                protocol=args.protocol,
                 pipeline=args.pipeline,
             )
         )
@@ -872,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "run a multi-process cluster: N worker servers behind a "
-            "consistent-hash binary router on the public port "
+            "consistent-hash router on the public port "
             "(default: 0 = a single in-process server)"
         ),
     )
@@ -890,12 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="serve for this many seconds then exit (default: run forever)",
-    )
-    serve_parser.add_argument(
-        "--uvloop",
-        action="store_true",
-        help="use uvloop when installed (falls back to asyncio, and the "
-        "startup line names the event loop that actually won)",
     )
     serve_parser.set_defaults(handler=_command_serve)
 
@@ -935,22 +921,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen_parser.add_argument("--seed", type=int, default=1)
     loadgen_parser.add_argument(
-        "--protocol",
-        choices=("text", "binary"),
-        default="text",
-        help="wire protocol to speak (binary = length-prefixed framing)",
-    )
-    loadgen_parser.add_argument(
         "--pipeline",
         type=int,
         default=0,
         metavar="N",
         help="cap in-flight requests per connection (0 = unbounded)",
-    )
-    loadgen_parser.add_argument(
-        "--uvloop",
-        action="store_true",
-        help="use uvloop when installed (falls back to asyncio)",
     )
     loadgen_parser.add_argument(
         "--save",

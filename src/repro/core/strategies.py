@@ -33,7 +33,6 @@ Each strategy also exposes ``continuous_proactive`` / ``continuous_reactive``
 
 from __future__ import annotations
 
-import random
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Optional
 
@@ -85,11 +84,6 @@ class Strategy(ABC):
     def continuous_reactive(self, balance: float, useful: bool) -> float:
         return self.reactive(balance, useful)  # type: ignore[arg-type]
 
-    # ------------------------------------------------------------------
-    # The serving-layer hook (repro.serve). One Algorithm-4 decision,
-    # phrased for admission control: an incoming request plays the role
-    # of an incoming message.
-    # ------------------------------------------------------------------
     @property
     def decision_kernel(self) -> "DecisionKernel":
         """This strategy's cached Algorithm-4 decision kernel.
@@ -106,30 +100,6 @@ class Strategy(ABC):
             kernel = DecisionKernel(self)
             self._decision_kernel = kernel
         return kernel
-
-    def admission_decision(
-        self, balance: int, useful: bool, rng: random.Random
-    ) -> Optional[str]:
-        """Would this strategy send one message at ``balance`` right now?
-
-        Returns ``"reactive"`` when the reactive function (after
-        Algorithm 4's randomized rounding) yields at least one message —
-        the caller must spend one token; ``"proactive"`` when only the
-        proactive function fires — the caller must account for the send
-        against the tick grid (a token when one is banked, otherwise the
-        once-per-period proactive slot); ``None`` when the strategy
-        would stay silent.
-
-        Used by :class:`repro.serve.TokenAccountLimiter`, which layers
-        the §3.4-preserving resource accounting on top. The hook is pure:
-        all limiter state (accounts, tick anchors) stays with the caller.
-        It is the batch of one of
-        :meth:`repro.core.kernel.DecisionKernel.decide_many` and always
-        consumes exactly two uniforms from ``rng`` (the kernel's RNG
-        contract, which is what makes scalar/batch equivalence exactly
-        testable).
-        """
-        return self.decision_kernel.decide_one(balance, useful, rng)
 
     def describe(self) -> str:
         """Human-readable label used in experiment reports."""

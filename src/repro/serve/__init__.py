@@ -9,24 +9,24 @@ bridge from reproducing the paper to serving real traffic with it:
 * :mod:`repro.serve.table` — the sharded LRU account table behind it;
 * :mod:`repro.serve.clock` — injectable time sources
   (:class:`ManualClock` for deterministic tests);
-* :mod:`repro.serve.wire` + :mod:`repro.serve.server` — the batched
-  asyncio TCP admission server (``repro serve``), speaking both the
-  text line protocol and the length-prefixed binary framing on one
-  port (first-byte version negotiation);
+* :mod:`repro.serve.wire` — the one wire protocol: length-prefixed
+  binary frames behind a 4-byte hello;
+* :mod:`repro.serve.connection` — the framed-connection core (receive
+  buffer, hello check, backpressure, drain-on-close) that every
+  listening endpoint subclasses;
+* :mod:`repro.serve.server` — the batched asyncio TCP admission server
+  (``repro serve``);
 * :mod:`repro.serve.ring` + :mod:`repro.serve.cluster` — the stable
   consistent-hash ring and the multi-process limiter cluster
-  (``repro serve --workers N``): worker processes behind a binary
-  front-end router, one key owner per key, minimal remap on failure;
+  (``repro serve --workers N``): worker processes behind a front-end
+  router, one key owner per key, minimal remap on failure;
 * :mod:`repro.serve.arrivals` + :mod:`repro.serve.loadgen` — the
   open-loop Poisson / flash-crowd load generator (``repro loadgen``),
-  speaking either protocol with optional pipelining;
-* :mod:`repro.serve.event_loop` — optional uvloop installation with
-  graceful fallback (``--uvloop``).
+  with optional pipelining.
 """
 
 from repro.serve.clock import Clock, ManualClock, monotonic_clock
 from repro.serve.cluster import ClusterConfig, ClusterRouter, serve_cluster
-from repro.serve.event_loop import install_event_loop
 from repro.serve.limiter import Decision, TokenAccountLimiter
 from repro.serve.loadgen import LoadgenReport, fetch_stats, run_loadgen
 from repro.serve.ring import HashRing, stable_hash
@@ -45,7 +45,6 @@ __all__ = [
     "ShardedTable",
     "TokenAccountLimiter",
     "fetch_stats",
-    "install_event_loop",
     "monotonic_clock",
     "run_loadgen",
     "run_server",

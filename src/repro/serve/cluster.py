@@ -41,8 +41,10 @@ in a bounded dict, so the per-frame hot path is one dict hit.
 worker on the same connections (preserving FIFO alignment), sums the
 per-worker counters and answers one aggregated document with cluster
 fields (``workers``, ``remaps``, router ``connections``) added.
-``PING`` is answered locally. The router speaks binary only — a text
-client gets one explanatory error line and a close.
+``PING`` is answered locally. The client-facing receive buffer, hello
+check and shutdown drain are the worker server's own
+(:mod:`repro.serve.connection`); the hello is acked only once this
+connection's worker links are up.
 
 Failure remap
 -------------
@@ -70,21 +72,18 @@ import subprocess
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.serve import wire
+from repro.serve.connection import FramedConnection, FramedListener
 from repro.serve.limiter import Decision
 from repro.serve.ring import HashRing
 
 #: route memo budget (frame bytes -> (worker, bulk-record prefix)),
 #: dropped whole when full or on any ring change
 _ROUTE_CACHE_MAX = 65536
-
-#: per-connection receive buffer — larger than the worker server's so a
-#: backlogged pipelined client drains in fewer, bigger routed batches
-_RECV_BUFFER = 2**16
 
 #: client-side backpressure: pause reading above, resume below
 _PAUSE_OUTSTANDING = 32768
@@ -96,20 +95,6 @@ _LINK_READ_LIMIT = 2**20
 #: a worker DECISION run viewed as opaque 17-byte records (reordering
 #: permutes whole frames; nothing inside them needs decoding)
 _DECISION_RECORD = np.dtype((np.void, wire.DECISION_FRAME_SIZE))
-
-#: the same 17 bytes with named fields, for synthesizing admit frames
-#: from a RUN response (packed little-endian layout, no padding)
-_DECISION_FIELDS = np.dtype(
-    [
-        ("len", "<u2"),
-        ("status", "u1"),
-        ("admitted", "u1"),
-        ("reason", "u1"),
-        ("balance", "<i4"),
-        ("retry", "<f8"),
-    ]
-)
-assert _DECISION_FIELDS.itemsize == wire.DECISION_FRAME_SIZE
 
 #: a RUN frame's tail after the 3-byte (length, status) header:
 #: reason, u16 admits, u16 rejects, i32 balance, f64 retry
@@ -162,7 +147,7 @@ def _expand_run(
     """
     parts: List[bytes] = []
     if admits:
-        frames = np.zeros(admits, dtype=_DECISION_FIELDS)
+        frames = np.zeros(admits, dtype=wire.DECISION_DTYPE)
         frames["len"] = wire.DECISION_FRAME_SIZE - 2
         frames["status"] = wire.STATUS_DECISION
         frames["admitted"] = 1
@@ -195,41 +180,27 @@ class _WorkerLink:
         self.dead = False
 
 
-class _RouterConnection(asyncio.BufferedProtocol):
+class _RouterConnection(FramedConnection):
     """One client connection through the router.
 
-    Same reusable-receive-buffer discipline as the worker server's
-    protocol; the drain *routes* frames instead of deciding them, and a
-    responder task writes the reordered replies.
+    The drain *routes* frames instead of deciding them, and a responder
+    task writes the reordered replies.
     """
 
     def __init__(self, router: "ClusterRouter"):
+        super().__init__(router)
         self.router = router
-        self.transport: Optional[asyncio.Transport] = None
-        self.mode: Optional[str] = None
-        self._buffer = bytearray(_RECV_BUFFER)
-        self._view = memoryview(self._buffer)
-        self._start = 0
-        self._end = 0
         #: worker name -> this connection's link (built by _setup)
         self._links: Dict[str, _WorkerLink] = {}
         self._queue: "asyncio.Queue[tuple]" = asyncio.Queue()
+        #: reply frames owed to the client and not yet written
         self._outstanding = 0
-        self._paused = False
-        self._ready = False
         self._setup_task: Optional[asyncio.Task] = None
         self._responder: Optional[asyncio.Task] = None
 
     # ------------------------------------------------------------------
-    def connection_made(self, transport) -> None:
-        self.router.connections += 1
-        self.router._protocols.add(self)
-        self.transport = transport
-
     def connection_lost(self, exc) -> None:
-        self.router.connections -= 1
-        self.router._protocols.discard(self)
-        self.transport = None
+        super().connection_lost(exc)
         for task in (self._setup_task, self._responder):
             if task is not None and not task.done():
                 task.cancel()
@@ -243,56 +214,17 @@ class _RouterConnection(asyncio.BufferedProtocol):
                 pass
         self._links.clear()
 
-    # Tie the client's read side to its write side, like the server.
-    def pause_writing(self) -> None:
-        if self.transport is not None:
-            self.transport.pause_reading()
+    def idle(self) -> bool:
+        """Nothing queued behind a worker gather, nothing unflushed."""
+        return not self._outstanding and super().idle()
 
-    def resume_writing(self) -> None:
-        if self.transport is not None:
-            self.transport.resume_reading()
+    def hello_received(self) -> None:
+        """Bring up this connection's worker links first, then ack.
 
-    # ------------------------------------------------------------------
-    def get_buffer(self, sizehint: int) -> memoryview:
-        if self._start and self._start == self._end:
-            self._start = self._end = 0
-        elif len(self._buffer) - self._end < 2048 and self._start:
-            remaining = self._end - self._start
-            self._buffer[:remaining] = self._buffer[self._start : self._end]
-            self._start, self._end = 0, remaining
-        return self._view[self._end :]
-
-    def buffer_updated(self, nbytes: int) -> None:
-        self._end += nbytes
-        if self.mode is None and not self._sniff():
-            return
-        if self._ready:
-            self._drain_binary()
-
-    # ------------------------------------------------------------------
-    def _sniff(self) -> bool:
-        """Require the binary hello; refuse text clients with one line."""
-        assert self.transport is not None
-        if self._buffer[self._start] != wire.MAGIC[0]:
-            self.transport.write(
-                b"! the cluster router speaks the binary protocol only\n"
-            )
-            self.transport.close()
-            return False
-        if self._end - self._start < len(wire.MAGIC):
-            return False  # wait for the whole hello
-        hello = bytes(self._view[self._start : self._start + len(wire.MAGIC)])
-        if hello != wire.MAGIC:
-            self.transport.write(b"! unsupported binary protocol version\n")
-            self.transport.close()
-            return False
-        self.mode = "binary"
-        self._start += len(wire.MAGIC)
-        # The hello is NOT acked yet: first bring up this connection's
-        # worker links, then ack, so a client that waits for the echo
-        # (they all should) never races the fan-out setup.
+        A client that waits for the echo never races the fan-out setup,
+        and one that does not wait finds the read side held until then.
+        """
         self._setup_task = asyncio.get_running_loop().create_task(self._setup())
-        return True
 
     async def _setup(self) -> None:
         """Open this connection's private link to every live worker."""
@@ -312,10 +244,8 @@ class _RouterConnection(asyncio.BufferedProtocol):
         if self.transport is None:  # client left during setup
             self._close_links()
             return
-        self.transport.write(wire.MAGIC)  # hello ack: ready for frames
-        self._ready = True
         self._responder = asyncio.get_running_loop().create_task(self._respond())
-        self._drain_binary()  # frames that arrived while setting up
+        self.begin()  # hello ack, then the frames that arrived meanwhile
 
     # ------------------------------------------------------------------
     def _route_frame(self, frame: bytes) -> Optional[Tuple[str, bytes]]:
@@ -348,7 +278,7 @@ class _RouterConnection(asyncio.BufferedProtocol):
         cache[frame] = entry
         return entry
 
-    def _drain_binary(self) -> None:
+    def drain(self) -> None:
         """Route every complete frame in the buffer (the request hot loop).
 
         Consecutive validated ACQUIRE frames form one batch, grouped by
@@ -373,6 +303,11 @@ class _RouterConnection(asyncio.BufferedProtocol):
         acquire_op = wire.OP_ACQUIRE
         max_frame = wire.MAX_FRAME
         pack_count = wire.BULK_GROUP_COUNT.pack
+
+        def owe(item: tuple) -> None:
+            # one reply frame outside a batch; callers flush() first
+            self._outstanding += 1
+            queue_put(item)
 
         def flush() -> None:
             nonlocal groups, position
@@ -431,7 +366,7 @@ class _RouterConnection(asyncio.BufferedProtocol):
                         self._route_frame(frame)
                     except ValueError as error:
                         flush()
-                        queue_put(("E", str(error).encode(), False))
+                        owe(("E", str(error).encode(), False))
                         continue
                 groups[frame] = [position]
                 position += 1
@@ -442,7 +377,7 @@ class _RouterConnection(asyncio.BufferedProtocol):
                 command, _key, _useful = wire.parse_request_binary(payload)
             except ValueError as error:
                 flush()
-                queue_put(("E", str(error).encode(), False))
+                owe(("E", str(error).encode(), False))
                 continue
             if command == "S":
                 flush()
@@ -454,22 +389,19 @@ class _RouterConnection(asyncio.BufferedProtocol):
                     if not link.dead:
                         link.writer.write(stats_frame)
                         names.append(name)
-                queue_put(("S", tuple(names)))
+                owe(("S", tuple(names)))
             else:  # "P" (an ACQUIRE short enough to miss the fast path
                 # is malformed and raised above)
                 flush()
-                queue_put(("P",))
+                owe(("P",))
         flush()
         self._start = start
         if oversized:
-            queue_put(
-                ("E", b"frame exceeds %d bytes" % wire.MAX_FRAME, True)
-            )
-            self.transport.pause_reading()  # cannot resync; dying anyway
+            owe(("E", b"frame exceeds %d bytes" % wire.MAX_FRAME, True))
+            self.hold("closing")  # cannot resync; dying anyway
             return
-        if self._outstanding >= _PAUSE_OUTSTANDING and not self._paused:
-            self._paused = True
-            self.transport.pause_reading()
+        if self._outstanding >= _PAUSE_OUTSTANDING:
+            self.hold("outstanding")
 
     # ------------------------------------------------------------------
     async def _respond(self) -> None:
@@ -482,13 +414,10 @@ class _RouterConnection(asyncio.BufferedProtocol):
                 if transport is None:
                     return
                 kind = item[0]
+                owed = 1
                 if kind == "B":
-                    payload = await self._gather_batch(item[1], item[2])
-                    transport.write(payload)
-                    self._outstanding -= item[2]
-                    if self._paused and self._outstanding <= _RESUME_OUTSTANDING:
-                        self._paused = False
-                        transport.resume_reading()
+                    owed = item[2]
+                    transport.write(await self._gather_batch(item[1], owed))
                 elif kind == "S":
                     document = await self._aggregate_stats(item[1])
                     transport.write(
@@ -503,6 +432,9 @@ class _RouterConnection(asyncio.BufferedProtocol):
                     if item[2]:
                         transport.close()
                         return
+                self._outstanding -= owed
+                if self._outstanding <= _RESUME_OUTSTANDING:
+                    self.release("outstanding")
         except (ConnectionError, OSError):  # pragma: no cover - client race
             if self.transport is not None:
                 self.transport.close()
@@ -618,7 +550,7 @@ class _RouterConnection(asyncio.BufferedProtocol):
         return json.dumps(document, sort_keys=True).encode()
 
 
-class ClusterRouter:
+class ClusterRouter(FramedListener):
     """The front-end router: public binary port over a worker ring.
 
     Parameters
@@ -632,6 +564,8 @@ class ClusterRouter:
         Ring geometry — see :class:`~repro.serve.ring.HashRing`.
     """
 
+    connection_class = _RouterConnection
+
     def __init__(
         self,
         workers: Mapping[str, Tuple[str, int]],
@@ -640,16 +574,12 @@ class ClusterRouter:
         replicas: int = 96,
         seed: int = 0,
     ):
+        super().__init__(host, port)
         self._workers: Dict[str, Tuple[str, int]] = dict(workers)
         self._ring = HashRing(self._workers, replicas=replicas, seed=seed)
         self._route_cache: Dict[bytes, Tuple[str, bytes]] = {}
-        self.host = host
-        self.port = port
-        self.connections = 0
         #: ring membership changes from worker failures so far
         self.remaps = 0
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._protocols: Set[_RouterConnection] = set()
 
     # ------------------------------------------------------------------
     @property
@@ -676,26 +606,6 @@ class ClusterRouter:
             self._route_cache.clear()
         self._workers.pop(name, None)
 
-    # ------------------------------------------------------------------
-    async def start(self) -> "ClusterRouter":
-        """Bind the public port; resolves :attr:`port`."""
-        loop = asyncio.get_running_loop()
-        self._server = await loop.create_server(
-            lambda: _RouterConnection(self), self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self
-
-    async def close(self) -> None:
-        """Stop accepting and drop every client connection."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for protocol in list(self._protocols):
-            if protocol.transport is not None:
-                protocol.transport.close()
-
 
 # ---------------------------------------------------------------------------
 # process orchestration (``repro serve --workers N``)
@@ -718,7 +628,6 @@ class ClusterConfig:
     #: start fresh accounts empty (the paper's cold start) — keeps the
     #: burst bound airtight across failure remaps
     cold_start: bool = False
-    uvloop: bool = False
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -788,8 +697,6 @@ def spawn_worker(
         argv += ["--seed", str(config.seed + index)]
     if config.cold_start:
         argv.append("--cold-start")
-    if config.uvloop:
-        argv.append("--uvloop")
     if duration is not None:
         argv += ["--duration", repr(duration + 60.0)]
     process = subprocess.Popen(

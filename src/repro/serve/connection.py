@@ -1,0 +1,236 @@
+"""The framed-connection core shared by the server and the cluster router.
+
+Everything a listening endpoint of the wire protocol
+(:mod:`repro.serve.wire`) needs besides deciding what a frame means:
+
+* :class:`FramedConnection` — one client connection. Bytes land in a
+  reusable receive buffer via ``readinto``
+  (:class:`asyncio.BufferedProtocol`), the hello is checked (a
+  connection's first bytes are :data:`~repro.serve.wire.MAGIC` or it
+  gets one ``!`` line and a close), and the socket's read side is held
+  whenever requests must not be accepted: the peer is not draining
+  replies, the subclass is not ready to drain yet, or the endpoint is
+  shutting down. A subclass supplies :meth:`~FramedConnection.drain`
+  (walk the complete frames between ``_start`` and ``_end``) and may
+  defer :meth:`~FramedConnection.begin` (the hello ack) until it can.
+* :class:`FramedListener` — the listening half: bind, read back port 0,
+  and a close that lets every owed reply reach its socket first.
+"""
+
+from __future__ import annotations
+
+import asyncio
+from typing import Optional, Set
+
+from repro.serve import wire
+
+#: per-connection receive buffer; the residue a drain leaves is always
+#: smaller than one frame (< 4 KiB), so this never needs to grow
+_RECV_BUFFER = 2**16
+
+#: what a connection that does not open with the hello is told
+_REFUSAL = b"! unsupported protocol: expected the binary wire v1 hello\n"
+
+
+class FramedConnection(asyncio.BufferedProtocol):
+    """One client connection: receive buffer, hello, read-side holds.
+
+    ``_start``/``_end`` delimit the unparsed region of ``_buffer``
+    (``_view`` is a ``memoryview`` of it, so a drain parses through
+    zero-copy slices); it is compacted to the front once consumed.
+    """
+
+    def __init__(self, listener: "FramedListener"):
+        self.listener = listener
+        self.transport: Optional[asyncio.Transport] = None
+        self._buffer = bytearray(_RECV_BUFFER)
+        self._view = memoryview(self._buffer)
+        self._start = 0
+        self._end = 0
+        #: the hello was acked: buffered frames go to :meth:`drain`
+        self._ready = False
+        #: why the read side is paused right now (empty = reading)
+        self._holds: Set[str] = set()
+
+    # ------------------------------------------------------------------
+    # what a subclass supplies
+    # ------------------------------------------------------------------
+    def drain(self) -> None:
+        """Consume every complete frame in ``_buffer[_start:_end]``."""
+        raise NotImplementedError
+
+    def hello_received(self) -> None:
+        """The peer sent a valid hello; call :meth:`begin` once able to drain.
+
+        The default is able at once. Otherwise the read side is held
+        until :meth:`begin` runs, so a peer that does not wait for the
+        ack cannot overrun the receive buffer.
+        """
+        self.begin()
+
+    def idle(self) -> bool:
+        """Whether every reply owed to the peer has reached the socket."""
+        assert self.transport is not None
+        return not self.transport.get_write_buffer_size()
+
+    # ------------------------------------------------------------------
+    def connection_made(self, transport) -> None:
+        """Register with the listener (asyncio callback)."""
+        self.listener.connections += 1
+        self.listener._protocols.add(self)
+        self.transport = transport
+
+    def connection_lost(self, exc) -> None:
+        """Unregister from the listener (asyncio callback)."""
+        self.listener.connections -= 1
+        self.listener._protocols.discard(self)
+        self.transport = None
+
+    def hold(self, reason: str) -> None:
+        """Stop reading requests until ``reason`` is released."""
+        if not self._holds and self.transport is not None:
+            self.transport.pause_reading()
+        self._holds.add(reason)
+
+    def release(self, reason: str) -> None:
+        """Drop one hold; reading resumes when none is left."""
+        if reason in self._holds:
+            self._holds.remove(reason)
+            if not self._holds and self.transport is not None:
+                self.transport.resume_reading()
+
+    def pause_writing(self) -> None:
+        """Tie the read side to the write side (asyncio callback).
+
+        When the client stops draining responses, stop accepting more
+        requests instead of buffering unboundedly.
+        """
+        self.hold("peer-not-reading")
+
+    def resume_writing(self) -> None:
+        """The client drains responses again (asyncio callback)."""
+        self.release("peer-not-reading")
+
+    # ------------------------------------------------------------------
+    def get_buffer(self, sizehint: int) -> memoryview:
+        """The free tail of the receive buffer (asyncio callback)."""
+        if self._start and self._start == self._end:
+            self._start = self._end = 0
+        elif len(self._buffer) - self._end < 2048 and self._start:
+            # Compact the unparsed residue (< one frame) to the front;
+            # slice assignment, the buffer is never resized.
+            remaining = self._end - self._start
+            self._buffer[:remaining] = self._buffer[self._start : self._end]
+            self._start, self._end = 0, remaining
+        return self._view[self._end :]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        """``nbytes`` more arrived: drain them, or check the hello first."""
+        self._end += nbytes
+        if self._ready:
+            self.drain()
+        else:
+            self._check_hello()
+
+    def _check_hello(self) -> None:
+        """Accept :data:`wire.MAGIC`, refuse anything else with one line."""
+        assert self.transport is not None
+        magic = wire.MAGIC
+        got = bytes(self._view[: min(self._end, len(magic))])
+        if got != magic[: len(got)]:
+            self.transport.write(_REFUSAL)
+            self.transport.close()
+        elif len(got) == len(magic):
+            self._start += len(magic)
+            self.hello_received()
+            if not self._ready:
+                # An empty asyncio receive view is fatal to the
+                # transport, so nothing more is read until a drain can
+                # make room.
+                self.hold("hello")
+
+    def begin(self) -> None:
+        """Ack the hello and start draining (frames may already be buffered)."""
+        assert self.transport is not None
+        self.transport.write(wire.MAGIC)
+        self._ready = True
+        self.drain()
+        self.release("hello")
+
+
+class FramedListener:
+    """A TCP endpoint accepting :class:`FramedConnection` subclasses.
+
+    ``host``/``port`` are the bind address; port 0 picks a free port
+    (read it back from :attr:`port` after :meth:`start` — this is how
+    the loopback tests avoid port races).
+    """
+
+    #: the :class:`FramedConnection` subclass built per accepted socket
+    connection_class = FramedConnection
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0):
+        self.host = host
+        self.port = port
+        self.connections = 0
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._protocols: Set[FramedConnection] = set()
+
+    async def start(self) -> "FramedListener":
+        """Bind and start accepting connections; resolves :attr:`port`."""
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: self.connection_class(self), self.host, self.port
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
+        return self
+
+    async def serve_forever(self) -> None:
+        """Run until cancelled (the ``repro serve`` foreground path)."""
+        if self._server is None:
+            await self.start()
+        assert self._server is not None
+        async with self._server:
+            await self._server.serve_forever()
+
+    async def close(self, drain_timeout: float = 5.0) -> None:
+        """Stop accepting, drain in-flight responses, close every transport.
+
+        A pipelined client can have kilobytes of DECISION frames sitting
+        in a transport's write buffer when the endpoint shuts down;
+        ``transport.close()`` alone schedules an asynchronous flush that
+        dies with the event loop (``asyncio.run`` tears the loop down
+        immediately after the coroutine returns), silently truncating
+        the final response batch. So: stop reading (no new decisions),
+        then wait — up to ``drain_timeout`` seconds — for every
+        connection to be :meth:`~FramedConnection.idle`, then close.
+        """
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
+        pending = [
+            protocol
+            for protocol in self._protocols
+            if protocol.transport is not None and not protocol.transport.is_closing()
+        ]
+        transports = [protocol.transport for protocol in pending]
+        for protocol in pending:
+            # Freeze the request side first so the set of owed responses
+            # stops growing.
+            protocol.hold("closing")
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + drain_timeout
+        while pending:
+            pending = [
+                protocol
+                for protocol in pending
+                if protocol.transport is not None
+                and not protocol.transport.is_closing()
+                and not protocol.idle()
+            ]
+            if not pending or loop.time() >= deadline:
+                break
+            await asyncio.sleep(0.01)
+        for transport in transports:
+            transport.close()

@@ -15,9 +15,9 @@ simulated round timer:
   at the strategy's capacity ``C``, exactly like the simulated node
   whose proactive send found no peer);
 * an incoming ``try_acquire`` plays ONMESSAGE: the strategy's
-  :meth:`~repro.core.strategies.Strategy.admission_decision` hook runs
-  one reactive-then-proactive decision, and an admission spends one
-  banked token;
+  :attr:`~repro.core.strategies.Strategy.decision_kernel` runs one
+  reactive-then-proactive decision, and an admission spends one banked
+  token;
 * strategies that send proactively from an empty account (the pure
   proactive baseline, ``C = 0``) admit through a token-less *proactive
   slot* instead, paced at most once per period — the wall-clock analog
@@ -70,12 +70,8 @@ class Decision:
     ``reason`` is ``"reactive"`` or ``"proactive"`` for admissions
     (which Algorithm-4 branch granted the send) and ``"exhausted"`` for
     rejections. ``retry_after`` is the caller's backoff hint: seconds
-    until the key's next token accrues (``None`` on admission).
-
-    :meth:`to_wire` / :meth:`from_wire` are the text-protocol codec —
-    the one place a decision's line format lives (the binary framing is
-    :func:`repro.serve.wire.encode_decision_binary`, built from the
-    same fields).
+    until the key's next token accrues (``None`` on admission). The
+    wire framing is :func:`repro.serve.wire.encode_decision_binary`.
     """
 
     admitted: bool
@@ -105,37 +101,6 @@ class Decision:
 
     def __bool__(self) -> bool:
         return self.admitted
-
-    # ------------------------------------------------------------------
-    def to_wire(self) -> bytes:
-        """This decision as its text-protocol response line."""
-        if self.admitted:
-            return f"+ {self.reason} {self.balance}\n".encode()
-        retry = self.retry_after if self.retry_after is not None else 0.0
-        return f"- {retry:.6f}\n".encode()
-
-    @classmethod
-    def from_wire(cls, line: Union[str, bytes], key: str = "") -> "Decision":
-        """Parse a text-protocol response line back into a Decision.
-
-        The line format does not carry the key (responses are matched
-        to requests by order), so the caller supplies it; rejection
-        lines carry no balance, which parses as 0. Error lines (``!``)
-        raise ``ValueError``.
-        """
-        if isinstance(line, (bytes, bytearray, memoryview)):
-            line = bytes(line).decode("ascii", "replace")
-        parts = line.split()
-        if not parts:
-            raise ValueError("empty response")
-        if parts[0] == "+":
-            reason = parts[1] if len(parts) > 1 else ""
-            balance = int(parts[2]) if len(parts) > 2 else 0
-            return cls(True, key, reason, balance)
-        if parts[0] == "-":
-            retry = float(parts[1]) if len(parts) > 1 else 0.0
-            return cls(False, key, "exhausted", 0, retry)
-        raise ValueError(f"server error: {line.strip()}")
 
 
 class TokenAccountLimiter:

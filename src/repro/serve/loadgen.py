@@ -11,22 +11,21 @@ Requests fan out round-robin over ``connections`` persistent TCP
 connections and ``keys`` distinct account keys. Each connection
 pipelines: a writer coroutine flushes every request that is due (one
 ``write`` per due batch), while a reader coroutine matches responses
-FIFO to their send deadlines — both wire protocols answer strictly in
-order, so no per-request ids are needed. Latency is measured from the
-*scheduled* arrival time to the response, so scheduler lag and server
-backpressure both count, as they would for a real client.
+FIFO to their send deadlines — the wire protocol
+(:mod:`repro.serve.wire`) answers strictly in order, so no per-request
+ids are needed. Latency is measured from the *scheduled* arrival time
+to the response, so scheduler lag and server backpressure both count,
+as they would for a real client.
 
-``protocol`` selects the wire format (``"text"`` lines or the
-length-prefixed ``"binary"`` framing — see :mod:`repro.serve.wire`),
-and ``pipeline`` optionally caps in-flight requests per connection
+``pipeline`` optionally caps in-flight requests per connection
 (0 = unbounded): a run stays open-loop in its send *schedule* while
 bounding how deep any one connection's response queue can grow.
 
-The binary reader exploits the fixed 17-byte ``DECISION`` frame: a
-pipelined ACQUIRE-only stream is a homogeneous array of records, so
-each socket read is parsed with **one** :func:`numpy.frombuffer` over a
-packed structured dtype (:data:`DECISION_DTYPE`) instead of a Python
-loop — the client-side half of the zero-copy wire path. Any
+The reader exploits the fixed 17-byte ``DECISION`` frame: a pipelined
+ACQUIRE-only stream is a homogeneous array of records, so each socket
+read is parsed with **one** :func:`numpy.frombuffer` over a packed
+structured dtype (:data:`repro.serve.wire.DECISION_DTYPE`) instead of a
+Python loop — the client-side half of the zero-copy wire path. Any
 non-DECISION frame (stats, error) drops the connection back to the
 generic frame-by-frame parser.
 
@@ -52,18 +51,6 @@ from repro.serve import wire
 from repro.serve.arrivals import arrival_times
 from repro.sim.randomness import RandomStreams
 
-#: packed view of one binary DECISION frame (length prefix included) —
-#: field offsets match ``wire.DECISION_STRUCT`` ("<HBBBid") exactly, so
-#: ``np.frombuffer`` turns a run of pipelined responses into columns.
-DECISION_DTYPE = np.dtype(
-    {
-        "names": ["len", "status", "admitted", "reason", "balance", "retry"],
-        "formats": ["<u2", "u1", "u1", "u1", "<i4", "<f8"],
-        "offsets": [0, 2, 3, 4, 5, 9],
-        "itemsize": wire.DECISION_FRAME_SIZE,
-    }
-)
-
 
 @dataclass
 class LoadgenReport:
@@ -75,8 +62,6 @@ class LoadgenReport:
     #: wall-clock seconds the run actually took (≥ duration under lag)
     elapsed: float = 0.0
     errors: int = 0
-    #: wire protocol the run spoke ("text" or "binary")
-    protocol: str = "text"
     #: per-connection in-flight cap (0 = unbounded)
     pipeline: int = 0
     summary: Dict[str, float] = field(default_factory=dict)
@@ -88,8 +73,7 @@ class LoadgenReport:
         pipelined = f", pipeline {self.pipeline}" if self.pipeline else ""
         lines = [
             f"loadgen {self.spec_label}: offered {self.offered} requests "
-            f"over {self.duration:g}s (elapsed {self.elapsed:.2f}s, "
-            f"{self.protocol}{pipelined})",
+            f"over {self.duration:g}s (elapsed {self.elapsed:.2f}s{pipelined})",
         ]
         summary = self.summary
         if summary:
@@ -121,7 +105,6 @@ class LoadgenReport:
             "offered": self.offered,
             "elapsed": self.elapsed,
             "errors": self.errors,
-            "protocol": self.protocol,
             "pipeline": self.pipeline,
             "summary": self.summary,
             "admitted_per_second": self.admitted_per_second,
@@ -129,7 +112,7 @@ class LoadgenReport:
 
 
 async def fetch_stats(host: str, port: int) -> Dict[str, object]:
-    """Fetch one STATS document from a server over the binary protocol.
+    """Fetch one STATS document from a server.
 
     Works against a single-process server and the cluster router alike
     (the router answers with the aggregated cluster document). Raises
@@ -166,7 +149,6 @@ async def _connection_worker(
     start: float,
     recorder: LatencyRecorder,
     report: LoadgenReport,
-    protocol: str = "text",
     pipeline: int = 0,
 ) -> None:
     """Drive one pipelined connection through its slice of the schedule."""
@@ -174,9 +156,8 @@ async def _connection_worker(
         return
     reader, writer = await asyncio.open_connection(host, port)
     loop = asyncio.get_running_loop()
-    binary = protocol == "binary"
     total = len(schedule)
-    # Both wire protocols answer strictly in order and the writer sends
+    # The server answers strictly in order and the writer sends
     # in schedule order, so response N belongs to send deadline N: a
     # cursor into the due-times array replaces per-request bookkeeping.
     dues = np.fromiter(
@@ -190,28 +171,7 @@ async def _connection_worker(
     #: a pipeline-capped writer can wait for in-flight slots to free up
     progress = asyncio.Event()
 
-    async def read_text() -> None:
-        nonlocal completed
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    return
-                due = due_list[completed]
-                completed += 1
-                try:
-                    admitted, _reason, _retry = wire.parse_response(line.decode())
-                except ValueError:
-                    report.errors += 1
-                    admitted = False
-                recorder.record(loop.time() - (start + due), admitted, at=due)
-                progress.set()
-                if completed >= total and consumer_done.is_set():
-                    return
-        finally:
-            progress.set()  # never leave a capped writer waiting forever
-
-    async def read_binary() -> None:
+    async def read_responses() -> None:
         nonlocal completed
         buffer = bytearray()
         stride = wire.DECISION_FRAME_SIZE
@@ -235,7 +195,7 @@ async def _connection_worker(
                             buffer += data
                         continue
                     view = memoryview(data)[:usable]
-                    frames = np.frombuffer(view, dtype=DECISION_DTYPE)
+                    frames = np.frombuffer(view, dtype=wire.DECISION_DTYPE)
                     homogeneous = bool(
                         (frames["status"] == wire.STATUS_DECISION).all()
                     ) and bool((frames["len"] == body_length).all())
@@ -292,24 +252,20 @@ async def _connection_worker(
         finally:
             progress.set()
 
-    if binary:
-        writer.write(wire.MAGIC)
-        await writer.drain()
+    writer.write(wire.MAGIC)
+    await writer.drain()
+    try:
+        ack = await reader.readexactly(len(wire.MAGIC))
+    except asyncio.IncompleteReadError:
+        ack = b""
+    if ack != wire.MAGIC:
+        report.errors += total
+        writer.close()
         try:
-            ack = await reader.readexactly(len(wire.MAGIC))
-        except asyncio.IncompleteReadError:
-            ack = b""
-        if ack != wire.MAGIC:
-            report.errors += total
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            return
-        encode = wire.encode_request_binary
-    else:
-        encode = wire.encode_request
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+        return
     # Requests repeat over few keys: encode each key once up front, then
     # pre-join the whole connection's request stream into ONE contiguous
     # bytes object with per-request byte offsets. The send hot loop is
@@ -320,7 +276,7 @@ async def _connection_worker(
     for _, key in schedule:
         frame = frame_cache.get(key)
         if frame is None:
-            frame = frame_cache[key] = encode(key)
+            frame = frame_cache[key] = wire.encode_request_binary(key)
         payloads_out.append(frame)
     stream = memoryview(b"".join(payloads_out))
     offsets = np.zeros(total + 1, dtype=np.int64)
@@ -330,7 +286,7 @@ async def _connection_worker(
     )
     offset_list = offsets.tolist()
     del payloads_out
-    reader_task = asyncio.create_task(read_binary() if binary else read_text())
+    reader_task = asyncio.create_task(read_responses())
     try:
         while sent < total:
             delay = start + due_list[sent] - loop.time()
@@ -382,7 +338,7 @@ async def run_loadgen(
     keys: int = 16,
     seed: int = 1,
     key_prefix: str = "key",
-    protocol: str = "text",
+    protocol: str = "binary",  # accepted only: perf/workloads.py (frozen) passes it
     pipeline: int = 0,
 ) -> LoadgenReport:
     """Replay ``spec`` against ``host:port`` and measure the outcome.
@@ -395,8 +351,8 @@ async def run_loadgen(
         raise ValueError(f"need at least one connection, got {connections}")
     if keys < 1:
         raise ValueError(f"need at least one key, got {keys}")
-    if protocol not in ("text", "binary"):
-        raise ValueError(f"protocol must be 'text' or 'binary', got {protocol!r}")
+    if protocol != "binary":
+        raise ValueError(f"the only wire protocol is 'binary', got {protocol!r}")
     if pipeline < 0:
         raise ValueError(f"pipeline depth cannot be negative, got {pipeline}")
     rng = RandomStreams(seed).stream("loadgen-arrivals")
@@ -408,7 +364,6 @@ async def run_loadgen(
         spec_label=spec.label(),
         duration=duration,
         offered=len(schedule),
-        protocol=protocol,
         pipeline=pipeline,
     )
     recorder = LatencyRecorder()
@@ -423,7 +378,6 @@ async def run_loadgen(
                 start,
                 recorder,
                 report,
-                protocol=protocol,
                 pipeline=pipeline,
             )
             for worker in range(connections)

@@ -5,164 +5,42 @@ connection — the sharded account table is the synchronization point, so
 the asyncio event loop and any worker threads see one consistent token
 state per key.
 
-Each connection speaks either wire protocol (see
-:mod:`repro.serve.wire`): the first byte decides. ``0xAB`` — the
-binary hello's sentinel, which no text command starts with — selects
-the length-prefixed binary framing; anything else is served as
-newline-delimited text, so existing text clients keep working
-unchanged.
+Connections speak the length-prefixed binary protocol of
+:mod:`repro.serve.wire`; the receive buffer, hello check, backpressure
+and shutdown drain live in :mod:`repro.serve.connection`, shared with
+the cluster router. This module supplies what a frame *means* here.
 
-The hot path is batch-oriented in both modes: the connection protocol
-answers *every* complete request in the received chunk and flushes all
-responses with a single write. On the binary path a run of consecutive
-``ACQUIRE`` frames is decided by **one**
+The hot path is batch-oriented: the connection answers *every* complete
+request in the received chunk and flushes all responses with a single
+write. A run of consecutive ``ACQUIRE`` frames is decided by **one**
 :meth:`~repro.serve.limiter.TokenAccountLimiter.try_acquire_many`
 call (a ``STATS``/``PING`` frame is the only flush barrier), and the
 response run is packed into one contiguous buffer — so a pipelining
 client like :mod:`repro.serve.loadgen` amortizes syscall, parse *and*
-per-decision lock cost over its pipeline depth. Receive parsing is
-zero-copy: bytes land in a reusable buffer via ``readinto``
-(:class:`asyncio.BufferedProtocol`) and frames are parsed through
-``memoryview`` slices of it.
+per-decision lock cost over its pipeline depth. Frames are parsed
+through ``memoryview`` slices of the receive buffer, zero-copy.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import List, Optional, Set
+from typing import List, Optional
 
 from repro.serve import wire
+from repro.serve.connection import FramedConnection, FramedListener
 from repro.serve.limiter import TokenAccountLimiter
 
-#: refuse absurd text lines early (a client speaking the wrong protocol)
-_MAX_LINE = 4096
 
-#: per-connection receive buffer; parsed residue is always smaller than
-#: one frame/line (< 4 KiB), so this never needs to grow
-_RECV_BUFFER = 2**16
-
-
-class _AdmissionProtocol(asyncio.BufferedProtocol):
-    """One connection: sniff the protocol version, then serve batches.
-
-    ``BufferedProtocol`` hands the socket a ``memoryview`` into our
-    reusable receive buffer (``readinto`` under the hood — no per-chunk
-    bytes object), and parsing walks the same buffer through views.
-    ``_start``/``_end`` delimit the unparsed region; it is compacted to
-    the front once consumed.
-    """
+class _AdmissionProtocol(FramedConnection):
+    """One client connection: decide every buffered request in batches."""
 
     def __init__(self, server: "AdmissionServer"):
-        self.server = server
+        super().__init__(server)
         self.limiter = server.limiter
-        self.transport: Optional[asyncio.Transport] = None
-        #: None while sniffing the first byte, then "text" or "binary"
-        self.mode: Optional[str] = None
-        self._buffer = bytearray(_RECV_BUFFER)
-        self._view = memoryview(self._buffer)
-        self._start = 0
-        self._end = 0
 
     # ------------------------------------------------------------------
-    def connection_made(self, transport) -> None:
-        self.server.connections += 1
-        self.server._protocols.add(self)
-        self.transport = transport
-
-    def connection_lost(self, exc) -> None:
-        self.server.connections -= 1
-        self.server._protocols.discard(self)
-
-    # Tie the socket's read side to its write side: when the client
-    # stops draining responses, stop accepting more requests instead of
-    # buffering unboundedly.
-    def pause_writing(self) -> None:
-        if self.transport is not None:
-            self.transport.pause_reading()
-
-    def resume_writing(self) -> None:
-        if self.transport is not None:
-            self.transport.resume_reading()
-
-    # ------------------------------------------------------------------
-    def get_buffer(self, sizehint: int) -> memoryview:
-        if self._start and self._start == self._end:
-            self._start = self._end = 0
-        elif len(self._buffer) - self._end < 2048 and self._start:
-            # Compact the unparsed residue (< one frame/line) to the
-            # front; slice assignment, the buffer is never resized.
-            remaining = self._end - self._start
-            self._buffer[:remaining] = self._buffer[self._start : self._end]
-            self._start, self._end = 0, remaining
-        return self._view[self._end :]
-
-    def buffer_updated(self, nbytes: int) -> None:
-        self._end += nbytes
-        if self.mode is None and not self._sniff():
-            return
-        if self.mode == "binary":
-            self._drain_binary()
-        else:
-            self._drain_text()
-
-    # ------------------------------------------------------------------
-    def _sniff(self) -> bool:
-        """Pick the protocol from the first byte; True once decided."""
-        assert self.transport is not None
-        if self._buffer[self._start] != wire.MAGIC[0]:
-            self.mode = "text"
-            return True
-        if self._end - self._start < len(wire.MAGIC):
-            return False  # wait for the whole hello
-        hello = bytes(self._view[self._start : self._start + len(wire.MAGIC)])
-        if hello != wire.MAGIC:
-            # Future (or corrupt) version: answer in text, which every
-            # client can at least log, and drop the connection.
-            self.transport.write(b"! unsupported binary protocol version\n")
-            self.transport.close()
-            return False
-        self.mode = "binary"
-        self._start += len(wire.MAGIC)
-        self.transport.write(wire.MAGIC)  # hello ack
-        return True
-
-    # ------------------------------------------------------------------
-    def _drain_text(self) -> None:
-        """Answer every complete line in the buffer with one write."""
-        assert self.transport is not None
-        last = self._buffer.rfind(b"\n", self._start, self._end)
-        if last < 0:
-            if self._end - self._start > _MAX_LINE:
-                self.transport.write(b"! line too long\n")
-                self.transport.close()
-            return
-        lines = bytes(self._view[self._start : last])
-        self._start = last + 1
-        responses = [
-            self._respond(text)
-            for raw in lines.split(b"\n")
-            # Blank lines (keep-alives, trailing \r\n) get no reply.
-            if (text := raw.decode("ascii", "replace").strip())
-        ]
-        if responses:
-            self.transport.write(b"".join(responses))
-
-    def _respond(self, line: str) -> bytes:
-        """One response line for one request line (the text inner loop)."""
-        try:
-            command, key, useful = wire.parse_request(line)
-        except ValueError as error:
-            return f"! {error}\n".encode()
-        if command == "A":
-            assert key is not None
-            return wire.encode_decision(self.limiter.try_acquire(key, useful))
-        if command == "S":
-            return self._stats_json() + b"\n"
-        return b"P\n"  # liveness echo
-
-    # ------------------------------------------------------------------
-    def _drain_binary(self) -> None:
+    def drain(self) -> None:
         """Answer every complete frame in the buffer with one write.
 
         Consecutive ``ACQUIRE`` frames become one
@@ -297,11 +175,11 @@ class _AdmissionProtocol(asyncio.BufferedProtocol):
 
     # ------------------------------------------------------------------
     def _stats_json(self) -> bytes:
-        stats = dict(self.limiter.stats(), connections=self.server.connections)
+        stats = dict(self.limiter.stats(), connections=self.listener.connections)
         return json.dumps(stats, sort_keys=True).encode()
 
 
-class AdmissionServer:
+class AdmissionServer(FramedListener):
     """A TCP admission-control server around one shared limiter.
 
     Parameters
@@ -310,79 +188,16 @@ class AdmissionServer:
         The shared admission primitive.
     host, port:
         Bind address; port 0 picks a free port (read it back from
-        :attr:`port` after :meth:`start` — this is how the loopback
-        tests avoid port races).
+        :attr:`port` after :meth:`start`).
     """
+
+    connection_class = _AdmissionProtocol
 
     def __init__(
         self, limiter: TokenAccountLimiter, host: str = "127.0.0.1", port: int = 0
     ):
+        super().__init__(host, port)
         self.limiter = limiter
-        self.host = host
-        self.port = port
-        self.connections = 0
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._protocols: Set[_AdmissionProtocol] = set()
-
-    # ------------------------------------------------------------------
-    async def start(self) -> "AdmissionServer":
-        """Bind and start accepting connections; resolves :attr:`port`."""
-        loop = asyncio.get_running_loop()
-        self._server = await loop.create_server(
-            lambda: _AdmissionProtocol(self), self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self
-
-    async def serve_forever(self) -> None:
-        """Run until cancelled (the ``repro serve`` foreground path)."""
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
-
-    async def close(self, drain_timeout: float = 5.0) -> None:
-        """Stop accepting, drain in-flight responses, close every transport.
-
-        A pipelined client can have kilobytes of DECISION frames sitting
-        in a transport's write buffer when the server shuts down;
-        ``transport.close()`` alone schedules an asynchronous flush that
-        dies with the event loop (``asyncio.run`` tears the loop down
-        immediately after the coroutine returns), silently truncating
-        the final response batch. So: stop reading (no new decisions),
-        then wait — up to ``drain_timeout`` seconds — for every
-        connection's write buffer to reach the socket, then close.
-        """
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        protocols = list(self._protocols)
-        transports = []
-        for protocol in protocols:
-            transport = protocol.transport
-            if transport is None or transport.is_closing():
-                continue
-            # Freeze the request side first so the set of owed responses
-            # stops growing; pause_reading() is idempotent.
-            transport.pause_reading()
-            transports.append(transport)
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + drain_timeout
-        pending = transports
-        while pending:
-            pending = [
-                transport
-                for transport in pending
-                if not transport.is_closing()
-                and transport.get_write_buffer_size() > 0
-            ]
-            if not pending or loop.time() >= deadline:
-                break
-            await asyncio.sleep(0.01)
-        for transport in transports:
-            transport.close()
 
 
 async def run_server(

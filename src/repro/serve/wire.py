@@ -1,35 +1,9 @@
-"""The admission server's wire protocols, shared by server and clients.
+"""The admission wire protocol, shared by server, router and clients.
 
-Two protocols share one port, negotiated by the first byte of a
-connection (see *Version negotiation* below).
-
-Text protocol (v0)
-------------------
-One request per line, one response line per request, newline-delimited
-ASCII — trivially batchable (a client may write many request lines in a
-single segment and the server answers them in order, in one write):
-
-=============================  ==========================================
-request line                   response line
-=============================  ==========================================
-``A <key>``                    ``+ <reason> <balance>`` (admitted) or
-``A <key> u``                  ``- <retry-after-seconds>`` (rejected)
-``A <key> n``
-``S``                          one-line JSON stats document
-``P``                          ``P`` (liveness echo)
-anything else                  ``! <error message>``
-=============================  ==========================================
-
-``A <key> n`` marks the request *not useful* (Algorithm 4's ``u``
-flag); ``A <key> u`` marks it useful explicitly, which is also the
-default for the bare two-token form. Keys are any non-empty token
-without whitespace or newlines, at most :data:`MAX_KEY_LENGTH` bytes.
-
-Binary protocol (v1)
---------------------
-Length-prefixed little-endian frames, built for pipelining: a client
-writes a run of request frames and the server answers with one response
-frame per request, in order, flushed together. Every frame is::
+One protocol: length-prefixed little-endian binary frames, built for
+pipelining. A client writes a run of request frames and the server
+answers with one response frame per request, in order, flushed
+together. Every frame is::
 
     u16 length   -- payload byte count (length prefix excluded)
     payload      -- one message
@@ -77,15 +51,14 @@ pipelined burst with one vectorized pass over a 17-byte stride.
 ``STATS`` carries the JSON document, ``ERROR`` a human-readable
 message, ``PONG`` is empty.
 
-Version negotiation
--------------------
-A binary client opens with the 4-byte hello :data:`MAGIC`
-(``ab 54 41 01``: a non-ASCII sentinel, ``"TA"``, version 1) and waits
-for the server to echo it before pumping frames. No text command starts
-with ``0xAB``, so the server sniffs the first byte of a connection:
-``0xAB`` selects the binary path (a bad magic or unknown version gets a
-text ``!`` line and a close), anything else is served as text. Text
-clients keep working unchanged against a binary-capable server.
+Negotiation
+-----------
+A client opens with the 4-byte hello :data:`MAGIC` (``ab 54 41 01``: a
+non-ASCII sentinel, ``"TA"``, version 1) and the endpoint echoes it
+once it is ready for frames. A connection whose first bytes are
+anything else — another version, a line-oriented client — gets one
+human-readable ``!`` line and a close, from the single-process server
+and the cluster router alike (:mod:`repro.serve.connection`).
 """
 
 from __future__ import annotations
@@ -93,16 +66,14 @@ from __future__ import annotations
 import struct
 from typing import Optional, Tuple, Union
 
+import numpy as np
+
 from repro.serve.limiter import Decision
 
-#: longest accepted key, in characters (one line must stay one MTU-ish)
+#: longest accepted key, in characters
 MAX_KEY_LENGTH = 256
 
-# ---------------------------------------------------------------------------
-# binary protocol (v1) constants
-# ---------------------------------------------------------------------------
-
-#: binary hello: sentinel byte (never starts a text command), "TA", version
+#: the hello: a non-ASCII sentinel byte, "TA", version
 MAGIC = b"\xabTA\x01"
 
 #: request opcodes (``OP_ACQUIRE_BULK`` is spoken only by the cluster
@@ -122,7 +93,7 @@ STATUS_RUN = 4
 #: ``ACQUIRE`` flags bit 0: Algorithm 4's usefulness flag
 FLAG_USEFUL = 1
 
-#: decision reason codes <-> the text protocol's reason words
+#: decision reason codes <-> ``Decision.reason`` words
 REASON_NAMES: Tuple[Optional[str], ...] = (None, "reactive", "proactive", "exhausted")
 REASON_CODES = {name: code for code, name in enumerate(REASON_NAMES) if name}
 
@@ -131,6 +102,19 @@ REASON_CODES = {name: code for code, name in enumerate(REASON_NAMES) if name}
 DECISION_STRUCT = struct.Struct("<HBBBid")
 #: bytes per decision response on the wire (the client's parse stride)
 DECISION_FRAME_SIZE = DECISION_STRUCT.size
+#: the same frame as a packed NumPy record, so a run of pipelined
+#: decisions is read (loadgen) or synthesized (router) as columns
+DECISION_DTYPE = np.dtype(
+    [
+        ("len", "<u2"),
+        ("status", "u1"),
+        ("admitted", "u1"),
+        ("reason", "u1"),
+        ("balance", "<i4"),
+        ("retry", "<f8"),
+    ]
+)
+assert DECISION_DTYPE.itemsize == DECISION_FRAME_SIZE
 
 #: a decision frame's payload alone (what :func:`split_frames` yields)
 _DECISION_BODY = struct.Struct("<BBBid")
@@ -158,59 +142,6 @@ MAX_FRAME = 4096
 _LENGTH = struct.Struct("<H")
 
 
-def encode_request(key: str, useful: bool = True) -> bytes:
-    """One ``A`` request line for ``key`` (client side)."""
-    return f"A {key}\n".encode() if useful else f"A {key} n\n".encode()
-
-
-def parse_request(line: str) -> Tuple[str, Optional[str], bool]:
-    """Parse one request line into ``(command, key, useful)``.
-
-    ``command`` is ``"A"``, ``"S"`` or ``"P"``; malformed lines raise
-    ``ValueError`` with the message the server echoes back after ``!``.
-    """
-    parts = line.split()
-    if not parts:
-        raise ValueError("empty request")
-    command = parts[0]
-    if command == "A":
-        if len(parts) < 2:
-            raise ValueError("A needs a key")
-        key = parts[1]
-        if len(key) > MAX_KEY_LENGTH:
-            raise ValueError(f"key longer than {MAX_KEY_LENGTH}")
-        useful = True
-        if len(parts) >= 3:
-            if parts[2] not in ("u", "n"):
-                raise ValueError("usefulness flag must be 'u' or 'n'")
-            useful = parts[2] == "u"
-        return "A", key, useful
-    if command in ("S", "P") and len(parts) == 1:
-        return command, None, True
-    raise ValueError(f"unknown command {command!r}")
-
-
-def encode_decision(decision: Decision) -> bytes:
-    """The text response line for one admission decision (server side)."""
-    return decision.to_wire()
-
-
-def parse_response(line: str) -> Tuple[bool, str, float]:
-    """Parse a text response line into ``(admitted, reason, retry_after)``.
-
-    ``reason`` is the admission branch (``"reactive"``/``"proactive"``)
-    on admits and ``"exhausted"`` on rejects; ``retry_after`` is 0.0 on
-    admits. Error lines (``!``) raise ``ValueError``.
-    """
-    decision = Decision.from_wire(line)
-    retry = decision.retry_after if decision.retry_after is not None else 0.0
-    return decision.admitted, decision.reason, retry
-
-
-# ---------------------------------------------------------------------------
-# binary protocol (v1) codec
-# ---------------------------------------------------------------------------
-
 def encode_request_binary(key: str, useful: bool = True) -> bytes:
     """One ``ACQUIRE`` request frame for ``key`` (client side)."""
     if len(key) > MAX_KEY_LENGTH:
@@ -231,10 +162,11 @@ def parse_request_binary(
 ) -> Tuple[str, Optional[str], bool]:
     """Parse one binary request payload into ``(command, key, useful)``.
 
-    Same result shape as :func:`parse_request`, so the server dispatches
-    both protocols through one code path. ``payload`` may be a
-    ``memoryview`` into the connection's receive buffer — only the key
-    bytes are copied (into the returned ``str``).
+    ``command`` is ``"A"``, ``"S"`` or ``"P"``; malformed payloads raise
+    ``ValueError`` with the message the server sends back in an
+    ``ERROR`` frame. ``payload`` may be a ``memoryview`` into the
+    connection's receive buffer — only the key bytes are copied (into
+    the returned ``str``).
     """
     if not len(payload):
         raise ValueError("empty frame")

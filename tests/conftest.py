@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from repro.core.protocol import TokenAccountNode
 from repro.core.strategies import Strategy
 from repro.overlay.graph import Overlay
 from repro.overlay.peer_sampling import PeerSampler
+from repro.serve import wire
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 
@@ -110,6 +112,29 @@ class MiniSystem:
     def run(self, until: float):
         self.sim.run(until=until)
         return self
+
+
+async def binary_client(port: int):
+    """Open a wire connection to ``127.0.0.1:port`` and complete the hello."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(wire.MAGIC)
+    await writer.drain()
+    assert await reader.readexactly(len(wire.MAGIC)) == wire.MAGIC
+    return reader, writer
+
+
+async def read_frames(reader, count: int):
+    """Read ``count`` response frame payloads, however TCP segments them."""
+    buffer = bytearray()
+    frames = []
+    while len(frames) < count:
+        chunk = await reader.read(2**16)
+        assert chunk, "server closed early"
+        buffer += chunk
+        payloads, consumed = wire.split_frames(buffer)
+        del buffer[:consumed]
+        frames.extend(payloads)
+    return frames
 
 
 @pytest.fixture

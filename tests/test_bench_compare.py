@@ -200,66 +200,6 @@ def test_removed_artifact_file_is_announced(tmp_path, capsys):
     assert "removed bench metric" in out and "BENCH_gone.json" in out
 
 
-# ----------------------------------------------------------------------
-# Required metrics under the hard gate
-# ----------------------------------------------------------------------
-def serve_doc() -> dict:
-    return {
-        "single_shard": {"decisions_per_second": 200_000.0},
-        "batch_single_shard": {
-            "decisions_per_second": 500_000.0,
-            "speedup_vs_scalar": 2.5,
-        },
-        "loopback_binary": {"decisions_per_second": 150_000.0},
-        "loopback_cluster_2w": {
-            "decisions_per_second": 240_000.0,
-            "speedup_vs_single_process": 1.6,
-        },
-    }
-
-
-def test_gate_fails_when_a_required_serve_metric_vanishes(tmp_path, capsys):
-    write(tmp_path / "old", "BENCH_serve.json", serve_doc())
-    gutted = serve_doc()
-    del gutted["loopback_binary"]
-    write(tmp_path / "new", "BENCH_serve.json", gutted)
-    code = bench_compare.main(gate(tmp_path))
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "required metric loopback_binary.decisions_per_second" in out
-
-
-def test_required_metrics_not_enforced_without_fail_threshold(tmp_path, capsys):
-    write(tmp_path / "old", "BENCH_serve.json", serve_doc())
-    gutted = serve_doc()
-    del gutted["batch_single_shard"]
-    write(tmp_path / "new", "BENCH_serve.json", gutted)
-    code = bench_compare.main([str(tmp_path / "old"), str(tmp_path / "new")])
-    assert code == 0  # warn-only runs tolerate partial artifacts
-    assert "required metric" not in capsys.readouterr().out
-
-
-def test_required_metrics_skipped_when_previous_run_lacked_the_file(tmp_path, capsys):
-    # A gated bench subset that never produced BENCH_serve.json before
-    # is not failed for still not producing it.
-    write(tmp_path / "old", "BENCH_backend.json", doc(events=1_000_000.0))
-    write(tmp_path / "new", "BENCH_backend.json", doc(events=1_000_000.0))
-    code = bench_compare.main(gate(tmp_path))
-    assert code == 0
-    assert "required metric" not in capsys.readouterr().out
-
-
-def test_required_metrics_cover_all_gated_serve_rows(tmp_path, capsys):
-    write(tmp_path / "old", "BENCH_serve.json", serve_doc())
-    write(tmp_path / "new", "BENCH_serve.json", serve_doc())
-    assert bench_compare.main(gate(tmp_path)) == 0
-    # the gate's required list matches the rows this suite fabricates
-    assert set(bench_compare.REQUIRED_METRICS) == {"BENCH_serve.json"}
-    for path in bench_compare.REQUIRED_METRICS["BENCH_serve.json"]:
-        section = path.split(".")[0]
-        assert section in serve_doc()
-
-
 def test_decisions_per_second_is_a_tracked_marker(tmp_path, capsys):
     old = {"single": {"decisions_per_second": 400_000.0}}
     new = {"single": {"decisions_per_second": 100_000.0}}

@@ -35,6 +35,7 @@ from repro.core.ratelimit import RateLimitAuditor
 from repro.serve import AdmissionServer, TokenAccountLimiter, wire
 from repro.serve.cluster import ClusterRouter, _expand_run
 from repro.serve.limiter import Decision
+from tests.conftest import binary_client as binary_session
 
 
 def make_limiter(**overrides) -> TokenAccountLimiter:
@@ -58,12 +59,13 @@ async def start_cluster(workers: int = 2, **limiter_overrides):
     return router, servers
 
 
-async def binary_session(port: int):
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    writer.write(wire.MAGIC)
-    await writer.drain()
-    assert await reader.readexactly(len(wire.MAGIC)) == wire.MAGIC
-    return reader, writer
+async def start_endpoint(kind: str):
+    """A lone ``"server"`` or a 2-worker ``"router"``: ``(port, close)``."""
+    if kind == "server":
+        server = await AdmissionServer(make_limiter(), host="127.0.0.1").start()
+        return server.port, server.close
+    router, servers = await start_cluster(2)
+    return router.port, lambda: teardown(router, servers)
 
 
 async def acquire_many(reader, writer, keys, useful: bool = True):
@@ -268,22 +270,94 @@ def test_cluster_answers_errors_in_order_and_survives_them():
     assert wire.decode_response_binary(second[2:], key="a")[1].balance == 1
 
 
-def test_cluster_refuses_text_clients():
+# ----------------------------------------------------------------------
+# the hello: identical on the server and the router
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind", ["server", "router"])
+def test_non_hello_first_bytes_get_one_error_line_and_a_close(kind):
     async def scenario():
-        router, servers = await start_cluster(2)
-        reader, writer = await asyncio.open_connection("127.0.0.1", router.port)
+        port, close = await start_endpoint(kind)
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
         writer.write(b"A key\n")
         await writer.drain()
         line = await reader.readline()
         closed = await reader.read()
         writer.close()
-        await teardown(router, servers)
+        await close()
         return line, closed
 
     line, closed = asyncio.run(scenario())
     assert line.startswith(b"!")
     assert b"binary" in line
     assert closed == b""
+
+
+@pytest.mark.parametrize("kind", ["server", "router"])
+def test_frames_flooded_behind_the_hello_are_all_answered_in_order(kind):
+    """A client that does not wait for the hello ack loses nothing.
+
+    The regression: the router buffered undrained until its worker
+    links were up, so more than one receive buffer of early frames hit
+    asyncio's fatal empty ``get_buffer()`` view and reset the client.
+    """
+    requests = 8000
+    keys = [f"flood-{i % 8}" for i in range(requests)]
+    flood = wire.MAGIC + b"".join(map(wire.encode_request_binary, keys))
+    assert len(flood) > 2**16  # more than one receive buffer
+
+    async def scenario():
+        port, close = await start_endpoint(kind)
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(flood)  # one write, no wait for the ack
+        ack = await reader.readexactly(len(wire.MAGIC))
+        replies = await reader.readexactly(requests * wire.DECISION_FRAME_SIZE)
+        writer.close()
+        await close()
+        return ack, replies
+
+    ack, replies = asyncio.run(scenario())
+    assert ack == wire.MAGIC
+    frames, consumed = wire.split_frames(bytearray(replies))
+    assert consumed == len(replies)
+    decisions = [wire.decode_response_binary(frame)[1] for frame in frames]
+    # 8 keys round-robin at C=3: request i is its key's (i // 8)-th, so
+    # any reordering or loss shifts the admit/balance pattern
+    assert [d.admitted for d in decisions] == [i < 24 for i in range(requests)]
+    assert [d.balance for d in decisions[:24]] == [2 - i // 8 for i in range(24)]
+
+
+def test_router_close_delivers_every_reply_it_owes():
+    """The router's half of the server's shutdown-drain regression test:
+    replies still queued behind a worker gather when ``close()`` is
+    called are owed too, not just bytes already in the write buffer."""
+    requests = 6000
+
+    async def scenario():
+        router, servers = await start_cluster(2)
+        reader, writer = await binary_session(router.port)
+        writer.write(
+            b"".join(wire.encode_request_binary(f"k{i % 16}") for i in range(requests))
+        )
+        await writer.drain()
+        decided = 0
+        while decided < requests:  # the router has read and routed them all
+            await asyncio.sleep(0.005)
+            decided = sum(s.limiter.admitted + s.limiter.rejected for s in servers)
+
+        async def slow_slurp():
+            received = 0
+            while chunk := await reader.read(4096):
+                received += len(chunk)
+                await asyncio.sleep(0.001)
+            return received
+
+        slurp = asyncio.get_running_loop().create_task(slow_slurp())
+        await teardown(router, servers)
+        received = await slurp
+        writer.close()
+        return received
+
+    assert asyncio.run(scenario()) == requests * wire.DECISION_FRAME_SIZE
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Loopback tests for the admission server, wire protocol and loadgen."""
+"""Loopback tests for the admission server and loadgen."""
 
 from __future__ import annotations
 
@@ -10,10 +10,12 @@ import pytest
 from repro.scenarios import ArrivalSpec
 from repro.serve import (
     AdmissionServer,
+    Decision,
     TokenAccountLimiter,
     run_loadgen,
     wire,
 )
+from tests.conftest import binary_client, read_frames
 
 
 def make_limiter(**overrides) -> TokenAccountLimiter:
@@ -27,79 +29,62 @@ async def start_server(limiter) -> AdmissionServer:
 
 
 # ----------------------------------------------------------------------
-# Wire protocol
-# ----------------------------------------------------------------------
-def test_wire_request_roundtrip():
-    assert wire.parse_request("A alice") == ("A", "alice", True)
-    assert wire.parse_request("A alice n") == ("A", "alice", False)
-    assert wire.parse_request("A alice u") == ("A", "alice", True)
-    assert wire.parse_request("S") == ("S", None, True)
-    assert wire.parse_request("P") == ("P", None, True)
-    assert wire.encode_request("alice") == b"A alice\n"
-    assert wire.encode_request("alice", useful=False) == b"A alice n\n"
-
-
-@pytest.mark.parametrize(
-    "line", ["", "A", "Z key", "A key x", "S extra", "A " + "k" * 300]
-)
-def test_wire_rejects_malformed_requests(line):
-    with pytest.raises(ValueError):
-        wire.parse_request(line)
-
-
-def test_wire_response_roundtrip():
-    assert wire.parse_response("+ reactive 4") == (True, "reactive", 0.0)
-    admitted, reason, retry = wire.parse_response("- 12.500000")
-    assert (admitted, reason, retry) == (False, "exhausted", 12.5)
-    with pytest.raises(ValueError):
-        wire.parse_response("! broken")
-
-
-# ----------------------------------------------------------------------
 # Server
 # ----------------------------------------------------------------------
 def test_server_answers_batched_pipeline_in_order():
     async def scenario():
         limiter = make_limiter()  # C=3, long period: exactly 3 admits
         server = await start_server(limiter)
-        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        reader, writer = await binary_client(server.port)
         # five acquires + stats + ping, all in ONE segment
-        writer.write(b"A k\nA k\nA k\nA k\nA k\nS\nP\n")
+        writer.write(
+            wire.encode_request_binary("k") * 5
+            + wire.encode_command_binary(wire.OP_STATS)
+            + wire.encode_command_binary(wire.OP_PING)
+        )
         await writer.drain()
         writer.write_eof()
         raw = await reader.read()
         writer.close()
         await writer.wait_closed()
         await server.close()
-        return raw.decode().splitlines()
+        return raw
 
-    lines = asyncio.run(scenario())
-    assert len(lines) == 7
-    decisions = [wire.parse_response(line)[0] for line in lines[:5]]
-    assert decisions == [True, True, True, False, False]
-    stats = json.loads(lines[5])
+    raw = asyncio.run(scenario())
+    frames, consumed = wire.split_frames(bytearray(raw))
+    assert consumed == len(raw) and len(frames) == 7
+    decisions = [wire.decode_response_binary(f, key="k")[1] for f in frames[:5]]
+    assert [d.admitted for d in decisions] == [True, True, True, False, False]
+    status, document = wire.decode_response_binary(frames[5])
+    assert status == wire.STATUS_STATS
+    stats = json.loads(document)
     assert stats["admitted"] == 3 and stats["rejected"] == 2
     assert stats["keys"] == 1 and "connections" in stats
-    assert lines[6] == "P"
+    assert wire.decode_response_binary(frames[6]) == (wire.STATUS_PONG, None)
 
 
-def test_server_reports_errors_and_skips_blank_lines():
+def test_server_reports_errors_and_keeps_serving():
     async def scenario():
         server = await start_server(make_limiter())
-        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-        writer.write(b"\r\nBOGUS line\nA k\n\n")
+        reader, writer = await binary_client(server.port)
+        writer.write(
+            b"\x00\x00"  # an empty frame
+            + wire.ACQUIRE_HEADER.pack(2, wire.OP_ACQUIRE, 1)  # ACQUIRE, no key
+            + wire.encode_request_binary("k")
+        )
         await writer.drain()
-        writer.write_eof()
-        raw = await reader.read()
+        frames = await read_frames(reader, 3)
         writer.close()
         await writer.wait_closed()
         await server.close()
-        return raw.decode().splitlines()
+        return frames
 
-    lines = asyncio.run(scenario())
-    assert len(lines) == 2
-    assert lines[0].startswith("! ")
-    assert lines[1].startswith("+ ")
+    empty, keyless, decided = asyncio.run(scenario())
+    with pytest.raises(ValueError, match="empty frame"):
+        wire.decode_response_binary(empty)
+    with pytest.raises(ValueError, match="needs a key"):
+        wire.decode_response_binary(keyless)
+    assert wire.decode_response_binary(decided, key="k")[1].admitted
 
 
 def test_server_shares_one_limiter_across_connections():
@@ -108,13 +93,13 @@ def test_server_shares_one_limiter_across_connections():
         server = await start_server(limiter)
 
         async def acquire_once():
-            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-            writer.write(wire.encode_request("shared"))
+            reader, writer = await binary_client(server.port)
+            writer.write(wire.encode_request_binary("shared"))
             await writer.drain()
-            line = await reader.readline()
+            (frame,) = await read_frames(reader, 1)
             writer.close()
             await writer.wait_closed()
-            return wire.parse_response(line.decode())[0]
+            return wire.decode_response_binary(frame, key="shared")[1].admitted
 
         outcomes = [await acquire_once() for _ in range(5)]
         await server.close()
@@ -209,14 +194,15 @@ def test_loadgen_survives_a_mid_run_disconnect():
 
     async def scenario():
         answered = 8
+        admit = wire.encode_decision_binary(Decision(True, "", "reactive", 1))
 
         async def flaky_handler(reader, writer):
             # answer the first few requests, then hang up mid-run
+            writer.write(await reader.readexactly(len(wire.MAGIC)))
             for _ in range(answered):
-                line = await reader.readline()
-                if not line:
-                    break
-                writer.write(b"+ reactive 1\n")
+                length = int.from_bytes(await reader.readexactly(2), "little")
+                await reader.readexactly(length)
+                writer.write(admit)
                 await writer.drain()
             writer.close()
 
@@ -271,10 +257,7 @@ def test_close_drains_pipelined_responses_to_a_slow_reader():
             "simple", capacity=3, period=50.0, shards=2, seed=1
         )
         server = await AdmissionServer(limiter, host="127.0.0.1", port=0).start()
-        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-        writer.write(wire.MAGIC)
-        await writer.drain()
-        assert await reader.readexactly(len(wire.MAGIC)) == wire.MAGIC
+        reader, writer = await binary_client(server.port)
         writer.write(wire.encode_request_binary("k") * requests)
         await writer.drain()
         # Let the server decide the whole burst; with the client not

@@ -1,10 +1,9 @@
-"""Binary wire framing: codec round trips and the dual-protocol server.
+"""Wire framing: codec round trips and the server's frame handling.
 
-The binary path's correctness claims: every frame round-trips exactly
-(any key, any decision, any ``f64`` retry hint), the incremental frame
+The wire's correctness claims: every frame round-trips exactly (any
+key, any decision, any ``f64`` retry hint), and the incremental frame
 splitter is insensitive to how the byte stream is segmented (the
-property a TCP client actually needs), and one server port speaks both
-protocols with first-byte negotiation.
+property a TCP client actually needs).
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 from repro.serve import wire
 from repro.serve.limiter import Decision, TokenAccountLimiter
 from repro.serve.server import AdmissionServer
+from tests.conftest import binary_client, read_frames
 
 # ----------------------------------------------------------------------
 # hypothesis strategies
@@ -141,29 +141,8 @@ def test_malformed_payloads_raise():
         wire.decode_response_binary(bytes([wire.STATUS_ERROR]) + b"boom")
 
 
-@settings(max_examples=100, deadline=None)
-@given(decision=decisions)
-def test_text_wire_round_trip(decision):
-    """`Decision.to_wire`/`from_wire` — the text codec on the dataclass."""
-    line = decision.to_wire()
-    parsed = Decision.from_wire(line, key=decision.key)
-    assert parsed.admitted == decision.admitted
-    if decision.admitted:
-        assert parsed.reason == decision.reason
-        assert parsed.balance == decision.balance
-    else:
-        assert parsed.retry_after == pytest.approx(
-            decision.retry_after or 0.0, abs=1e-6, rel=1e-9
-        )
-
-
-def test_magic_first_byte_is_not_ascii():
-    """The negotiation invariant: no text command starts with MAGIC[0]."""
-    assert wire.MAGIC[0] >= 0x80
-
-
 # ----------------------------------------------------------------------
-# the dual-protocol server
+# the server
 # ----------------------------------------------------------------------
 def _run(coro):
     return asyncio.run(coro)
@@ -177,34 +156,13 @@ async def _start_server(**limiter_kwargs):
     return server
 
 
-async def _binary_client(port):
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    writer.write(wire.MAGIC)
-    await writer.drain()
-    assert await reader.readexactly(len(wire.MAGIC)) == wire.MAGIC
-    return reader, writer
-
-
-async def _read_frames(reader, count):
-    buffer = bytearray()
-    frames = []
-    while len(frames) < count:
-        chunk = await reader.read(2**16)
-        assert chunk, "server closed early"
-        buffer += chunk
-        payloads, consumed = wire.split_frames(buffer)
-        del buffer[:consumed]
-        frames.extend(payloads)
-    return frames
-
-
 def test_binary_pipeline_answers_in_order():
     async def scenario():
         server = await _start_server()
-        reader, writer = await _binary_client(server.port)
+        reader, writer = await binary_client(server.port)
         writer.write(wire.encode_request_binary("k") * 6)
         await writer.drain()
-        frames = await _read_frames(reader, 6)
+        frames = await read_frames(reader, 6)
         decided = [
             wire.decode_response_binary(f, key="k")[1] for f in frames
         ]
@@ -220,7 +178,7 @@ def test_binary_pipeline_answers_in_order():
 def test_binary_stats_and_ping_are_flush_barriers():
     async def scenario():
         server = await _start_server()
-        reader, writer = await _binary_client(server.port)
+        reader, writer = await binary_client(server.port)
         writer.write(
             wire.encode_request_binary("a")
             + wire.encode_command_binary(wire.OP_STATS)
@@ -228,7 +186,7 @@ def test_binary_stats_and_ping_are_flush_barriers():
             + wire.encode_command_binary(wire.OP_PING)
         )
         await writer.drain()
-        frames = await _read_frames(reader, 4)
+        frames = await read_frames(reader, 4)
         statuses = [wire.decode_response_binary(f, key="a")[0] for f in frames]
         assert statuses == [
             wire.STATUS_DECISION,
@@ -240,31 +198,6 @@ def test_binary_stats_and_ping_are_flush_barriers():
         # the STATS barrier saw exactly the one admission before it
         assert stats["admitted"] == 1
         writer.close()
-        await server.close()
-
-    _run(scenario())
-
-
-def test_text_and_binary_clients_share_one_port():
-    async def scenario():
-        server = await _start_server()
-        b_reader, b_writer = await _binary_client(server.port)
-        t_reader, t_writer = await asyncio.open_connection(
-            "127.0.0.1", server.port
-        )
-        b_writer.write(wire.encode_request_binary("shared"))
-        await b_writer.drain()
-        t_writer.write(b"A shared\n")
-        await t_writer.drain()
-        (frame,) = await _read_frames(b_reader, 1)
-        _, binary_decision = wire.decode_response_binary(frame, key="shared")
-        text_line = await t_reader.readline()
-        assert binary_decision.admitted
-        assert text_line.startswith(b"+ ")
-        # both decisions drained the same account
-        assert server.limiter.balance("shared") == 2
-        b_writer.close()
-        t_writer.close()
         await server.close()
 
     _run(scenario())
@@ -288,11 +221,11 @@ def test_unknown_binary_version_gets_text_error_and_close():
 def test_unknown_opcode_answers_error_frame_and_survives():
     async def scenario():
         server = await _start_server()
-        reader, writer = await _binary_client(server.port)
+        reader, writer = await binary_client(server.port)
         writer.write(bytes([1, 0, 42]))  # length 1, opcode 42
         writer.write(wire.encode_command_binary(wire.OP_PING))
         await writer.drain()
-        frames = await _read_frames(reader, 2)
+        frames = await read_frames(reader, 2)
         with pytest.raises(ValueError, match="opcode"):
             wire.decode_response_binary(frames[0])
         assert wire.decode_response_binary(frames[1])[0] == wire.STATUS_PONG
@@ -305,10 +238,10 @@ def test_unknown_opcode_answers_error_frame_and_survives():
 def test_oversized_frame_prefix_closes_the_connection():
     async def scenario():
         server = await _start_server()
-        reader, writer = await _binary_client(server.port)
+        reader, writer = await binary_client(server.port)
         writer.write((wire.MAX_FRAME + 9).to_bytes(2, "little") + b"xx")
         await writer.drain()
-        frames = await _read_frames(reader, 1)
+        frames = await read_frames(reader, 1)
         with pytest.raises(ValueError, match="exceeds"):
             wire.decode_response_binary(frames[0])
         assert await reader.read() == b""
@@ -328,13 +261,13 @@ def test_binary_usefulness_flag_reaches_the_limiter():
             initial_tokens=3,
         )
         server = await AdmissionServer(limiter).start()
-        reader, writer = await _binary_client(server.port)
+        reader, writer = await binary_client(server.port)
         writer.write(
             wire.encode_request_binary("k", useful=False)
             + wire.encode_request_binary("k", useful=True)
         )
         await writer.drain()
-        frames = await _read_frames(reader, 2)
+        frames = await read_frames(reader, 2)
         useless = wire.decode_response_binary(frames[0], key="k")[1]
         useful = wire.decode_response_binary(frames[1], key="k")[1]
         assert not useless.admitted
@@ -408,7 +341,7 @@ def test_run_frame_layout():
 def test_worker_answers_bulk_group_with_one_run_frame():
     async def scenario():
         server = await _start_server()  # simple C=4, deterministic
-        reader, writer = await _binary_client(server.port)
+        reader, writer = await binary_client(server.port)
         writer.write(wire.encode_bulk_binary([(b"k", wire.FLAG_USEFUL, 6)]))
         await writer.drain()
         frame = await reader.readexactly(wire.RUN_FRAME_SIZE)
@@ -431,7 +364,7 @@ def test_worker_answers_bulk_group_with_one_run_frame():
 def test_worker_bulk_groups_interleave_with_plain_acquires_in_order():
     async def scenario():
         server = await _start_server()
-        reader, writer = await _binary_client(server.port)
+        reader, writer = await binary_client(server.port)
         # plain ACQUIRE, then a two-group bulk frame, then plain again:
         # responses must come back in exactly that order
         writer.write(
@@ -468,10 +401,10 @@ def test_worker_answers_bulk_with_decisions_when_not_closed_form():
             "randomized", spend_rate=3, capacity=6, period=60.0, seed=5
         )
         server = await AdmissionServer(limiter).start()
-        reader, writer = await _binary_client(server.port)
+        reader, writer = await binary_client(server.port)
         writer.write(wire.encode_bulk_binary([(b"k", wire.FLAG_USEFUL, 5)]))
         await writer.drain()
-        frames = await _read_frames(reader, 5)
+        frames = await read_frames(reader, 5)
         decided = [wire.decode_response_binary(f, key="k")[1] for f in frames]
         assert len(decided) == 5
         assert limiter.admitted + limiter.rejected == 5
@@ -484,7 +417,7 @@ def test_worker_answers_bulk_with_decisions_when_not_closed_form():
 def test_worker_answers_malformed_bulk_with_error_frame():
     async def scenario():
         server = await _start_server()
-        reader, writer = await _binary_client(server.port)
+        reader, writer = await binary_client(server.port)
         # a zero-count group is invalid; the worker answers an ERROR
         # frame and keeps serving
         bogus = bytes((wire.OP_ACQUIRE_BULK, 1, 0, 1, ord("k"), 0, 0))
@@ -493,7 +426,7 @@ def test_worker_answers_malformed_bulk_with_error_frame():
             + wire.encode_request_binary("k")
         )
         await writer.drain()
-        frames = await _read_frames(reader, 2)
+        frames = await read_frames(reader, 2)
         assert frames[0][0] == wire.STATUS_ERROR
         assert frames[1][0] == wire.STATUS_DECISION
         writer.close()
