@@ -1,9 +1,8 @@
 """The multi-process limiter cluster (``repro serve --workers N``).
 
-One asyncio admission server is GIL-bound: the serving bench shows a
-single process topping out near 140k binary decisions/s while the other
-cores idle. The cluster shape fixes that without touching the limiter:
-``N`` **worker processes** each run the existing
+One asyncio admission server is GIL-bound: it saturates one core while
+the others idle. The cluster shape fixes that without touching the
+limiter: ``N`` **worker processes** each run the existing
 :class:`~repro.serve.server.AdmissionServer` on a private socket, and a
 front-end **router** process owns the public port, speaking the binary
 wire protocol (:mod:`repro.serve.wire`) on both sides.
@@ -26,16 +25,21 @@ A drained client chunk becomes one **batch**: validated ACQUIRE frames
 are grouped by verbatim frame bytes (= one group per key+flags),
 positions remembered, and each worker receives its groups as compact
 ``ACQUIRE_BULK`` records — ``count`` requests for ``key`` collapse to
-one ~``5+len(key)``-byte record instead of ``count`` relayed frames,
-and the worker answers with one 20-byte ``RUN`` frame per group
-(closed-form admit-prefix for deterministic strategies; plain DECISION
-frames otherwise — see *Bulk admission* in :mod:`repro.serve.wire`).
-A responder task reassembles client order: it expands each ``RUN``
-into its 17-byte DECISION frames numerically (a NumPy balance
-countdown for admits, bytes repetition for rejects) and scatters the
-records into request order with a fancy-index over a ``V17`` record
-view. Routing is memoized frame-bytes → (worker, bulk-record prefix)
-in a bounded dict, so the per-frame hot path is one dict hit.
+one ~``5+len(key)``-byte record instead of ``count`` relayed frames.
+Routing is memoized frame-bytes → (worker, bulk-record prefix) in a
+bounded dict, so the per-frame hot path is one dict hit.
+
+The reply side never works per group. A worker answers bulk records
+with 20-byte ``RUN`` frames and nothing else (see *Bulk admission* in
+:mod:`repro.serve.wire`), so a link's reply stream is one fixed stride.
+A responder task reassembles client order **per worker per batch**: the
+link takes whatever bytes have arrived, views them as ``RUN`` records,
+cuts where the records' decision counts add up to what the batch owes
+that worker, expands all of them into 17-byte DECISION records in one
+columnar pass (:func:`_expand_runs`) and scatters them to their request
+positions with one fancy-indexed assignment. What a link read beyond
+the cut — the next batch's replies, a STATS document — stays in the
+link's carry-over for the next reader.
 
 ``STATS`` is a flush barrier: the router forwards it to every live
 worker on the same connections (preserving FIFO alignment), sums the
@@ -89,25 +93,25 @@ _ROUTE_CACHE_MAX = 65536
 _PAUSE_OUTSTANDING = 32768
 _RESUME_OUTSTANDING = 8192
 
-#: worker links carry up to ~64k pipelined 17-byte decisions per read
+#: worker links carry up to ~52k pipelined 20-byte RUN frames per read
 _LINK_READ_LIMIT = 2**20
 
-#: a worker DECISION run viewed as opaque 17-byte records (reordering
-#: permutes whole frames; nothing inside them needs decoding)
+#: a run of DECISION frames viewed as opaque 17-byte records (reordering
+#: permutes whole frames; assigning them field by field is ~6x slower)
 _DECISION_RECORD = np.dtype((np.void, wire.DECISION_FRAME_SIZE))
 
-#: a RUN frame's tail after the 3-byte (length, status) header:
-#: reason, u16 admits, u16 rejects, i32 balance, f64 retry
-_RUN_TAIL = struct.Struct("<BHHid")
+#: the constant head of every RUN frame: u16 length, status
+_RUN_HEAD = struct.pack("<HB", wire.RUN_FRAME_SIZE - 2, wire.STATUS_RUN)
 
 _U16 = struct.Struct("<H")
 _BULK_OP = bytes((wire.OP_ACQUIRE_BULK,))
 _REASON_EXHAUSTED = wire.REASON_CODES["exhausted"]
 
-#: the reject frame synthesized for requests lost to a dead worker
-_SYNTH_REJECT = wire.encode_decision_binary(
-    Decision(False, "", "exhausted", 0, 0.0)
-)
+#: the reject record synthesized for requests lost to a dead worker
+_SYNTH_REJECT = np.frombuffer(
+    wire.encode_decision_binary(Decision(False, "", "exhausted", 0, 0.0)),
+    dtype=_DECISION_RECORD,
+)[0]
 
 #: scrapes the port from a worker's (or the router's) announce line
 _ANNOUNCE = re.compile(r"on [0-9.]+:(\d+)")
@@ -134,50 +138,106 @@ def _pack_bulk_frames(records: List[bytes]) -> bytes:
     return b"".join(frames)
 
 
-def _expand_run(
-    reason: int, admits: int, rejects: int, balance: int, retry: float
-) -> bytes:
-    """Expand one RUN frame into the DECISION frames the client expects.
+def _expand_runs(records: np.ndarray) -> np.ndarray:
+    """Expand RUN records into the DECISION records the client expects.
 
-    The run is an admit-prefix walk from a pre-spend ``balance``: the
+    Each run is an admit-prefix walk from a pre-spend ``balance``: the
     first ``admits`` requests are admitted at balances ``balance-1`` …
     ``balance-admits`` (retry 0), the remaining ``rejects`` are all
     identical rejects at the leftover balance — exactly what the worker
     would have answered to ``admits + rejects`` sequential ACQUIREs.
+    All runs are expanded at once, as columns: one output row per
+    decision, in run order.
     """
-    parts: List[bytes] = []
-    if admits:
-        frames = np.zeros(admits, dtype=wire.DECISION_DTYPE)
-        frames["len"] = wire.DECISION_FRAME_SIZE - 2
-        frames["status"] = wire.STATUS_DECISION
-        frames["admitted"] = 1
-        frames["reason"] = reason
-        frames["balance"] = np.arange(
-            balance - 1, balance - 1 - admits, -1, dtype=np.int32
-        )
-        parts.append(frames.tobytes())
-    if rejects:
-        reject = wire.DECISION_STRUCT.pack(
-            wire.DECISION_FRAME_SIZE - 2,
-            wire.STATUS_DECISION,
-            0,
-            _REASON_EXHAUSTED,
-            balance - admits,
-            retry,
-        )
-        parts.append(reject if rejects == 1 else reject * rejects)
-    return parts[0] if len(parts) == 1 else b"".join(parts)
+    admits = records["admits"].astype(np.intp)
+    counts = admits + records["rejects"]
+    starts = counts.cumsum() - counts
+    run = np.repeat(np.arange(len(records)), counts)  # each row's run
+    rank = np.arange(len(run)) - starts[run]  # its place in that run
+    admits = admits[run]
+    admitted = rank < admits
+    spent = np.minimum(rank + 1, admits)  # tokens the run had spent by then
+    frames = np.empty(len(run), dtype=wire.DECISION_DTYPE)
+    frames["len"] = wire.DECISION_FRAME_SIZE - 2
+    frames["status"] = wire.STATUS_DECISION
+    frames["admitted"] = admitted
+    frames["reason"] = np.where(admitted, records["reason"][run], _REASON_EXHAUSTED)
+    frames["balance"] = records["balance"][run] - spent
+    frames["retry"] = np.where(admitted, 0.0, records["retry"][run])
+    return frames
 
 
 class _WorkerLink:
-    """One client connection's private link to one worker."""
+    """One client connection's private link to one worker.
 
-    __slots__ = ("reader", "writer", "dead")
+    Replies are consumed through :attr:`pending`, the bytes read from
+    the worker and not yet claimed: each reader takes what it is owed
+    off the front and leaves the rest — replies to later batches, a
+    STATS document — for the next one.
+    """
+
+    __slots__ = ("reader", "writer", "dead", "pending")
 
     def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         self.reader = reader
         self.writer = writer
         self.dead = False
+        self.pending = b""
+
+    async def _fill(self) -> None:
+        """Wait for the worker's next bytes: one read per wake-up."""
+        chunk = await self.reader.read(_LINK_READ_LIMIT)
+        if not chunk:
+            raise ConnectionError("worker closed the link")
+        self.pending = self.pending + chunk if self.pending else chunk
+
+    async def runs(self, owed: int) -> np.ndarray:
+        """The RUN records that answer the next ``owed`` decisions.
+
+        The cut is the record where the running total of
+        ``admits + rejects`` equals ``owed``; every RUN answers at least
+        one decision, so it lies within the first ``owed`` records
+        however much of later batches has already arrived. Anything
+        else up to there — another status or length, a total that steps
+        over ``owed`` or never reaches it — raises
+        :class:`ConnectionError`: the stream can no longer be trusted
+        to line up with what the router asked.
+        """
+        size = wire.RUN_FRAME_SIZE
+        status = wire.STATUS_RUN
+        while True:
+            pending = self.pending
+            whole = min(len(pending) // size, owed)
+            if whole:
+                records = np.frombuffer(pending, dtype=wire.RUN_DTYPE, count=whole)
+                counts = records["admits"].astype(np.intp) + records["rejects"]
+                covered = counts.cumsum()
+                cut = int(covered.searchsorted(owed)) + 1
+                records = records[:cut]
+                if ((records["len"] != size - 2) | (records["status"] != status)).any():
+                    raise ConnectionError("worker answered a bulk group without a RUN")
+                if cut <= whole:
+                    if covered[cut - 1] != owed:
+                        raise ConnectionError("RUN frames overshoot the batch")
+                    self.pending = pending[cut * size :]
+                    return records
+                if whole == owed:
+                    raise ConnectionError("RUN frames fall short of the batch")
+            head = pending[whole * size : whole * size + len(_RUN_HEAD)]
+            if head != _RUN_HEAD[: len(head)]:
+                raise ConnectionError("worker answered a bulk group without a RUN")
+            await self._fill()
+
+    async def frame(self) -> bytes:
+        """The next length-prefixed frame's payload (a STATS reply)."""
+        while True:
+            pending = self.pending
+            if len(pending) >= 2:
+                end = 2 + (pending[0] | (pending[1] << 8))
+                if len(pending) >= end:
+                    self.pending = pending[end:]
+                    return pending[2:end]
+            await self._fill()
 
 
 class _RouterConnection(FramedConnection):
@@ -294,7 +354,8 @@ class _RouterConnection(FramedConnection):
         start = self._start
         end = self._end
         links = self._links
-        route = self.router._route_cache
+        router = self.router
+        route = router._route_cache
         queue_put = self._queue.put_nowait
         #: verbatim ACQUIRE frame -> this batch's positions, in order
         groups: Dict[bytes, List[int]] = {}
@@ -313,9 +374,9 @@ class _RouterConnection(FramedConnection):
             nonlocal groups, position
             if not position:
                 return
-            #: worker name -> ([bulk records], [positions lists])
-            pending: Dict[str, Tuple[List[bytes], List[List[int]]]] = {}
-            plan: List[Tuple[Optional[str], List[List[int]]]] = []
+            #: worker name -> ([bulk records], [their positions, flat])
+            pending: Dict[str, Tuple[List[bytes], List[int]]] = {}
+            orphans: List[int] = []
             for frame, positions in groups.items():
                 entry = route.get(frame)
                 if entry is None:
@@ -327,19 +388,24 @@ class _RouterConnection(FramedConnection):
                         entry = None
                 if entry is None:
                     # every worker is gone; the responder synthesizes
-                    plan.append((None, [positions]))
+                    orphans.extend(positions)
                     continue
                 name, prefix = entry
                 bucket = pending.get(name)
                 if bucket is None:
                     pending[name] = bucket = ([], [])
                 bucket[0].append(prefix + pack_count(len(positions)))
-                bucket[1].append(positions)
-            for name, (records, positions_lists) in pending.items():
+                bucket[1].extend(positions)
+            plan: List[Tuple[Optional[str], np.ndarray]] = []
+            for name, (records, owed) in pending.items():
                 link = links.get(name)
                 if link is not None and not link.dead:
                     link.writer.write(_pack_bulk_frames(records))
-                plan.append((name, positions_lists))
+                plan.append((name, np.array(owed, dtype=np.intp)))
+            if orphans:
+                plan.append((None, np.array(orphans, dtype=np.intp)))
+            router.groups += len(groups)
+            router.routed += position
             self._outstanding += position
             queue_put(("B", plan, position))
             groups = {}
@@ -440,68 +506,29 @@ class _RouterConnection(FramedConnection):
                 self.transport.close()
 
     async def _gather_batch(
-        self,
-        plan: List[Tuple[Optional[str], List[List[int]]]],
-        total: int,
+        self, plan: List[Tuple[Optional[str], np.ndarray]], total: int
     ) -> bytes:
         """Collect one batch's worker replies, scattered to client order.
 
-        ``plan`` lists, per worker (in bulk write order), the request
-        positions of each group sent; every group owes one reply
-        (RUN or DECISION run) on that worker's link, in order. A
-        single-group batch skips the scatter entirely — the group's
-        positions are already ``0..total-1``.
+        ``plan`` lists, per worker, the request positions of the
+        decisions it owes, in the order its bulk records asked for
+        them — which is the order its RUN frames expand to. A read
+        failure or protocol surprise marks the worker lost and its
+        share of the batch becomes synthesized REJECT frames, keeping
+        the client's stream complete and ordered.
         """
-        if len(plan) == 1 and len(plan[0][1]) == 1:
-            name = plan[0][0]
-            link = self._links.get(name) if name is not None else None
-            if link is None or link.dead:
-                return _SYNTH_REJECT * total
-            return await self._read_group(name, link, total)
         merged = np.empty(total, dtype=_DECISION_RECORD)
-        for name, positions_lists in plan:
+        for name, positions in plan:
             link = self._links.get(name) if name is not None else None
-            for positions in positions_lists:
-                if link is None or link.dead:
-                    block = _SYNTH_REJECT * len(positions)
-                else:
-                    block = await self._read_group(name, link, len(positions))
-                merged[np.array(positions, dtype=np.intp)] = np.frombuffer(
-                    block, dtype=_DECISION_RECORD
-                )
+            frames = _SYNTH_REJECT
+            if link is not None and not link.dead:
+                try:
+                    runs = await link.runs(len(positions))
+                    frames = _expand_runs(runs).view(_DECISION_RECORD)
+                except (ConnectionError, OSError):
+                    self._worker_lost(name, link)
+            merged[positions] = frames
         return merged.tobytes()
-
-    async def _read_group(
-        self, name: str, link: _WorkerLink, count: int
-    ) -> bytes:
-        """One group's reply from a worker: always ``count`` decisions.
-
-        A deterministic worker answers a group with one 20-byte RUN
-        frame, expanded here; otherwise it sends ``count`` DECISION
-        frames, read in one ``readexactly``. Any read failure or
-        protocol surprise marks the worker lost and synthesizes REJECT
-        frames, keeping the client's stream complete and ordered.
-        """
-        size = wire.DECISION_FRAME_SIZE
-        try:
-            header = await link.reader.readexactly(3)
-            status = header[2]
-            if status == wire.STATUS_RUN:
-                tail = await link.reader.readexactly(wire.RUN_FRAME_SIZE - 3)
-                reason, admits, rejects, balance, retry = _RUN_TAIL.unpack(tail)
-                if admits + rejects != count:  # pragma: no cover - defensive
-                    raise ConnectionError("RUN count mismatch")
-                return _expand_run(reason, admits, rejects, balance, retry)
-            if status != wire.STATUS_DECISION:  # pragma: no cover - defensive
-                raise ConnectionError(f"unexpected worker status {status}")
-            rest = await link.reader.readexactly(size * count - 3)
-            return header + rest
-        except asyncio.IncompleteReadError:
-            self._worker_lost(name, link)
-            return _SYNTH_REJECT * count
-        except (ConnectionError, OSError):
-            self._worker_lost(name, link)
-            return _SYNTH_REJECT * count
 
     def _worker_lost(self, name: str, link: _WorkerLink) -> None:
         """Mark a link dead and report the worker to the ring."""
@@ -527,15 +554,13 @@ class _RouterConnection(FramedConnection):
             if link is None or link.dead:
                 continue
             try:
-                header = await link.reader.readexactly(2)
-                length = header[0] | (header[1] << 8)
-                payload = await link.reader.readexactly(length)
-            except (asyncio.IncompleteReadError, ConnectionError, OSError):
+                payload = await link.frame()
+            except (ConnectionError, OSError):
                 self._worker_lost(name, link)
                 continue
-            if not length or payload[0] != wire.STATUS_STATS:
+            if not payload or payload[0] != wire.STATUS_STATS:
                 continue  # defensive; a worker only ever answers STATS here
-            document = json.loads(bytes(payload[1:]))
+            document = json.loads(payload[1:])
             for field in ("admitted", "rejected", "keys", "evictions"):
                 totals[field] += int(document.get(field, 0))
             totals["worker_connections"] += int(document.get("connections", 0))
@@ -547,6 +572,8 @@ class _RouterConnection(FramedConnection):
         document["workers"] = len(router._workers)
         document["remaps"] = router.remaps
         document["connections"] = router.connections
+        document["groups"] = router.groups
+        document["routed"] = router.routed
         return json.dumps(document, sort_keys=True).encode()
 
 
@@ -580,6 +607,10 @@ class ClusterRouter(FramedListener):
         self._route_cache: Dict[bytes, Tuple[str, bytes]] = {}
         #: ring membership changes from worker failures so far
         self.remaps = 0
+        #: bulk groups formed, and the decisions they asked for, over
+        #: every flushed batch (their ratio is the coalescing factor)
+        self.groups = 0
+        self.routed = 0
 
     # ------------------------------------------------------------------
     @property

@@ -138,31 +138,49 @@ class _AdmissionProtocol(FramedConnection):
             self.transport.write(b"".join(out) if len(out) > 1 else out[0])
 
     def _flush_acquires(
-        self, keys: List[str], flags: List[bool], out: List[bytes]
+        self,
+        keys: List[str],
+        flags: List[bool],
+        out: List[bytes],
+        encode=wire.encode_decisions_binary,
+        now: Optional[float] = None,
     ) -> None:
         """Decide a pending ``ACQUIRE`` run in one batched call."""
         if not keys:
             return
         useful = True if all(flags) else list(flags)
-        decisions = self.limiter.try_acquire_many(keys, useful)
-        out.append(wire.encode_decisions_binary(decisions))
+        decisions = self.limiter.try_acquire_many(keys, useful, now)
+        out.append(encode(decisions))
         keys.clear()
         flags.clear()
 
     def _respond_bulk(self, payload, out: List[bytes]) -> None:
-        """Answer one ``ACQUIRE_BULK`` frame, one response per group.
+        """Answer one ``ACQUIRE_BULK`` frame with ``RUN`` frames only.
 
-        Each group gets a closed-form ``RUN`` frame when the strategy
-        qualifies, or its ``count`` plain ``DECISION`` frames through
-        the exact generic batch path otherwise. One clock read covers
-        the whole frame — the same single-timestamp semantics a run of
-        plain ``ACQUIRE`` frames gets from ``try_acquire_many``.
+        Consecutive single-request groups are one pending ``ACQUIRE``
+        run: decided together by ``try_acquire_many`` and flushed, in
+        group order, before any larger group — which gets one
+        closed-form ``RUN`` frame when the strategy qualifies, or its
+        ``count`` decisions through the exact generic batch path
+        otherwise. Decisions made one by one are framed as
+        single-decision ``RUN`` frames, so the router reads one fixed
+        stride whatever the strategy. One clock read covers the whole
+        frame — the same single-timestamp semantics a run of plain
+        ``ACQUIRE`` frames gets from ``try_acquire_many``.
         """
         groups = wire.parse_bulk_binary(payload)
         limiter = self.limiter
         now = limiter._clock()
         run = limiter.try_acquire_run
+        encode = wire.encode_decision_runs_binary
+        lone_keys: List[str] = []
+        lone_flags: List[bool] = []
         for key, useful, count in groups:
+            if count == 1:
+                lone_keys.append(key)
+                lone_flags.append(useful)
+                continue
+            self._flush_acquires(lone_keys, lone_flags, out, encode, now)
             result = run(key, count, useful, now=now)
             if result is not None:
                 admits, rejects, balance, reason, retry = result
@@ -171,7 +189,8 @@ class _AdmissionProtocol(FramedConnection):
                 )
             else:
                 decisions = limiter.try_acquire_many([key] * count, useful, now=now)
-                out.append(wire.encode_decisions_binary(decisions))
+                out.append(encode(decisions))
+        self._flush_acquires(lone_keys, lone_flags, out, encode, now)
 
     # ------------------------------------------------------------------
     def _stats_json(self) -> bytes:

@@ -32,14 +32,22 @@ groups compactly — the opcode byte followed by repeated group records::
     u16 keylen | u8 flags | keylen bytes of UTF-8 key | u16 count
 
 and asks for ``count`` back-to-back admission decisions per group. The
-worker answers **per group, in order** with either one ``RUN`` frame
-(struct :data:`RUN_STRUCT`: status, reason code, u16 admits, u16
-rejects, ``i32`` pre-spend balance, ``f64`` retry-after) meaning "the
-first ``admits`` requests were admitted with balances ``balance-1 …
+worker answers with ``RUN`` frames **and nothing else**, in group
+order, so the reply stream is one fixed 20-byte stride the router reads
+as columns (:data:`RUN_DTYPE`). A ``RUN`` frame (struct
+:data:`RUN_STRUCT`: status, reason code, u16 admits, u16 rejects,
+``i32`` pre-spend balance, ``f64`` retry-after) means "the first
+``admits`` requests were admitted with balances ``balance-1 …
 balance-admits``, the rest rejected at ``balance-admits`` with that
-retry hint" — or, when the limiter's strategy cannot guarantee that
-admit-prefix shape (randomized strategies), the group's ``count``
-plain ``DECISION`` frames. Plain clients never speak this opcode; it
+retry hint". A group is answered by one frame covering all ``count``
+requests when the limiter's strategy guarantees that admit-prefix shape
+(:meth:`~repro.serve.limiter.TokenAccountLimiter.try_acquire_run`), and
+by ``count`` frames of one decision each (``admits=1`` at the
+post-spend balance + 1, or ``rejects=1``) otherwise — randomized
+strategies, and every ``count == 1`` group, which the worker decides
+together through ``try_acquire_many``. Either way a group's frames
+cover exactly ``count`` decisions, which is how the router knows where
+one batch's reply ends. Plain clients never speak this opcode; it
 exists so a trusted aggregator can collapse per-request framing
 without changing any per-key admission outcome.
 
@@ -83,7 +91,7 @@ OP_STATS = 2
 OP_PING = 3
 OP_ACQUIRE_BULK = 4
 
-#: response status codes (``STATUS_RUN`` answers one bulk group)
+#: response status codes (``STATUS_RUN`` is the only answer to bulk groups)
 STATUS_ERROR = 0
 STATUS_DECISION = 1
 STATUS_STATS = 2
@@ -134,6 +142,20 @@ BULK_GROUP_COUNT = struct.Struct("<H")
 RUN_STRUCT = struct.Struct("<HBBHHid")
 #: bytes per ``RUN`` response frame on the wire
 RUN_FRAME_SIZE = RUN_STRUCT.size
+#: the same frame as a packed NumPy record: a worker link's reply
+#: stream is read by the router as an array of these
+RUN_DTYPE = np.dtype(
+    [
+        ("len", "<u2"),
+        ("status", "u1"),
+        ("reason", "u1"),
+        ("admits", "<u2"),
+        ("rejects", "<u2"),
+        ("balance", "<i4"),
+        ("retry", "<f8"),
+    ]
+)
+assert RUN_DTYPE.itemsize == RUN_FRAME_SIZE
 
 #: hard ceiling on one frame's payload — fits the longest key in UTF-8
 #: with generous slack, and bounds a malicious length prefix
@@ -298,6 +320,35 @@ def encode_run_binary(
         balance,
         retry,
     )
+
+
+def encode_decision_runs_binary(decisions) -> bytes:
+    """One single-decision ``RUN`` frame per decision, as one write.
+
+    How a worker answers bulk groups it decided request by request: an
+    admission is ``admits=1`` from the pre-spend balance (the decision's
+    balance + 1), a rejection ``rejects=1`` at the balance it observed.
+    """
+    pack_into = RUN_STRUCT.pack_into
+    reason_codes = REASON_CODES
+    body = RUN_FRAME_SIZE - 2
+    buf = bytearray(RUN_FRAME_SIZE * len(decisions))
+    offset = 0
+    for decision in decisions:
+        admitted = 1 if decision.admitted else 0
+        pack_into(
+            buf,
+            offset,
+            body,
+            STATUS_RUN,
+            reason_codes.get(decision.reason, 0),
+            admitted,
+            1 - admitted,
+            decision.balance + admitted,
+            0.0 if admitted else decision.retry_after,
+        )
+        offset += RUN_FRAME_SIZE
+    return bytes(buf)
 
 
 def encode_status_binary(status: int, body: bytes = b"") -> bytes:

@@ -29,11 +29,14 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ratelimit import RateLimitAuditor
-from repro.serve import AdmissionServer, TokenAccountLimiter, wire
-from repro.serve.cluster import ClusterRouter, _expand_run
+from repro.serve import AdmissionServer, ManualClock, TokenAccountLimiter, wire
+from repro.serve.cluster import ClusterRouter, _expand_runs, _WorkerLink
 from repro.serve.limiter import Decision
 from tests.conftest import binary_client as binary_session
 
@@ -104,33 +107,94 @@ async def teardown(router, servers, *connections):
 # ----------------------------------------------------------------------
 # RUN expansion: the router's client-facing frame synthesis
 # ----------------------------------------------------------------------
-def test_expand_run_matches_per_decision_encoding():
-    """Expanding a RUN must produce byte-identical frames to what the
-    worker would have sent for the same sequential decisions."""
-    reason = wire.REASON_CODES["reactive"]
-    expected = b"".join(
-        [
-            wire.encode_decision_binary(Decision(True, "k", "reactive", 4)),
-            wire.encode_decision_binary(Decision(True, "k", "reactive", 3)),
-            wire.encode_decision_binary(Decision(True, "k", "reactive", 2)),
-            wire.encode_decision_binary(
-                Decision(False, "k", "exhausted", 2, 7.25)
-            ),
-            wire.encode_decision_binary(
-                Decision(False, "k", "exhausted", 2, 7.25)
-            ),
-        ]
+def sequential_frames(reason, admits, rejects, balance, retry) -> bytes:
+    """What a worker answers to ``admits + rejects`` plain ACQUIREs."""
+    name = wire.REASON_NAMES[reason]
+    decisions = [
+        Decision(True, "k", name, balance - 1 - spent) for spent in range(admits)
+    ] + [Decision(False, "k", "exhausted", balance - admits, retry)] * rejects
+    return b"".join(map(wire.encode_decision_binary, decisions))
+
+
+def run_stream(runs) -> bytes:
+    """The RUN frames of ``(reason code, admits, rejects, balance, retry)``."""
+    return b"".join(
+        wire.encode_run_binary(wire.REASON_NAMES[reason], *counts_balance_retry)
+        for reason, *counts_balance_retry in runs
     )
-    assert _expand_run(reason, 3, 2, 5, 7.25) == expected
-    # pure-admit and pure-reject runs
-    assert _expand_run(reason, 2, 0, 2, 0.0) == b"".join(
-        wire.encode_decision_binary(Decision(True, "k", "reactive", b))
-        for b in (1, 0)
-    )
-    assert _expand_run(reason, 0, 3, 0, 1.5) == (
-        wire.encode_decision_binary(Decision(False, "k", "exhausted", 0, 1.5))
-        * 3
-    )
+
+
+run_records = st.tuples(
+    st.sampled_from(sorted(wire.REASON_CODES.values())),
+    st.sampled_from([0, 1, 2, 7, 65535]) | st.integers(0, 300),  # admits
+    st.sampled_from([0, 1, 2, 7, 65535]) | st.integers(0, 300),  # rejects
+    st.integers(-(2**20), 2**20),  # pre-spend balance (overdraft goes negative)
+    st.floats(0.0, 1e6, allow_nan=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(run_records, max_size=12))
+def test_expand_runs_matches_per_decision_encoding(runs):
+    """Expanding RUN records as columns must produce byte-identical
+    frames to what the worker would have sent, decision by decision."""
+    records = np.frombuffer(run_stream(runs), dtype=wire.RUN_DTYPE)
+    expected = b"".join(sequential_frames(*run) for run in runs)
+    assert _expand_runs(records).tobytes() == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 19, 20, 4096])
+def test_link_cuts_the_reply_stream_the_same_however_it_arrives(chunk):
+    """One link's replies to batch 1, a STATS document and batch 2 are
+    in flight together: each reader takes exactly its own share,
+    whatever the sizes of the reads that deliver them."""
+    first = [(1, 3, 2, 5, 7.25), (1, 1, 0, 9, 0.0), (3, 0, 1, 0, 1.5)]  # 7 decisions
+    second = [(2, 1, 0, 4, 0.0)] * 5  # a per-decision fallback group
+    stats = wire.encode_status_binary(wire.STATUS_STATS, b'{"admitted": 10}')
+    stream = run_stream(first) + stats + run_stream(second)
+
+    async def scenario():
+        reader = asyncio.StreamReader()
+        link = _WorkerLink(reader, None)
+
+        async def feed():
+            for offset in range(0, len(stream), chunk):
+                reader.feed_data(stream[offset : offset + chunk])
+                await asyncio.sleep(0)
+            reader.feed_eof()
+
+        feeder = asyncio.get_running_loop().create_task(feed())
+        taken = (
+            (await link.runs(7)).tobytes(),
+            await link.frame(),
+            (await link.runs(5)).tobytes(),
+        )
+        await feeder
+        with pytest.raises(ConnectionError):  # EOF with a decision still owed
+            await link.runs(1)
+        return taken
+
+    assert asyncio.run(scenario()) == (run_stream(first), stats[2:], run_stream(second))
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [
+        run_stream([(1, 2, 0, 5, 0.0), (1, 2, 0, 3, 0.0)]),  # 4 decisions for 3
+        wire.encode_decisions_binary([Decision(True, "k", "reactive", 1)] * 3),
+        wire.encode_status_binary(wire.STATUS_ERROR, b"empty bulk frame"),  # < 20 B
+        run_stream([(1, 1, 0, 5, 0.0), (3, 0, 0, 4, 0.0), (1, 1, 0, 4, 0.0)]),
+    ],
+    ids=["overshoot", "decision-frames", "short-error-frame", "empty-run"],
+)
+def test_link_refuses_a_reply_stream_that_does_not_line_up(stream):
+    async def scenario():
+        reader = asyncio.StreamReader()
+        reader.feed_data(stream)  # no EOF: the refusal must not wait for more
+        with pytest.raises(ConnectionError):
+            await asyncio.wait_for(_WorkerLink(reader, None).runs(3), timeout=5.0)
+
+    asyncio.run(scenario())
 
 
 # ----------------------------------------------------------------------
@@ -201,6 +265,9 @@ def test_cluster_aggregates_stats_and_answers_ping():
     assert stats["workers"] == 2 and stats["remaps"] == 0
     assert stats["connections"] == 1
     assert stats["worker_connections"] == 2  # one link per worker
+    # the 20 pipelined requests were fanned out as one group per key:
+    # a coalescing factor routed / groups of 5
+    assert stats["routed"] == 20 and stats["groups"] == 4
     assert pong[2] == wire.STATUS_PONG
 
 
@@ -454,6 +521,54 @@ def test_cluster_burst_bound_holds_through_a_worker_kill():
     auditor, admissions, remaps = asyncio.run(scenario())
     assert remaps == 1, "the kill must have been detected and remapped"
     assert admissions >= 2, "the pacer must admit through the failover"
+    violations = auditor.check(period=period, capacity=capacity)
+    assert not violations, violations
+
+
+def test_cluster_burst_bound_holds_for_a_randomized_strategy():
+    """The bound through the router where no closed form exists: a
+    ``randomized`` worker decides every repeated-key group request by
+    request and frames each decision as its own RUN, and per-key
+    admissions still never exceed ``ceil(t/Δ) + C``. Both workers read
+    one manual clock, so the audited times are the decision times."""
+    period = 1.0
+    capacity = 4
+    keys = [f"r{i}" for i in range(6)]
+    clock = ManualClock()
+
+    async def scenario():
+        router, servers = await start_cluster(
+            2,
+            strategy="randomized",
+            spend_rate=2,
+            capacity=capacity,
+            period=period,
+            clock=clock,
+        )
+        session = await binary_session(router.port)
+        reader, writer = session
+        auditor = RateLimitAuditor(network=None)
+        sent = 0
+        for _ in range(120):  # 30 periods, in quarter-period steps
+            batch = keys * 5  # every group has count 5: the fallback path
+            decisions = await acquire_many(reader, writer, batch)
+            sent += len(batch)
+            for key, decision in zip(batch, decisions):
+                if decision.admitted:
+                    auditor.record(keys.index(key), clock.now)
+            clock.advance(period / 4)
+        stats = await fetch_cluster_stats(reader, writer)
+        await teardown(router, servers, session)
+        return auditor, sent, stats
+
+    auditor, sent, stats = asyncio.run(scenario())
+    assert stats["strategy"].startswith("randomized")
+    assert stats["admitted"] + stats["rejected"] == sent == stats["routed"]
+    assert stats["groups"] * 5 == sent
+    admissions = sum(map(auditor.total_sends, range(len(keys))))
+    assert admissions == stats["admitted"]
+    assert admissions >= len(keys) * (capacity + 20)  # it does admit at rate
+    assert stats["rejected"] > 0  # and the batches did overrun the accounts
     violations = auditor.check(period=period, capacity=capacity)
     assert not violations, violations
 

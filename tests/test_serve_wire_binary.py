@@ -11,11 +11,13 @@ from __future__ import annotations
 import asyncio
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve import wire
+from repro.serve import ManualClock, wire
+from repro.serve.cluster import _expand_runs
 from repro.serve.limiter import Decision, TokenAccountLimiter
 from repro.serve.server import AdmissionServer
 from tests.conftest import binary_client, read_frames
@@ -393,25 +395,78 @@ def test_worker_bulk_groups_interleave_with_plain_acquires_in_order():
     _run(scenario())
 
 
-def test_worker_answers_bulk_with_decisions_when_not_closed_form():
+def test_worker_answers_bulk_with_unit_runs_when_not_closed_form():
     async def scenario():
         # randomized strategies cannot promise an admit-prefix run, so
-        # the worker falls back to per-request DECISION frames
-        limiter = TokenAccountLimiter(
-            "randomized", spend_rate=3, capacity=6, period=60.0, seed=5
-        )
+        # the worker decides request by request — and still answers in
+        # RUN frames, one per decision
+        spec = dict(spend_rate=3, capacity=6, period=60.0, seed=5)
+        limiter = TokenAccountLimiter("randomized", **spec)
+        reference = TokenAccountLimiter("randomized", **spec)
         server = await AdmissionServer(limiter).start()
         reader, writer = await binary_client(server.port)
         writer.write(wire.encode_bulk_binary([(b"k", wire.FLAG_USEFUL, 5)]))
         await writer.drain()
-        frames = await read_frames(reader, 5)
-        decided = [wire.decode_response_binary(f, key="k")[1] for f in frames]
-        assert len(decided) == 5
+        stream = await reader.readexactly(5 * wire.RUN_FRAME_SIZE)
+        runs = np.frombuffer(stream, dtype=wire.RUN_DTYPE)
+        assert (runs["status"] == wire.STATUS_RUN).all()
+        assert (runs["admits"] + runs["rejects"] == 1).all()
+        # frame for frame what five sequential decisions would have been
+        expected = reference.try_acquire_many(["k"] * 5, True, now=limiter._clock())
+        assert runs["admits"].tolist() == [int(d.admitted) for d in expected]
+        assert (runs["balance"] - runs["admits"]).tolist() == [
+            d.balance for d in expected
+        ]
         assert limiter.admitted + limiter.rejected == 5
         writer.close()
         await server.close()
 
     _run(scenario())
+
+
+def test_worker_bulk_mixed_groups_match_the_sequential_scalar_path():
+    """count-1, count-5, count-1 groups on one key with different
+    flags: the lone groups go through ``try_acquire_many``, the middle
+    one through ``try_acquire_run``, and group order, balances, retry
+    hints and counters are those of seven scalar ``try_acquire`` calls."""
+    # at balance 3 (A=3) a useless request is refused where a useful one
+    # is admitted, so a flag or order mixup flips outcomes
+    spec = dict(
+        strategy="generalized", spend_rate=3, capacity=6, period=60.0, initial_tokens=3
+    )
+    groups = [(False, 1), (True, 5), (False, 1)]
+    clock = ManualClock(100.0)
+
+    async def scenario():
+        limiter = TokenAccountLimiter(clock=clock, **spec)
+        server = await AdmissionServer(limiter).start()
+        reader, writer = await binary_client(server.port)
+        writer.write(
+            wire.encode_bulk_binary(
+                [(b"k", wire.FLAG_USEFUL if useful else 0, n) for useful, n in groups]
+            )
+        )
+        await writer.drain()
+        stream = await reader.readexactly(len(groups) * wire.RUN_FRAME_SIZE)
+        writer.close()
+        await server.close()
+        return limiter, np.frombuffer(stream, dtype=wire.RUN_DTYPE)
+
+    limiter, runs = asyncio.run(scenario())
+    reference = TokenAccountLimiter(clock=clock, **spec)
+    sequential = [
+        reference.try_acquire("k", useful) for useful, n in groups for _ in range(n)
+    ]
+    assert [d.admitted for d in sequential] == [False] + [True] * 3 + [False] * 3
+    # one RUN per group, in group order, covering each group's count
+    assert (runs["admits"] + runs["rejects"]).tolist() == [n for _, n in groups]
+    expanded = _expand_runs(runs).tobytes()
+    assert expanded == wire.encode_decisions_binary(sequential)
+    assert (limiter.admitted, limiter.rejected) == (
+        reference.admitted,
+        reference.rejected,
+    )
+    assert limiter.balance("k") == reference.balance("k")
 
 
 def test_worker_answers_malformed_bulk_with_error_frame():
