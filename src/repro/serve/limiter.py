@@ -46,9 +46,10 @@ for rate limiters and both inside the bound:
 from __future__ import annotations
 
 import random
+import struct
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -61,6 +62,16 @@ from repro.serve.table import KeyState, Shard, ShardedTable
 #: the auditor's window-edge epsilon: ``anchor + k·Δ`` accumulates float
 #: noise, which must never cost (or mint) a whole token
 _TICK_EPSILON = 1e-9
+
+#: A decision's packed form, the wire's 17-byte ``DECISION`` frame: u16
+#: length (=15), status, admitted, reason code (an index into
+#: ``REASON_NAMES``), i32 balance, f64 retry. Defined here, re-exported by
+#: :mod:`repro.serve.wire`: the batch core writes these records itself.
+DECISION_STRUCT = struct.Struct("<HBBBid")
+DECISION_FRAME_SIZE = DECISION_STRUCT.size
+STATUS_DECISION = 1
+REASON_NAMES: Tuple[Optional[str], ...] = (None, "reactive", "proactive", "exhausted")
+REASON_CODES = {name: code for code, name in enumerate(REASON_NAMES) if name}
 
 
 @dataclass(frozen=True, init=False)
@@ -307,9 +318,10 @@ class TokenAccountLimiter:
     ) -> List[Decision]:
         """Batched admission: one :class:`Decision` per key, in order.
 
-        The batch API the binary wire path rides on: keys are grouped
-        by owning shard, each shard lock is taken **once**, accounts
-        advance in bulk, and the verdicts come from one columnar
+        The object form of the batch API (the wire path rides on
+        :meth:`try_acquire_frames`): keys are grouped by owning shard,
+        each shard lock is taken **once**, accounts advance in bulk, and
+        the verdicts come from one columnar
         :meth:`~repro.core.kernel.DecisionKernel.decide_many` call per
         shard group instead of per-key scalar decisions.
 
@@ -321,14 +333,35 @@ class TokenAccountLimiter:
         burst bound is per key, so it is preserved exactly.
 
         ``useful`` is one flag for the whole batch or a sequence
-        aligned with ``keys``.
+        aligned with ``keys`` (else ``ValueError``, no account touched).
         """
+        return self._acquire_batch(keys, useful, now, [None] * len(keys))
+
+    def try_acquire_frames(
+        self,
+        keys: Sequence[str],
+        useful: Union[bool, Sequence[bool]] = True,
+        now: Optional[float] = None,
+    ) -> bytearray:
+        """:meth:`try_acquire_many` answered as packed wire records.
+
+        Same decisions, counters and RNG draws, no :class:`Decision`
+        objects: position ``i``'s record is packed at ``i *
+        DECISION_FRAME_SIZE`` of the buffer, which the server writes to the
+        socket as is (``wire.encode_decisions_binary`` of the object form).
+        """
+        frames = bytearray(len(keys) * DECISION_FRAME_SIZE)
+        return self._acquire_batch(keys, useful, now, frames)
+
+    def _acquire_batch(self, keys, useful, now, out):
+        """Decide ``keys`` into ``out``, one lock hold per shard; returns ``out``."""
         count = len(keys)
+        if not (useful is True or useful is False) and len(useful) != count:
+            raise ValueError(f"{len(useful)} useful flags for {count} keys")
         if not count:
-            return []
+            return out
         if now is None:
             now = self._clock()
-        decisions: List[Optional[Decision]] = [None] * count
         table = self._table
         shards = table.shards
         if table._mask == 0:
@@ -352,8 +385,8 @@ class TokenAccountLimiter:
         for index, positions in groups.items():
             shard = shards[index]
             with shard.lock:
-                self._decide_batch(shard, keys, useful, positions, now, decisions)
-        return decisions  # type: ignore[return-value]
+                self._decide_batch(shard, keys, useful, positions, now, out)
+        return out
 
     def try_acquire_run(
         self,
@@ -438,7 +471,7 @@ class TokenAccountLimiter:
         useful: Union[bool, Sequence[bool]],
         positions: List[int],
         now: float,
-        out: List[Optional[Decision]],
+        out: Union[List[Optional[Decision]], bytearray],
     ) -> None:
         """Decide one shard's positions, in order, under its lock.
 
@@ -453,6 +486,10 @@ class TokenAccountLimiter:
         through the shared methods): at ~1-2 µs per decision the
         method-call and list-staging overhead of a layered
         implementation would eat the batch speedup.
+
+        Every iteration ends in four locals (admitted, reason code, balance
+        after, retry) and **one** emission point: a :class:`Decision` into
+        a list ``out``, or the packed record into a ``bytearray`` ``out``.
         """
         n = len(positions)
         entries_get = shard.entries.get
@@ -476,93 +513,112 @@ class TokenAccountLimiter:
         with self._np_rng_lock:
             draws = self._np_rng.random((n, 2))
         uniforms = draws.ravel().tolist()
+        packed = isinstance(out, bytearray)
+        pack = DECISION_STRUCT.pack_into
+        size, status = DECISION_FRAME_SIZE, STATUS_DECISION
+        body = size - 2
+        reason_names = REASON_NAMES
         alloc = object.__new__
-        admitted = 0
-        rejected = 0
+        admits = 0
+        rejects = 0
         cursor = 0
-        for position in positions:
-            key = keys[position]
-            state = entries_get(key)
-            if state is None:
-                state = get_or_create(key, new_account, now)
-            else:
-                move_to_end(key)
-            # stale-now clamp, per key (see try_acquire)
-            key_now = now
-            if key_now < state.last_now:
-                key_now = state.last_now
-            else:
-                state.last_now = key_now
-            account = state.account
-            elapsed = key_now - state.anchor
-            if elapsed > 0:
-                ticks = int(elapsed / period + _TICK_EPSILON)
-                if ticks > 0:
-                    # inline _advance + TokenAccount.grant_many
-                    state.anchor += ticks * period
-                    state.ticks_granted += ticks
-                    if cap is not None:
-                        headroom = cap - account.balance
-                        if ticks < headroom:
-                            headroom = ticks
-                        elif headroom < 0:
-                            headroom = 0
-                        ticks = headroom
-                    account.balance += ticks
-                    account.granted += ticks
-            balance = account.balance
-            u_round = uniforms[cursor]
-            u_coin = uniforms[cursor + 1]
-            cursor += 2
-            flag = useful if scalar_useful else useful[position]
-            if (flag is True or flag is False) and 0 <= balance <= lut_max:
-                # inline decide_one_drawn's LUT fast path
-                lut_key = balance + span if flag else balance
-                if int_lut[lut_key] + (u_round < frac_lut[lut_key]) >= 1:
-                    verdict: Optional[str] = "reactive"
+        try:
+            for position in positions:
+                key = keys[position]
+                state = entries_get(key)
+                if state is None:
+                    state = get_or_create(key, new_account, now)
                 else:
-                    probability = pro_lut[balance]
-                    if probability >= 1.0 or (
-                        probability > 0.0 and u_coin < probability
-                    ):
-                        verdict = "proactive"
+                    move_to_end(key)
+                # stale-now clamp, per key (see try_acquire)
+                key_now = now
+                if key_now < state.last_now:
+                    key_now = state.last_now
+                else:
+                    state.last_now = key_now
+                account = state.account
+                elapsed = key_now - state.anchor
+                if elapsed > 0:
+                    ticks = int(elapsed / period + _TICK_EPSILON)
+                    if ticks > 0:
+                        # inline _advance + TokenAccount.grant_many
+                        state.anchor += ticks * period
+                        state.ticks_granted += ticks
+                        if cap is not None:
+                            headroom = cap - account.balance
+                            if ticks < headroom:
+                                headroom = ticks
+                            elif headroom < 0:
+                                headroom = 0
+                            ticks = headroom
+                        account.balance += ticks
+                        account.granted += ticks
+                balance = account.balance
+                u_round = uniforms[cursor]
+                u_coin = uniforms[cursor + 1]
+                cursor += 2
+                flag = useful if scalar_useful else useful[position]
+                # the kernel's verdict as a reason code (0 = stay silent)
+                if (flag is True or flag is False) and 0 <= balance <= lut_max:
+                    # inline decide_one_drawn's LUT fast path
+                    lut_key = balance + span if flag else balance
+                    if int_lut[lut_key] + (u_round < frac_lut[lut_key]) >= 1:
+                        code = 1
                     else:
-                        verdict = None
-            else:
-                verdict = decide_drawn(balance, flag, u_round, u_coin)
-            if verdict is not None and balance >= 1:
-                # inline _settle's token-spend admit; building the
-                # frozen Decision through object.__new__ + direct
-                # __dict__ stores skips the constructor-call overhead
-                # (retry_after reads fall back to the class default)
-                balance -= 1
-                account.balance = balance
-                account.spent += 1
-                admitted += 1
-                decision = alloc(Decision)
-                fields = decision.__dict__
-                fields["admitted"] = True
-                fields["key"] = key
-                fields["reason"] = verdict
-                fields["balance"] = balance
-                out[position] = decision
-            elif plain and verdict != "proactive":
-                # inline _settle's plain reject (silent verdict, or a
-                # reactive verdict against an empty account)
-                rejected += 1
-                retry = state.anchor + period - key_now
-                decision = alloc(Decision)
-                fields = decision.__dict__
-                fields["admitted"] = False
-                fields["key"] = key
-                fields["reason"] = "exhausted"
-                fields["balance"] = balance
-                fields["retry_after"] = retry if retry > 0.0 else 0.0
-                out[position] = decision
-            else:
-                out[position] = settle(shard, state, key, verdict, key_now)
-        shard.admitted += admitted
-        shard.rejected += rejected
+                        probability = pro_lut[balance]
+                        if probability >= 1.0 or (
+                            probability > 0.0 and u_coin < probability
+                        ):
+                            code = 2
+                        else:
+                            code = 0
+                else:
+                    verdict = decide_drawn(balance, flag, u_round, u_coin)
+                    code = REASON_CODES.get(verdict, 0)
+                if code and balance >= 1:
+                    # inline _settle's token-spend admit
+                    balance -= 1
+                    account.balance = balance
+                    account.spent += 1
+                    admits += 1
+                    admitted = True
+                    retry = 0.0
+                elif plain and code != 2:
+                    # inline _settle's plain reject (silent verdict, or a
+                    # reactive verdict against an empty account)
+                    rejects += 1
+                    admitted = False
+                    code = 3
+                    retry = state.anchor + period - key_now
+                    if retry < 0.0:
+                        retry = 0.0
+                else:
+                    # capacity-0 slot, overdraft: the shared path (credits itself)
+                    settled = settle(shard, state, key, reason_names[code], key_now)
+                    admitted = settled.admitted
+                    code = REASON_CODES[settled.reason]
+                    balance = settled.balance
+                    retry = settled.retry_after or 0.0
+                # the one emission point
+                if packed:
+                    at = position * size
+                    pack(out, at, body, status, admitted, code, balance, retry)
+                else:
+                    # skips the frozen constructor's overhead (an admission's
+                    # retry_after falls back to the class default, None)
+                    decision = alloc(Decision)
+                    fields = decision.__dict__
+                    fields["admitted"] = admitted
+                    fields["key"] = key
+                    fields["reason"] = reason_names[code]
+                    fields["balance"] = balance
+                    if not admitted:
+                        fields["retry_after"] = retry
+                    out[position] = decision
+        finally:
+            # on an exception too: the positions decided so far did spend
+            shard.admitted += admits
+            shard.rejected += rejects
 
     # ------------------------------------------------------------------
     @property

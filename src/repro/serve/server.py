@@ -13,12 +13,13 @@ the cluster router. This module supplies what a frame *means* here.
 The hot path is batch-oriented: the connection answers *every* complete
 request in the received chunk and flushes all responses with a single
 write. A run of consecutive ``ACQUIRE`` frames is decided by **one**
-:meth:`~repro.serve.limiter.TokenAccountLimiter.try_acquire_many`
-call (a ``STATS``/``PING`` frame is the only flush barrier), and the
-response run is packed into one contiguous buffer — so a pipelining
-client like :mod:`repro.serve.loadgen` amortizes syscall, parse *and*
-per-decision lock cost over its pipeline depth. Frames are parsed
-through ``memoryview`` slices of the receive buffer, zero-copy.
+:meth:`~repro.serve.limiter.TokenAccountLimiter.try_acquire_frames`
+call (a ``STATS``/``PING`` frame is the only flush barrier) whose batch
+core packs the ``DECISION`` records itself; the buffer it returns goes to
+``transport.write`` as is, no ``Decision`` object or encoder in between —
+so a pipelining client like :mod:`repro.serve.loadgen` amortizes syscall,
+parse *and* per-decision lock cost over its pipeline depth. Frames are
+parsed through ``memoryview`` slices of the receive buffer, zero-copy.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class _AdmissionProtocol(FramedConnection):
         """Answer every complete frame in the buffer with one write.
 
         Consecutive ``ACQUIRE`` frames become one
-        ``try_acquire_many`` batch answered by one packed response run;
+        ``try_acquire_frames`` batch answered by one packed response run;
         ``STATS``/``PING``/malformed frames are the flush barriers.
         """
         assert self.transport is not None
@@ -83,24 +84,15 @@ class _AdmissionProtocol(FramedConnection):
                 flags_append(bool(buffer[start + 3] & useful_flag))
                 start = frame_end
                 continue
-            if length >= 7 and buffer[start + 2] == bulk_op:
-                # Cluster router bulk fan-in: a barrier like STATS (the
-                # router's per-link FIFO counts on response order).
-                payload = view[start + 2 : frame_end]
-                start = frame_end
-                self._flush_acquires(run_keys, run_flags, out)
-                try:
-                    self._respond_bulk(payload, out)
-                except ValueError as error:
-                    out.append(
-                        wire.encode_status_binary(
-                            wire.STATUS_ERROR, str(error).encode()
-                        )
-                    )
-                continue
             payload = view[start + 2 : frame_end]
             start = frame_end
             try:
+                if length >= 7 and payload[0] == bulk_op:
+                    # Cluster router bulk fan-in: a barrier like STATS (the
+                    # router's per-link FIFO counts on response order).
+                    self._flush_acquires(run_keys, run_flags, out)
+                    self._respond_bulk(payload, out)
+                    continue
                 command, key, useful = parse(payload)
             except ValueError as error:
                 self._flush_acquires(run_keys, run_flags, out)
@@ -142,15 +134,13 @@ class _AdmissionProtocol(FramedConnection):
         keys: List[str],
         flags: List[bool],
         out: List[bytes],
-        encode=wire.encode_decisions_binary,
         now: Optional[float] = None,
     ) -> None:
-        """Decide a pending ``ACQUIRE`` run in one batched call."""
+        """Decide a pending ``ACQUIRE`` run: the limiter packs the reply."""
         if not keys:
             return
-        useful = True if all(flags) else list(flags)
-        decisions = self.limiter.try_acquire_many(keys, useful, now)
-        out.append(encode(decisions))
+        useful = True if all(flags) else flags
+        out.append(self.limiter.try_acquire_frames(keys, useful, now))
         keys.clear()
         flags.clear()
 
@@ -158,29 +148,35 @@ class _AdmissionProtocol(FramedConnection):
         """Answer one ``ACQUIRE_BULK`` frame with ``RUN`` frames only.
 
         Consecutive single-request groups are one pending ``ACQUIRE``
-        run: decided together by ``try_acquire_many`` and flushed, in
+        run: decided together by ``try_acquire_frames`` and flushed, in
         group order, before any larger group — which gets one
         closed-form ``RUN`` frame when the strategy qualifies, or its
         ``count`` decisions through the exact generic batch path
-        otherwise. Decisions made one by one are framed as
+        otherwise. Decisions made one by one are re-framed as
         single-decision ``RUN`` frames, so the router reads one fixed
         stride whatever the strategy. One clock read covers the whole
         frame — the same single-timestamp semantics a run of plain
-        ``ACQUIRE`` frames gets from ``try_acquire_many``.
+        ``ACQUIRE`` frames gets from ``try_acquire_frames``.
         """
         groups = wire.parse_bulk_binary(payload)
         limiter = self.limiter
         now = limiter._clock()
         run = limiter.try_acquire_run
-        encode = wire.encode_decision_runs_binary
+        unit_runs = wire.runs_from_decision_frames
         lone_keys: List[str] = []
         lone_flags: List[bool] = []
+
+        def flush_lone() -> None:
+            if lone_keys:
+                self._flush_acquires(lone_keys, lone_flags, out, now)
+                out[-1] = unit_runs(out[-1])
+
         for key, useful, count in groups:
             if count == 1:
                 lone_keys.append(key)
                 lone_flags.append(useful)
                 continue
-            self._flush_acquires(lone_keys, lone_flags, out, encode, now)
+            flush_lone()
             result = run(key, count, useful, now=now)
             if result is not None:
                 admits, rejects, balance, reason, retry = result
@@ -188,9 +184,9 @@ class _AdmissionProtocol(FramedConnection):
                     wire.encode_run_binary(reason, admits, rejects, balance, retry)
                 )
             else:
-                decisions = limiter.try_acquire_many([key] * count, useful, now=now)
-                out.append(encode(decisions))
-        self._flush_acquires(lone_keys, lone_flags, out, encode, now)
+                frames = limiter.try_acquire_frames([key] * count, useful, now)
+                out.append(unit_runs(frames))
+        flush_lone()
 
     # ------------------------------------------------------------------
     def _stats_json(self) -> bytes:

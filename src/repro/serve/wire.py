@@ -45,7 +45,8 @@ requests when the limiter's strategy guarantees that admit-prefix shape
 by ``count`` frames of one decision each (``admits=1`` at the
 post-spend balance + 1, or ``rejects=1``) otherwise — randomized
 strategies, and every ``count == 1`` group, which the worker decides
-together through ``try_acquire_many``. Either way a group's frames
+together through ``try_acquire_frames`` and re-frames as columns
+(:func:`runs_from_decision_frames`). Either way a group's frames
 cover exactly ``count`` decisions, which is how the router knows where
 one batch's reply ends. Plain clients never speak this opcode; it
 exists so a trusted aggregator can collapse per-request framing
@@ -55,7 +56,10 @@ Response payloads start with a status byte: ``DECISION`` responses are
 a fixed 15-byte payload (struct ``<BBBid``: status, admitted, reason
 code, ``i32`` balance, ``f64`` retry-after — 17 bytes on the wire with
 the prefix, :data:`DECISION_FRAME_SIZE`), so a client can parse a
-pipelined burst with one vectorized pass over a 17-byte stride.
+pipelined burst with one vectorized pass over a 17-byte stride. The
+server's are written by the limiter's batch core (``try_acquire_frames``),
+so :mod:`repro.serve.limiter` defines the record layout and this module
+re-exports it; :func:`encode_decisions_binary` encodes ``Decision`` objects.
 ``STATS`` carries the JSON document, ``ERROR`` a human-readable
 message, ``PONG`` is empty.
 
@@ -76,7 +80,14 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.serve.limiter import Decision
+from repro.serve.limiter import (  # noqa: F401  (the record layout, re-exported)
+    DECISION_FRAME_SIZE,
+    DECISION_STRUCT,
+    REASON_CODES,
+    REASON_NAMES,
+    STATUS_DECISION,
+    Decision,
+)
 
 #: longest accepted key, in characters
 MAX_KEY_LENGTH = 256
@@ -91,9 +102,9 @@ OP_STATS = 2
 OP_PING = 3
 OP_ACQUIRE_BULK = 4
 
-#: response status codes (``STATUS_RUN`` is the only answer to bulk groups)
+#: response status codes (``STATUS_RUN`` is the only answer to bulk groups;
+#: ``STATUS_DECISION`` = 1 is imported with the record layout)
 STATUS_ERROR = 0
-STATUS_DECISION = 1
 STATUS_STATS = 2
 STATUS_PONG = 3
 STATUS_RUN = 4
@@ -101,17 +112,10 @@ STATUS_RUN = 4
 #: ``ACQUIRE`` flags bit 0: Algorithm 4's usefulness flag
 FLAG_USEFUL = 1
 
-#: decision reason codes <-> ``Decision.reason`` words
-REASON_NAMES: Tuple[Optional[str], ...] = (None, "reactive", "proactive", "exhausted")
-REASON_CODES = {name: code for code, name in enumerate(REASON_NAMES) if name}
-
-#: a whole decision response frame, length prefix included:
-#: u16 length (=15), status, admitted, reason code, i32 balance, f64 retry
-DECISION_STRUCT = struct.Struct("<HBBBid")
-#: bytes per decision response on the wire (the client's parse stride)
-DECISION_FRAME_SIZE = DECISION_STRUCT.size
-#: the same frame as a packed NumPy record, so a run of pipelined
-#: decisions is read (loadgen) or synthesized (router) as columns
+#: :data:`DECISION_STRUCT` (a whole decision response frame, length
+#: prefix included; ``DECISION_FRAME_SIZE`` bytes, the client's parse
+#: stride) as a packed NumPy record, so a run of pipelined decisions is
+#: read (loadgen), synthesized (router) or re-framed (worker) as columns
 DECISION_DTYPE = np.dtype(
     [
         ("len", "<u2"),
@@ -210,23 +214,14 @@ def parse_request_binary(
 
 
 def encode_decision_binary(decision: Decision) -> bytes:
-    """One 17-byte ``DECISION`` response frame (server side)."""
-    retry = decision.retry_after
-    return DECISION_STRUCT.pack(
-        DECISION_FRAME_SIZE - 2,
-        STATUS_DECISION,
-        1 if decision.admitted else 0,
-        REASON_CODES.get(decision.reason, 0),
-        decision.balance,
-        retry if retry is not None else 0.0,
-    )
+    """One 17-byte ``DECISION`` response frame."""
+    return encode_decisions_binary((decision,))
 
 
 def encode_decisions_binary(decisions) -> bytes:
-    """A pipelined run of ``DECISION`` frames as one contiguous write.
+    """``DECISION`` frames for a run of ``Decision`` objects, contiguous.
 
-    ``struct.pack_into`` over a preallocated buffer: the server answers
-    a whole ``try_acquire_many`` batch with a single ``send``.
+    The bytes ``try_acquire_frames`` packs without the objects.
     """
     pack_into = DECISION_STRUCT.pack_into
     reason_codes = REASON_CODES
@@ -322,33 +317,25 @@ def encode_run_binary(
     )
 
 
-def encode_decision_runs_binary(decisions) -> bytes:
-    """One single-decision ``RUN`` frame per decision, as one write.
+def runs_from_decision_frames(frames) -> bytes:
+    """Packed ``DECISION`` frames re-framed as one unit ``RUN`` frame each.
 
-    How a worker answers bulk groups it decided request by request: an
-    admission is ``admits=1`` from the pre-spend balance (the decision's
-    balance + 1), a rejection ``rejects=1`` at the balance it observed.
+    How a worker answers bulk groups it decided request by request, as
+    columns: an admission is ``admits=1`` from the pre-spend balance (the
+    decision's balance + 1), a rejection ``rejects=1`` at the balance it
+    observed.
     """
-    pack_into = RUN_STRUCT.pack_into
-    reason_codes = REASON_CODES
-    body = RUN_FRAME_SIZE - 2
-    buf = bytearray(RUN_FRAME_SIZE * len(decisions))
-    offset = 0
-    for decision in decisions:
-        admitted = 1 if decision.admitted else 0
-        pack_into(
-            buf,
-            offset,
-            body,
-            STATUS_RUN,
-            reason_codes.get(decision.reason, 0),
-            admitted,
-            1 - admitted,
-            decision.balance + admitted,
-            0.0 if admitted else decision.retry_after,
-        )
-        offset += RUN_FRAME_SIZE
-    return bytes(buf)
+    decisions = np.frombuffer(frames, dtype=DECISION_DTYPE)
+    admitted = decisions["admitted"]
+    runs = np.empty(len(decisions), dtype=RUN_DTYPE)
+    runs["len"] = RUN_FRAME_SIZE - 2
+    runs["status"] = STATUS_RUN
+    runs["reason"] = decisions["reason"]
+    runs["admits"] = admitted
+    runs["rejects"] = 1 - admitted
+    runs["balance"] = decisions["balance"] + admitted
+    runs["retry"] = decisions["retry"]
+    return runs.tobytes()
 
 
 def encode_status_binary(status: int, body: bytes = b"") -> bytes:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.ratelimit import RateLimitAuditor, burst_bound
 from repro.registry import strategies as strategy_registry
-from repro.serve import ManualClock, TokenAccountLimiter
+from repro.serve import ManualClock, TokenAccountLimiter, wire
 
 #: one representative parameterization per registered strategy
 STRATEGY_PARAMS = {
@@ -411,6 +411,100 @@ def test_batched_schedules_never_violate_the_bound(name, rounds):
     for key, auditor in auditors.items():
         violations = auditor.check(period=PERIOD, capacity=capacity)
         assert not violations, (key, violations[:3])
+
+
+def test_batch_refuses_misaligned_useful_before_touching_any_account():
+    """Regression: a ``useful`` sequence shorter than ``keys`` used to
+    raise ``IndexError`` halfway through a shard group, after earlier
+    positions had spent tokens that no counter recorded."""
+    limiter = make_limiter("simple", ManualClock())
+    for acquire in (limiter.try_acquire_many, limiter.try_acquire_frames):
+        for flags in ([True, True], [True] * 4, []):
+            with pytest.raises(ValueError, match="useful flags for 3 keys"):
+                acquire(["a", "b", "c"], flags, now=0.0)
+    assert len(limiter) == 0
+    assert limiter.admitted == limiter.rejected == 0
+    decisions = limiter.try_acquire_many(["a", "b"], [True, False], now=0.0)
+    assert [d.admitted for d in decisions] == [True, True]
+
+
+def test_batch_counters_survive_an_exception_mid_group():
+    """The positions decided before a failure spent tokens, so they are
+    counted: ``STATS`` equals decisions made whatever ends the loop."""
+    limiter = make_limiter("simple", ManualClock())  # one shard, C = 5
+    for acquire in (limiter.try_acquire_many, limiter.try_acquire_frames):
+        before = limiter.admitted
+        with pytest.raises(TypeError):
+            acquire(["a", "a", ["unhashable"], "a"], now=0.0)
+        assert limiter.admitted == before + 2 and limiter.rejected == 0
+    assert limiter.balance("a") == 1
+
+
+#: strategies whose batched decisions equal n scalar ``try_acquire``
+#: calls (no randRound fraction, no proactive coin): the scalar path
+#: draws from a different generator, so only these can be compared
+SCALAR_COMPARABLE = DETERMINISTIC + ("reactive",)
+
+
+@settings(max_examples=140, deadline=None)
+@given(
+    name=st.sampled_from(sorted(STRATEGY_PARAMS)),
+    shards=st.sampled_from((1, 8)),
+    rounds=st.lists(
+        st.tuples(
+            # a negative step is a stale ``now``: every key clamps forward
+            st.floats(min_value=-1.5, max_value=2.5, allow_nan=False),
+            st.lists(
+                st.tuples(st.integers(0, 39), st.booleans()),
+                min_size=1,
+                max_size=60,
+            ),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_packed_records_match_the_object_api_and_the_scalar_path(name, shards, rounds):
+    """``try_acquire_frames`` ≡ ``encode_decisions_binary(try_acquire_many)``
+    on a same-seed twin, for every registered strategy — capacity-0
+    ``proactive`` and the overdraft ``reactive`` reference take the
+    ``_settle`` slow path, ``randomized`` the coin — and ≡ n scalar
+    ``try_acquire`` calls where the strategy is deterministic. Batches
+    repeat keys, mix per-request flags, and overflow a 16-key table, so
+    accounts are evicted and reborn mid-batch."""
+
+    def twin():
+        return TokenAccountLimiter(
+            name,
+            period=PERIOD,
+            clock=ManualClock(),
+            seed=7,
+            shards=shards,
+            max_keys=16,
+            **STRATEGY_PARAMS[name],
+        )
+
+    packed, objects = twin(), twin()
+    scalar = twin() if name in SCALAR_COMPARABLE else None
+    now = 10.0
+    for step, batch in rounds:
+        now += step
+        keys = [f"key-{index}" for index, _ in batch]
+        flags = [useful for _, useful in batch]
+        frames = packed.try_acquire_frames(keys, flags, now=now)
+        assert isinstance(frames, bytearray)
+        decisions = objects.try_acquire_many(keys, flags, now=now)
+        assert [d.key for d in decisions] == keys
+        assert bytes(frames) == wire.encode_decisions_binary(decisions)
+        if scalar is not None:
+            singles = [scalar.try_acquire(k, u, now=now) for k, u in zip(keys, flags)]
+            assert bytes(frames) == wire.encode_decisions_binary(singles)
+    for other in filter(None, (objects, scalar)):
+        assert (packed.admitted, packed.rejected) == (other.admitted, other.rejected)
+        assert len(packed) == len(other)
+        for index in range(40):
+            assert packed.balance(f"key-{index}") == other.balance(f"key-{index}")
+    assert packed.admitted + packed.rejected == sum(len(b) for _, b in rounds)
 
 
 # ----------------------------------------------------------------------

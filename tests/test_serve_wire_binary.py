@@ -469,6 +469,107 @@ def test_worker_bulk_mixed_groups_match_the_sequential_scalar_path():
     assert limiter.balance("k") == reference.balance("k")
 
 
+def unit_runs(decisions) -> bytes:
+    """One single-decision ``RUN`` frame per decision — the per-object
+    encoder ``wire.runs_from_decision_frames`` replaced, kept as the spec."""
+    return b"".join(
+        wire.encode_run_binary(
+            d.reason,
+            int(d.admitted),
+            int(not d.admitted),
+            d.balance + d.admitted,
+            d.retry_after or 0.0,
+        )
+        for d in decisions
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch=st.lists(decisions, max_size=12))
+def test_decision_frames_reframe_as_unit_runs(batch):
+    batch = [d for d in batch if d.balance < 2**31 - 1]  # balance + 1 is an i32
+    frames = wire.encode_decisions_binary(batch)
+    assert wire.runs_from_decision_frames(frames) == unit_runs(batch)
+    assert wire.runs_from_decision_frames(bytearray(frames)) == unit_runs(batch)
+
+
+class _Capture:
+    """A transport that keeps what the connection writes."""
+
+    def __init__(self):
+        self.written = bytearray()
+
+    def write(self, data):
+        self.written += data
+
+    def take(self) -> bytes:
+        data = bytes(self.written)
+        self.written.clear()
+        return data
+
+
+def _feed(connection, data: bytes) -> bytes:
+    """Deliver ``data`` as one read, the way asyncio would; the reply."""
+    view = connection.get_buffer(-1)
+    view[: len(data)] = data
+    connection.buffer_updated(len(data))
+    return connection.transport.take()
+
+
+@pytest.mark.parametrize("strategy", ["generalized", "randomized"])
+def test_server_replies_are_what_the_object_api_encodes(strategy):
+    """The server writes records the limiter packed; frame for frame
+    they are what a same-seed reference limiter's object API encodes,
+    on one clock: a 700-frame ACQUIRE chunk with a STATS barrier in the
+    middle, then an ``ACQUIRE_BULK`` frame mixing count-1, count-5 and
+    count-1 groups — closed-form RUNs for ``generalized``, the unit-RUN
+    fallback for ``randomized``. Fed in-process, one read per chunk, so
+    the batch boundaries (hence the draw order) are the test's own."""
+    clock = ManualClock(50.0)
+    spec = dict(spend_rate=3, capacity=6, period=1.0, shards=8, seed=11, clock=clock)
+    server = AdmissionServer(TokenAccountLimiter(strategy, **spec))
+    reference = TokenAccountLimiter(strategy, **spec)
+    connection = server.connection_class(server)
+    connection.connection_made(_Capture())
+    assert _feed(connection, wire.MAGIC) == wire.MAGIC
+
+    # (a) 350 ACQUIREs, STATS, 350 ACQUIREs: two batches around a barrier
+    requests = [(f"key-{i % 23}", i % 3 != 0) for i in range(700)]
+    encoded = [wire.encode_request_binary(key, useful) for key, useful in requests]
+    encoded.insert(350, wire.encode_command_binary(wire.OP_STATS))
+    reply = _feed(connection, b"".join(encoded))
+    expected = b""
+    for start in (0, 350):
+        keys, flags = zip(*requests[start : start + 350])
+        decided = reference.try_acquire_many(keys, flags)
+        expected += wire.encode_decisions_binary(decided)
+        if start == 0:  # the barrier reports the first batch only
+            document = dict(reference.stats(), connections=1)
+            assert document["admitted"] + document["rejected"] == 350
+            expected += wire.encode_status_binary(
+                wire.STATUS_STATS, json.dumps(document, sort_keys=True).encode()
+            )
+    assert reply == expected
+
+    # (b) one bulk frame: lone, lone, count-5, lone — after a clock step
+    clock.advance(2.25)
+    groups = [(b"key-1", 0, 1), (b"key-2", 1, 1), (b"key-1", 1, 5), (b"key-30", 1, 1)]
+    reply = _feed(connection, wire.encode_bulk_binary(groups))
+    expected = unit_runs(reference.try_acquire_many(["key-1", "key-2"], [False, True]))
+    run = reference.try_acquire_run("key-1", 5, True)
+    if strategy == "generalized":
+        admits, rejects, balance, reason, retry = run
+        expected += wire.encode_run_binary(reason, admits, rejects, balance, retry)
+    else:
+        assert run is None
+        expected += unit_runs(reference.try_acquire_many(["key-1"] * 5, True))
+    expected += unit_runs(reference.try_acquire_many(["key-30"], [True]))
+    assert reply == expected
+    assert server.limiter.stats() == reference.stats()
+    for key in sorted({key for key, _ in requests} | {"key-30"}):
+        assert server.limiter.balance(key) == reference.balance(key), key
+
+
 def test_worker_answers_malformed_bulk_with_error_frame():
     async def scenario():
         server = await _start_server()
