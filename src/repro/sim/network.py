@@ -25,15 +25,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.sim.engine import Simulator
 from repro.sim.node import SimNode
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """An application-layer message in flight.
+
+    Immutable, and built once per send: a named tuple is constructed in
+    one C call, where a frozen dataclass pays ``object.__setattr__`` per
+    field.
 
     Attributes
     ----------
@@ -71,10 +74,6 @@ class NetworkStats:
     #: :meth:`Network.send` on the same-instant churn race)
     lost_sender_offline: int = 0
     by_kind: Dict[str, int] = field(default_factory=dict)
-
-    def record_send(self, kind: str) -> None:
-        self.sent += 1
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
 
 
 class Network:
@@ -188,11 +187,15 @@ class Network:
             return None
         if dst not in self.nodes:
             raise KeyError(f"unknown destination node {dst}")
-        message = Message(src, dst, payload, kind, self.sim.now)
-        self.stats.record_send(kind)
+        sim = self.sim
+        now = sim.now
+        message = Message(src, dst, payload, kind, now)
+        stats = self.stats
+        stats.sent += 1
+        stats.by_kind[kind] = stats.by_kind.get(kind, 0) + 1
         self.sent_per_node[src] += 1
         if self.send_log_enabled:
-            self.send_log.setdefault(src, []).append(self.sim.now)
+            self.send_log.setdefault(src, []).append(now)
         for listener in self._send_listeners:
             listener(message)
         delay = self.transfer_time
@@ -202,7 +205,7 @@ class Network:
             delay *= 1.0 + self.transfer_jitter * (
                 2.0 * self.transfer_rng.random() - 1.0
             )
-        self.sim.schedule(delay, self._deliver, message)
+        sim.schedule(delay, self._deliver, message)
         return message
 
     def add_send_listener(self, listener: Callable[[Message], None]) -> None:

@@ -104,7 +104,7 @@ class PeriodicProcess:
         )
         if self._next_k < 0:
             self._next_k = 0
-        self._schedule_next()
+        self._handle = self._sim.schedule_at(self.next_tick_time(), self._fire)
         return self
 
     def stop(self) -> None:
@@ -123,24 +123,17 @@ class PeriodicProcess:
         return self.phase + self._next_k * self.period
 
     # ------------------------------------------------------------------
-    def _schedule_next(self) -> None:
-        handle = self._handle
-        if handle is None or handle.cancelled:
-            # First tick after construction or a stop(): a cancelled
-            # handle dropped its callback reference, start fresh.
-            self._handle = self._sim.schedule_at(self.next_tick_time(), self._fire)
-        else:
-            # Steady state: the handle just fired, re-arm it in place.
-            self._sim.reschedule(handle, self.next_tick_time())
-
     def _fire(self) -> None:
         if not self._running:
             return
+        handle = self._handle
         self.ticks_fired += 1
         self._next_k += 1
         self._callback()
-        if self._running:
-            self._schedule_next()
+        # Re-arm the handle that just fired, unless the callback stopped
+        # the process (no handle) or restarted it (start() armed a new one).
+        if self._handle is handle:
+            self._sim.reschedule(handle, self.phase + self._next_k * self.period)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

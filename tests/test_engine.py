@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import SimulationError, Simulator
 
@@ -218,3 +220,132 @@ def test_reschedule_keeps_fifo_ties_with_fresh_events(sim):
     sim.schedule_at(5.0, fired.append, "new")
     sim.run()
     assert fired == ["old", "new"]
+
+
+def test_reschedule_of_a_queued_handle_moves_it(sim):
+    """Regression: re-arming a handle that is still in the heap used to
+    leave two entries aliasing one object. It is a move: the event fires
+    once, at the new time, behind events already scheduled there."""
+    fired = []
+    handle = sim.schedule(1.0, fired.append, "moved")
+    sim.schedule_at(5.0, fired.append, "before")
+    sim.reschedule(handle, 5.0)
+    sim.schedule_at(5.0, fired.append, "after")
+    assert sim.pending == 4
+    assert sim.live_pending == 3
+    assert sim.peek_time() == 5.0
+    assert sim.run() == 3
+    assert fired == ["before", "moved", "after"]
+    assert sim.pending == 0
+
+
+def test_reschedule_after_cancel_fires_once(sim):
+    fired = []
+    handle = sim.schedule(1.0, fired.append, "x")
+    handle.cancel()
+    handle.fn, handle.args = fired.append, ("x",)
+    sim.reschedule(handle, 2.0)
+    assert sim.live_pending == 1
+    assert sim.run() == 1
+    assert fired == ["x"]
+    assert sim.now == 2.0
+
+
+# ----------------------------------------------------------------------
+# Model-based test: the engine against a sorted list
+# ----------------------------------------------------------------------
+#: few distinct offsets, so same-instant ties are the common case
+OFFSETS = st.sampled_from([0.0, 0.25, 1.0, 1.5, 4.0])
+PICK = st.integers(min_value=0, max_value=10**6)
+OPERATIONS = st.one_of(
+    st.tuples(st.just("schedule"), OFFSETS),
+    st.tuples(st.just("schedule_at"), OFFSETS),
+    st.tuples(st.just("cancel"), PICK),
+    st.tuples(st.just("reschedule"), PICK, OFFSETS),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("run_until"), OFFSETS),
+    st.tuples(st.just("run_max"), st.integers(min_value=0, max_value=4)),
+)
+
+
+class ReferenceQueue:
+    """What the engine promises, spelled as a dict and ``min``."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.seq = 0
+        self.processed = 0
+        self.live = {}  # tag -> (time, seq)
+        self.fired = []
+
+    def arm(self, tag, time):
+        self.live[tag] = (time, self.seq)
+        self.seq += 1
+
+    def fire_next(self, until=None):
+        if not self.live:
+            return False
+        tag = min(self.live, key=self.live.get)
+        time, _ = self.live[tag]
+        if until is not None and time > until:
+            return False
+        del self.live[tag]
+        self.now = time
+        self.processed += 1
+        self.fired.append((tag, time))
+        return True
+
+
+@given(st.lists(OPERATIONS, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_engine_matches_a_sorted_list_reference(operations):
+    sim = Simulator()
+    ref = ReferenceQueue()
+    fired = []
+    handles = []
+
+    def record(tag):
+        fired.append((tag, sim.now))
+
+    for name, *params in operations:
+        if name in ("schedule", "schedule_at"):
+            (offset,) = params
+            tag = len(handles)
+            if name == "schedule":
+                handles.append(sim.schedule(offset, record, tag))
+            else:
+                handles.append(sim.schedule_at(sim.now + offset, record, tag))
+            ref.arm(tag, ref.now + offset)
+        elif name == "cancel" and handles:
+            tag = params[0] % len(handles)
+            handles[tag].cancel()
+            ref.live.pop(tag, None)
+        elif name == "reschedule" and handles:
+            # any handle: fired, cancelled, or still queued
+            tag, offset = params[0] % len(handles), params[1]
+            handle = handles[tag]
+            if handle.cancelled:
+                handle.fn, handle.args = record, (tag,)
+            assert sim.reschedule(handle, sim.now + offset) is handle
+            ref.arm(tag, ref.now + offset)
+        elif name == "step":
+            assert sim.step() == ref.fire_next()
+        elif name == "run_until":
+            until = ref.now + params[0]
+            count = 0
+            while ref.fire_next(until):
+                count += 1
+            ref.now = until
+            assert sim.run(until=until) == count
+        elif name == "run_max":
+            count = sum(ref.fire_next() for _ in range(params[0]))
+            assert sim.run(max_events=params[0]) == count
+
+        assert fired == ref.fired
+        assert sim.now == ref.now
+        assert sim.processed == ref.processed
+        # peek_time discards dead entries at the head: check on both sides
+        assert sim.pending >= sim.live_pending == len(ref.live)
+        expected_head = min(ref.live.values())[0] if ref.live else None
+        assert sim.peek_time() == expected_head
+        assert sim.pending >= sim.live_pending == len(ref.live)

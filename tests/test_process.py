@@ -127,6 +127,7 @@ def test_stop_inside_callback(sim):
     process.start()
     sim.run(until=100.0)
     assert times == [0.0, 10.0]
+    assert sim.pending == sim.live_pending == 0
 
 
 def test_next_tick_time(sim):
@@ -135,3 +136,26 @@ def test_next_tick_time(sim):
     assert process.next_tick_time() == 3.0
     sim.run(until=3.0)
     assert process.next_tick_time() == 13.0
+
+
+def test_restart_inside_own_callback_ticks_once_per_grid_point(sim):
+    """Regression: ``stop(); start()`` from the callback armed the new
+    handle twice — ``start()`` scheduled it and ``_fire`` then re-armed
+    the same, still-queued handle — leaving a second heap entry behind."""
+    times = []
+
+    def callback():
+        times.append(sim.now)
+        if sim.now == 20.0:
+            process.stop()
+            process.start()
+
+    process = PeriodicProcess(sim, 10.0, callback, phase=0.0)
+    process.start()
+    sim.run(until=25.0)
+    assert sim.pending == sim.live_pending == 1
+    sim.run(until=55.0)
+    assert times == [0.0, 10.0, 20.0, 30.0, 40.0, 50.0]
+    assert process.ticks_fired == 6
+    assert sim.pending == sim.live_pending == 1
+
