@@ -1,14 +1,16 @@
-"""Shared helpers for the benchmark suite.
+"""Shared helpers for the figure benches.
 
 Every bench regenerates the data behind one figure of the paper and
 prints it as an ASCII table — the same rows/series the paper plots —
-plus derived headline numbers. Scale is controlled with ``REPRO_SCALE``
+plus derived headline numbers, and asserts the paper's claim about
+them. None of them times anything: speed is measured by
+``python3 -m perf run`` alone. Scale is controlled with ``REPRO_SCALE``
 (ci / medium / paper); see ``repro.experiments.scale``.
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only
-    REPRO_SCALE=medium pytest benchmarks/ --benchmark-only
+    pytest -s benchmarks/
+    REPRO_SCALE=medium pytest -s benchmarks/
 """
 
 from __future__ import annotations

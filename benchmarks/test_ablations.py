@@ -19,7 +19,7 @@ def steady_lag(result, tail_fraction=0.5):
     return result.metric.mean(start=start)
 
 
-def test_usefulness_ablation(benchmark, scale):
+def test_usefulness_ablation(scale):
     """Randomized reacts only to useful messages; an ablated variant that
     reacts to everything wastes tokens on stale updates. The ablation is
     expressed through the generalized strategy, whose useless-message
@@ -37,7 +37,7 @@ def test_usefulness_ablation(benchmark, scale):
         )
         return frugal, spender
 
-    frugal, spender = benchmark.pedantic(run_pair, rounds=1, iterations=1)
+    frugal, spender = run_pair()
     print(
         f"\nsteady push gossip lag: randomized (reacts to useful only) = "
         f"{steady_lag(frugal):.2f}, generalized (also reacts to useless) = "
@@ -53,7 +53,7 @@ def test_usefulness_ablation(benchmark, scale):
     assert spender.messages_per_node_per_period <= 1.05
 
 
-def test_initial_tokens_ablation(benchmark, scale):
+def test_initial_tokens_ablation(scale):
     """§4.2: 'larger values of C have a handicap in our experiments since
     we initialize the accounts to have zero tokens.' Pre-filling the
     accounts removes the cold start."""
@@ -72,7 +72,7 @@ def test_initial_tokens_ablation(benchmark, scale):
         warm = run_experiment(ExperimentConfig(initial_tokens=20, **shared))
         return cold, warm
 
-    cold, warm = benchmark.pedantic(run_pair, rounds=1, iterations=1)
+    cold, warm = run_pair()
     print(
         f"\ngossip learning final metric over a short run: "
         f"zero initial tokens = {cold.metric.final():.4f}, "
@@ -81,7 +81,7 @@ def test_initial_tokens_ablation(benchmark, scale):
     assert warm.metric.final() > cold.metric.final()
 
 
-def test_pull_on_rejoin_ablation(benchmark, scale):
+def test_pull_on_rejoin_ablation(scale):
     """Without the §4.1.2 pull request, rejoining nodes sit on stale
     updates until the gossip stream happens to reach them."""
 
@@ -100,7 +100,7 @@ def test_pull_on_rejoin_ablation(benchmark, scale):
         without_pull = run_experiment(ExperimentConfig(pull_on_rejoin=False, **shared))
         return with_pull, without_pull
 
-    with_pull, without_pull = benchmark.pedantic(run_pair, rounds=1, iterations=1)
+    with_pull, without_pull = run_pair()
     print(
         f"\nsteady lag under churn: with pull = {steady_lag(with_pull):.2f}, "
         f"without pull = {steady_lag(without_pull):.2f}"
@@ -112,7 +112,7 @@ def test_pull_on_rejoin_ablation(benchmark, scale):
     assert steady_lag(with_pull) <= steady_lag(without_pull) * 1.15
 
 
-def test_large_capacity_gap_warning(benchmark, scale):
+def test_large_capacity_gap_warning(scale):
     """§4.2: 'it makes little sense to set C much larger than A' — an
     aggressive reactive strategy with a huge capacity bursts its tokens
     and then stays silent for a long time, hurting error correction.
@@ -130,7 +130,7 @@ def test_large_capacity_gap_warning(benchmark, scale):
         gappy = run_experiment(ExperimentConfig(spend_rate=1, capacity=81, **shared))
         return balanced, gappy
 
-    balanced, gappy = benchmark.pedantic(run_pair, rounds=1, iterations=1)
+    balanced, gappy = run_pair()
     print(
         f"\ngossip learning final metric: A=5 C=10 (balanced) = "
         f"{balanced.metric.final():.4f}, A=1 C=81 (C >> A) = "

@@ -17,7 +17,7 @@ def steady_lag(result, tail_fraction=0.5):
     return result.metric.mean(start=start)
 
 
-def test_graded_usefulness_extension(benchmark, scale):
+def test_graded_usefulness_extension(scale):
     def run_pair():
         shared = dict(
             app="push-gossip",
@@ -33,7 +33,7 @@ def test_graded_usefulness_extension(benchmark, scale):
         )
         return binary, graded
 
-    binary, graded = benchmark.pedantic(run_pair, rounds=1, iterations=1)
+    binary, graded = run_pair()
     print(
         f"\npush gossip steady lag: binary usefulness = {steady_lag(binary):.2f}, "
         f"graded (scale 5 updates) = {steady_lag(graded):.2f}"
@@ -48,7 +48,7 @@ def test_graded_usefulness_extension(benchmark, scale):
     assert steady_lag(graded) <= steady_lag(binary) * 1.5
 
 
-def test_push_pull_extension(benchmark, scale):
+def test_push_pull_extension(scale):
     def run_pair():
         shared = dict(
             strategy="randomized",
@@ -62,7 +62,7 @@ def test_push_pull_extension(benchmark, scale):
         push_pull = run_experiment(ExperimentConfig(app="push-pull-gossip", **shared))
         return push, push_pull
 
-    push, push_pull = benchmark.pedantic(run_pair, rounds=1, iterations=1)
+    push, push_pull = run_pair()
     print(
         f"\nsteady lag: push = {steady_lag(push):.2f}, "
         f"push-pull = {steady_lag(push_pull):.2f}"

@@ -30,7 +30,7 @@ def run_at_loss(strategy, loss, scale, **params):
     return run_experiment(config)
 
 
-def test_fault_tolerance_sweep(benchmark, scale):
+def test_fault_tolerance_sweep(scale):
     def sweep():
         rows = []
         for loss in LOSS_RATES:
@@ -40,7 +40,7 @@ def test_fault_tolerance_sweep(benchmark, scale):
             rows.append((loss, reactive, simple, proactive))
         return rows
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     print("\nmessage rate (msgs/node/Δ) and gossip learning metric under loss:")
     print(
         f"{'loss':>6} | {'reactive rate':>13} {'metric':>8} | "

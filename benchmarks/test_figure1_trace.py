@@ -12,8 +12,8 @@ from benchmarks.conftest import print_figure
 from repro.experiments.figures import figure1
 
 
-def test_figure1_trace_statistics(benchmark, scale):
-    data = benchmark.pedantic(lambda: figure1(scale=scale), rounds=1, iterations=1)
+def test_figure1_trace_statistics(scale):
+    data = figure1(scale=scale)
     print_figure(data, rows=13)
     summary = data.extras["summary"]
     print(f"\ntrace summary: {summary}")

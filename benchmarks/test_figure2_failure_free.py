@@ -20,12 +20,8 @@ from repro.experiments.report import (
 )
 
 
-def test_figure2_gossip_learning(benchmark, scale, quick):
-    data = benchmark.pedantic(
-        lambda: figure2("gossip-learning", scale=scale, quick=quick),
-        rounds=1,
-        iterations=1,
-    )
+def test_figure2_gossip_learning(scale, quick):
+    data = figure2("gossip-learning", scale=scale, quick=quick)
     print_figure(data)
     speedups = final_value_speedups(data.series)
     print()
@@ -42,12 +38,8 @@ def test_figure2_gossip_learning(benchmark, scale, quick):
     assert all(rate <= 1.05 for rate in data.message_rates.values())
 
 
-def test_figure2_push_gossip(benchmark, scale, quick):
-    data = benchmark.pedantic(
-        lambda: figure2("push-gossip", scale=scale, quick=quick),
-        rounds=1,
-        iterations=1,
-    )
+def test_figure2_push_gossip(scale, quick):
+    data = figure2("push-gossip", scale=scale, quick=quick)
     print_figure(data)
     ratios = steady_state_lag_ratios(data.series)
     print()
@@ -59,12 +51,8 @@ def test_figure2_push_gossip(benchmark, scale, quick):
     assert all(rate <= 1.05 for rate in data.message_rates.values())
 
 
-def test_figure2_chaotic_iteration(benchmark, scale, quick):
-    data = benchmark.pedantic(
-        lambda: figure2("chaotic-iteration", scale=scale, quick=quick),
-        rounds=1,
-        iterations=1,
-    )
+def test_figure2_chaotic_iteration(scale, quick):
+    data = figure2("chaotic-iteration", scale=scale, quick=quick)
     print_figure(data)
     speedups = time_to_threshold_speedups(data.series)
     print()

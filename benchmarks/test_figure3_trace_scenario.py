@@ -21,12 +21,8 @@ from repro.experiments.report import (
 )
 
 
-def test_figure3_gossip_learning(benchmark, scale, quick):
-    data = benchmark.pedantic(
-        lambda: figure3("gossip-learning", scale=scale, quick=quick),
-        rounds=1,
-        iterations=1,
-    )
+def test_figure3_gossip_learning(scale, quick):
+    data = figure3("gossip-learning", scale=scale, quick=quick)
     print_figure(data)
     speedups = final_value_speedups(data.series)
     print()
@@ -43,12 +39,8 @@ def test_figure3_gossip_learning(benchmark, scale, quick):
     assert max(speedups.values()) > 2.0
 
 
-def test_figure3_push_gossip(benchmark, scale, quick):
-    data = benchmark.pedantic(
-        lambda: figure3("push-gossip", scale=scale, quick=quick),
-        rounds=1,
-        iterations=1,
-    )
+def test_figure3_push_gossip(scale, quick):
+    data = figure3("push-gossip", scale=scale, quick=quick)
     print_figure(data)
     ratios = steady_state_lag_ratios(data.series)
     print()

@@ -25,12 +25,8 @@ from repro.experiments.report import (
 )
 
 
-def test_figure4_gossip_learning(benchmark, scale, quick):
-    data = benchmark.pedantic(
-        lambda: figure4("gossip-learning", scale=scale, quick=quick),
-        rounds=1,
-        iterations=1,
-    )
+def test_figure4_gossip_learning(scale, quick):
+    data = figure4("gossip-learning", scale=scale, quick=quick)
     print_figure(data)
     speedups = final_value_speedups(data.series)
     print()
@@ -53,7 +49,7 @@ def test_figure4_gossip_learning(benchmark, scale, quick):
     ), finals
 
 
-def test_figure4_a1_crossover_trend(benchmark, scale):
+def test_figure4_a1_crossover_trend(scale):
     """The finite-size effect behind Figure 4: 'these variants were among
     the worst in the small network but they are among the best in the
     large network'. At reduced scale the crossover is not complete, so
@@ -74,11 +70,8 @@ def test_figure4_a1_crossover_trend(benchmark, scale):
         )
         return aggressive.metric.final() / robust.metric.final()
 
-    small, large = benchmark.pedantic(
-        lambda: (relative_performance(scale.n), relative_performance(scale.n_large)),
-        rounds=1,
-        iterations=1,
-    )
+    small = relative_performance(scale.n)
+    large = relative_performance(scale.n_large)
     print(
         f"\ngeneralized A=1 C=10 relative to randomized A=10 C=20:\n"
         f"  N={scale.n}: {small:.3f}   N={scale.n_large}: {large:.3f}"
@@ -87,12 +80,8 @@ def test_figure4_a1_crossover_trend(benchmark, scale):
     assert large > small * 1.3
 
 
-def test_figure4_push_gossip(benchmark, scale, quick):
-    data = benchmark.pedantic(
-        lambda: figure4("push-gossip", scale=scale, quick=quick),
-        rounds=1,
-        iterations=1,
-    )
+def test_figure4_push_gossip(scale, quick):
+    data = figure4("push-gossip", scale=scale, quick=quick)
     print_figure(data)
     ratios = steady_state_lag_ratios(data.series)
     print()
@@ -110,7 +99,7 @@ def test_figure4_push_gossip(benchmark, scale, quick):
     assert len(near_identical) >= len(spreading) - 1, ratios
 
 
-def test_figure4_delay_grows_logarithmically(benchmark, scale, quick):
+def test_figure4_delay_grows_logarithmically(scale, quick):
     """Compare the small-N and large-N push gossip lags for one setting:
     the growth must be mild (logarithmic diameter), nowhere near the
     linear factor of the network size increase."""
@@ -120,7 +109,7 @@ def test_figure4_delay_grows_logarithmically(benchmark, scale, quick):
         large = figure4("push-gossip", scale=scale, quick=True)
         return small, large
 
-    small, large = benchmark.pedantic(both_sizes, rounds=1, iterations=1)
+    small, large = both_sizes()
     label = "rand. A=10 C=20"
     start_small = small.series[label].times[-1] / 2
     start_large = large.series[label].times[-1] / 2

@@ -18,8 +18,8 @@ from repro.core.strategies import RandomizedTokenAccount
 from repro.experiments.figures import figure5
 
 
-def test_figure5_average_tokens(benchmark, scale):
-    data = benchmark.pedantic(lambda: figure5(scale=scale), rounds=1, iterations=1)
+def test_figure5_average_tokens(scale):
+    data = figure5(scale=scale)
     predictions = data.extras["predictions"]
     notes = "predicted equilibria: " + "  ".join(
         f"{label}: {value:.3f}" for label, value in predictions.items()
@@ -49,7 +49,7 @@ def test_figure5_average_tokens(benchmark, scale):
             assert abs(simulated - markov) <= abs(simulated - predicted), label
 
 
-def test_meanfield_equilibrium_consistency(benchmark):
+def test_meanfield_equilibrium_consistency():
     """Numeric solver, closed form and ODE all agree (§4.3)."""
 
     def compute():
@@ -66,7 +66,7 @@ def test_meanfield_equilibrium_consistency(benchmark):
             rows.append((spend_rate, capacity, closed, numeric, ode))
         return rows
 
-    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
+    rows = compute()
     print("\n   A    C   closed-form     numeric         ODE")
     for spend_rate, capacity, closed, numeric, ode in rows:
         print(

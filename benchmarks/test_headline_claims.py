@@ -24,12 +24,8 @@ from repro.experiments.report import (
 from repro.experiments.runner import run_experiment
 
 
-def test_headline_gossip_learning_order_of_magnitude(benchmark, scale, quick):
-    data = benchmark.pedantic(
-        lambda: figure2("gossip-learning", scale=scale, quick=quick),
-        rounds=1,
-        iterations=1,
-    )
+def test_headline_gossip_learning_order_of_magnitude(scale, quick):
+    data = figure2("gossip-learning", scale=scale, quick=quick)
     speedups = final_value_speedups(data.series)
     print_figure(data, rows=6)
     print()
@@ -39,12 +35,8 @@ def test_headline_gossip_learning_order_of_magnitude(benchmark, scale, quick):
     assert best > 4.0  # order-of-magnitude band at reduced scale
 
 
-def test_headline_push_gossip_delay_one_third(benchmark, scale, quick):
-    data = benchmark.pedantic(
-        lambda: figure2("push-gossip", scale=scale, quick=quick),
-        rounds=1,
-        iterations=1,
-    )
+def test_headline_push_gossip_delay_one_third(scale, quick):
+    data = figure2("push-gossip", scale=scale, quick=quick)
     ratios = steady_state_lag_ratios(data.series)
     print_figure(data, rows=6)
     print()
@@ -54,7 +46,7 @@ def test_headline_push_gossip_delay_one_third(benchmark, scale, quick):
     assert best > 1.8
 
 
-def test_headline_hot_potato_speed(benchmark, scale):
+def test_headline_hot_potato_speed(scale):
     """The purely reactive reference defines the maximum speed (metric
     ~1); the best token account settings approach it while the proactive
     baseline is pinned near transfer_time/Δ = 0.01."""
@@ -70,9 +62,7 @@ def test_headline_hot_potato_speed(benchmark, scale):
         proactive = run_experiment(ExperimentConfig(strategy="proactive", **shared))
         return reactive, randomized, proactive
 
-    reactive, randomized, proactive = benchmark.pedantic(
-        run_three, rounds=1, iterations=1
-    )
+    reactive, randomized, proactive = run_three()
     print(
         f"\nfinal metric (1.0 = ideal hot-potato walk):\n"
         f"  pure reactive (flooding, no rate limit): {reactive.metric.final():.3f}\n"

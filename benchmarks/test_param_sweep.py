@@ -25,12 +25,8 @@ def proactive_reference(app, scale):
     )
 
 
-def test_sweep_gossip_learning_randomized(benchmark, scale):
-    cells = benchmark.pedantic(
-        lambda: run_sweep("gossip-learning", "randomized", scale=scale),
-        rounds=1,
-        iterations=1,
-    )
+def test_sweep_gossip_learning_randomized(scale):
+    cells = run_sweep("gossip-learning", "randomized", scale=scale)
     reference = proactive_reference("gossip-learning", scale)
     print("\ngossip learning, randomized token account — final metric (eq. 6):")
     print(format_sweep_table(cells, higher_is_better=True))
@@ -43,12 +39,8 @@ def test_sweep_gossip_learning_randomized(benchmark, scale):
     assert len(better) >= len(cells) - 2
 
 
-def test_sweep_push_gossip_generalized(benchmark, scale):
-    cells = benchmark.pedantic(
-        lambda: run_sweep("push-gossip", "generalized", scale=scale),
-        rounds=1,
-        iterations=1,
-    )
+def test_sweep_push_gossip_generalized(scale):
+    cells = run_sweep("push-gossip", "generalized", scale=scale)
     reference = proactive_reference("push-gossip", scale)
     start = reference.metric.times[-1] / 2
     reference_lag = reference.metric.mean(start=start)
@@ -60,7 +52,7 @@ def test_sweep_push_gossip_generalized(benchmark, scale):
     assert len(improved) >= len(cells) * 2 // 3
 
 
-def test_sweep_exposes_a_equals_c_weakness_in_push_gossip(benchmark, scale):
+def test_sweep_exposes_a_equals_c_weakness_in_push_gossip(scale):
     """'with A = C, only at most one reactive message is sent' — those
     settings cannot spread updates exponentially and lag behind."""
 
@@ -78,7 +70,7 @@ def test_sweep_exposes_a_equals_c_weakness_in_push_gossip(benchmark, scale):
         )
         return tight, spreading
 
-    tight, spreading = benchmark.pedantic(run_pair, rounds=1, iterations=1)
+    tight, spreading = run_pair()
     start = tight.metric.times[-1] / 2
     tight_lag = tight.metric.mean(start=start)
     spreading_lag = spreading.metric.mean(start=start)

@@ -38,7 +38,7 @@ def audited_run(app, scenario, strategy, spend_rate, capacity, scale):
     return config, experiment, result
 
 
-def test_burst_bound_failure_free(benchmark, scale):
+def test_burst_bound_failure_free(scale):
     def run_all():
         rows = []
         for strategy, spend_rate, capacity in STRATEGIES:
@@ -57,7 +57,7 @@ def test_burst_bound_failure_free(benchmark, scale):
             rows.append((config.label(), worst, bound, result.ratelimit_violations))
         return rows
 
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    rows = run_all()
     print("\nworst observed sends in any window of length Δ vs bound:")
     for label, worst, bound, violations in rows:
         print(f"  {label:55s} {worst:3d} <= {bound:3d}")
@@ -65,7 +65,7 @@ def test_burst_bound_failure_free(benchmark, scale):
         assert violations == []
 
 
-def test_burst_bound_under_churn(benchmark, scale):
+def test_burst_bound_under_churn(scale):
     def run_all():
         rows = []
         for strategy, spend_rate, capacity in STRATEGIES:
@@ -75,14 +75,14 @@ def test_burst_bound_under_churn(benchmark, scale):
             rows.append((config.label(), result.ratelimit_violations))
         return rows
 
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    rows = run_all()
     print("\nburst-bound audit under churn (pull replies included):")
     for label, violations in rows:
         print(f"  {label:55s} violations: {len(violations)}")
         assert violations == []
 
 
-def test_reactive_reference_has_no_bound(benchmark, scale):
+def test_reactive_reference_has_no_bound(scale):
     """The flooding reference demonstrably violates any burst bound —
     this is exactly why the paper excludes it as a deployable option."""
 
@@ -100,7 +100,7 @@ def test_reactive_reference_has_no_bound(benchmark, scale):
         experiment.run()
         return config, experiment.auditor
 
-    config, auditor = benchmark.pedantic(run, rounds=1, iterations=1)
+    config, auditor = run()
     worst = max(
         auditor.max_sends_in_window(node, config.period)
         for node in auditor.send_times

@@ -28,7 +28,7 @@ STRATEGIES = (
 )
 
 
-def test_repair_after_failure_burst(benchmark, scale):
+def test_repair_after_failure_burst(scale):
     def run_all():
         rows = []
         for label, strategy, a, c in STRATEGIES:
@@ -63,7 +63,7 @@ def test_repair_after_failure_burst(benchmark, scale):
             )
         return rows
 
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    rows = run_all()
     print(
         "\nrepair after a 15% correlated failure burst "
         "(peak under-replication, recovery to <2%, budget, residual):"

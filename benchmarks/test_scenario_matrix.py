@@ -1,14 +1,11 @@
-"""Scenario-matrix smoke bench: run a registry cross-product, record throughput.
+"""Scenario-matrix smoke bench: run a registry cross-product.
 
 The matrix is *derived from the registries*: every registered
 application is crossed with every scenario preset its plugin supports
 (failure-free, trace, flash-crowd), plus the network-axis combinations
 the legacy harness could not express (lossy small-world push gossip,
 jittered heterogeneous-period gossip learning). The cells run as one
-parallel suite and the per-scenario engine throughput (events/sec) lands
-in ``artifacts/BENCH_scenarios.json``, which CI uploads next to ``BENCH_suite.json``
-so the scenario matrix is both smoke-tested and performance-tracked
-from PR to PR.
+parallel suite.
 
 Cell sizes are a fraction of the ``REPRO_SCALE`` preset — this is a
 breadth bench (does every combination assemble, run and stay
@@ -16,10 +13,6 @@ deterministic?), not a depth bench.
 """
 
 from __future__ import annotations
-
-import json
-import os
-from pathlib import Path
 
 from repro.experiments.scale import worker_count
 from repro.experiments.suite import ExperimentSuite, SuiteRunner
@@ -30,10 +23,6 @@ from repro.scenarios import (
     NetworkSpec,
     ScenarioSpec,
 )
-
-#: where the bench artifact lands (the gitignored ``artifacts/``
-#: directory by default; CI uploads everything under it)
-ARTIFACT = Path(os.environ.get("REPRO_BENCH_DIR", "artifacts")) / "BENCH_scenarios.json"
 
 
 def _matrix_specs(scale) -> list:
@@ -77,62 +66,28 @@ def _matrix_specs(scale) -> list:
     return specs
 
 
-def test_scenario_matrix_smoke_artifact(benchmark, scale):
+def test_scenario_matrix_smoke_artifact(scale):
     specs = _matrix_specs(scale)
     suite = ExperimentSuite.from_configs(
         "scenario-matrix",
         specs,
         description="registry cross-product smoke matrix",
     )
-    runner = SuiteRunner(workers=worker_count())
-    result = benchmark.pedantic(lambda: runner.run(suite), rounds=1, iterations=1)
-
-    cells = []
-    for cell in result.cells:
-        payload = cell.result
-        cells.append(
-            {
-                "label": payload.label,
-                "app": cell.config.app.name,
-                "overlay": cell.config.resolved_overlay().name,
-                "churn": cell.config.churn.name,
-                "loss_rate": cell.config.network.loss_rate,
-                "transfer_jitter": cell.config.network.transfer_jitter,
-                "period_spread": cell.config.period_spread,
-                "events_processed": payload.events_processed,
-                "wall_seconds": cell.wall_seconds,
-                "events_per_second": (
-                    payload.events_processed / cell.wall_seconds
-                    if cell.wall_seconds
-                    else 0.0
-                ),
-                "final_metric": (
-                    payload.metric.final() if not payload.metric.empty else None
-                ),
-                "messages_per_node_per_period": payload.messages_per_node_per_period,
-            }
-        )
-    document = {
-        "format": "repro-bench-scenarios-v1",
-        "scale": scale.label,
-        "workers": result.workers,
-        "cells": cells,
-        "total_events": result.total_events,
-        "wall_seconds": result.wall_seconds,
-        "events_per_second": result.events_per_second,
-        "cells_per_second": result.cells_per_second,
-    }
-    ARTIFACT.parent.mkdir(parents=True, exist_ok=True)
-    ARTIFACT.write_text(json.dumps(document, indent=2), encoding="utf-8")
+    result = SuiteRunner(workers=worker_count()).run(suite)
 
     print(f"\nscenario matrix ({len(suite)} cells, {result.workers} workers):")
-    for cell in cells:
-        print(f"  {cell['label']:<55} {cell['events_per_second']:>12,.0f} events/s")
-    print(f"  total: {result.summary()}  (artifact: {ARTIFACT})")
+    for cell in result.cells:
+        payload = cell.result
+        final = payload.metric.final() if not payload.metric.empty else None
+        print(
+            f"  {payload.label:<55} {payload.events_processed:>10,} events"
+            f"   final metric {final}"
+        )
+    print(f"  total: {result.summary()}")
 
     # Every cell ran to the horizon and produced a metric series.
-    assert len(cells) == len(specs)
-    assert all(cell["events_processed"] > 0 for cell in cells)
+    assert len(result.cells) == len(specs)
+    assert all(cell.result.events_processed > 0 for cell in result.cells)
     assert result.total_events > 0
 
     # Determinism across the matrix: a serial re-run of a sample of the

@@ -107,6 +107,54 @@ def _add_store_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_figure_arguments(parser: argparse.ArgumentParser) -> None:
+    """What ``figure`` and ``report figure`` both take."""
+    parser.add_argument("number", type=int, help="figure number (1-5)")
+    parser.add_argument("--app", choices=applications.names(), default=None)
+    parser.add_argument("--scale", choices=scale_names(), default=None)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--rows", type=int, default=12)
+    parser.add_argument(
+        "--quick", action="store_true", help="thinned strategy selection"
+    )
+    parser.add_argument(
+        "--plot", action="store_true", help="render an ASCII chart of the series"
+    )
+    parser.add_argument(
+        "--log", action="store_true", help="log-scale the chart's value axis"
+    )
+    parser.add_argument(
+        "--save",
+        type=str,
+        default=None,
+        metavar="FILE",
+        help="write the figure data to FILE (.json/.csv)",
+    )
+
+
+def _add_suite_arguments(parser: argparse.ArgumentParser) -> None:
+    """What ``suite`` and ``report suite`` both take."""
+    parser.add_argument("--app", required=True, choices=applications.names())
+    parser.add_argument(
+        "--strategies",
+        nargs="+",
+        choices=sweepable_strategies(),
+        default=None,
+        help="strategies to include (default: simple, generalized, randomized)",
+    )
+    parser.add_argument("--scenario", choices=SCENARIOS, default="failure-free")
+    parser.add_argument("--scale", choices=scale_names(), default=None)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument(
+        "--save",
+        type=str,
+        default=None,
+        metavar="FILE",
+        help="write the suite result document to FILE (.json)",
+    )
+    _add_store_argument(parser)
+
+
 def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--app", required=True, choices=applications.names())
     parser.add_argument("--strategy", required=True, choices=strategies.names())
@@ -428,36 +476,51 @@ def _print_suite_tables(
     print(f"\n{suite_result.summary()}")
 
 
-def _command_suite(args: argparse.Namespace) -> int:
+def _command_suite(args: argparse.Namespace, offline: bool = False) -> int:
+    """Run the suite bundle and print its tables.
+
+    ``offline=True`` is the ``repro report suite`` path: every cell is
+    replayed from the store, and :class:`StoreMissError` escapes to the
+    caller before anything is printed.
+    """
     from repro.experiments.suite import SuiteRunner, print_progress, worker_count
 
+    store = resolve_store(args.store)
+    if offline and store is None:
+        raise ValueError("repro report needs --store (or REPRO_STORE)")
     scale = _resolve_scale(args.scale)
     bundle, strategies_chosen, coordinate_map, parts = _suite_bundle(args, scale)
-    workers = worker_count(args.workers)
-    store = resolve_store(args.store)
-    store_note = f", store {store.root}" if store is not None else ""
-    print(
-        f"suite {bundle.name}: {len(bundle)} cells "
-        f"[{', '.join(parts)}] at scale {scale.name} with {workers} "
-        f"worker(s){store_note}"
-    )
-    runner = SuiteRunner(
-        workers=workers,
-        progress=print_progress if not args.quiet else None,
-        store=store,
-    )
-    suite_result = runner.run(bundle)
-    if suite_result.serial_fallback_reason is not None:
+    cells = f"{len(bundle)} cells [{', '.join(parts)}]"
+    if offline:
+        suite_result = SuiteRunner(workers=1, store=store, offline=True).run(bundle)
         print(
-            f"note: fell back to serial execution "
-            f"({suite_result.serial_fallback_reason}); "
-            f"process pools need fork support"
+            f"report {bundle.name}: {cells} "
+            f"from store {store.root} (zero cells simulated)"
         )
-    if store is not None:
+    else:
+        workers = worker_count(args.workers)
+        store_note = f", store {store.root}" if store is not None else ""
         print(
-            f"store: {suite_result.cache_hits} cache hit(s), "
-            f"{suite_result.simulated_cells} simulated"
+            f"suite {bundle.name}: {cells} at scale {scale.name} with {workers} "
+            f"worker(s){store_note}"
         )
+        runner = SuiteRunner(
+            workers=workers,
+            progress=print_progress if not args.quiet else None,
+            store=store,
+        )
+        suite_result = runner.run(bundle)
+        if suite_result.serial_fallback_reason is not None:
+            print(
+                f"note: fell back to serial execution "
+                f"({suite_result.serial_fallback_reason}); "
+                f"process pools need fork support"
+            )
+        if store is not None:
+            print(
+                f"store: {suite_result.cache_hits} cache hit(s), "
+                f"{suite_result.simulated_cells} simulated"
+            )
     _print_suite_tables(args, suite_result, strategies_chosen, coordinate_map)
     if args.save:
         from repro.experiments.export import save_suite
@@ -470,33 +533,13 @@ def _command_suite(args: argparse.Namespace) -> int:
 def _command_report(args: argparse.Namespace) -> int:
     """Rebuild figures / suite tables purely from the result store."""
     try:
-        if args.target == "figure":
-            data = _figure_data(args, offline=True)
-            if data is None:
-                return 2
-            print("(report: rebuilt from the result store, zero cells simulated)")
-            return _print_figure(data, args)
-        # target == "suite"
-        from repro.experiments.suite import SuiteRunner
-
-        store = resolve_store(args.store)
-        if store is None:
-            raise ValueError("repro report needs --store (or REPRO_STORE)")
-        scale = _resolve_scale(args.scale)
-        bundle, strategies_chosen, coordinate_map, parts = _suite_bundle(args, scale)
-        runner = SuiteRunner(workers=1, store=store, offline=True)
-        suite_result = runner.run(bundle)
-        print(
-            f"report {bundle.name}: {len(bundle)} cells [{', '.join(parts)}] "
-            f"from store {store.root} (zero cells simulated)"
-        )
-        _print_suite_tables(args, suite_result, strategies_chosen, coordinate_map)
-        if args.save:
-            from repro.experiments.export import save_suite
-
-            save_suite(suite_result, args.save)
-            print(f"saved to {args.save}")
-        return 0
+        if args.target == "suite":
+            return _command_suite(args, offline=True)
+        data = _figure_data(args, offline=True)
+        if data is None:
+            return 2
+        print("(report: rebuilt from the result store, zero cells simulated)")
+        return _print_figure(data, args)
     except StoreMissError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -670,27 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     list_parser.set_defaults(handler=_command_list)
 
     figure_parser = commands.add_parser("figure", help="regenerate a paper figure")
-    figure_parser.add_argument("number", type=int, help="figure number (1-5)")
-    figure_parser.add_argument("--app", choices=applications.names(), default=None)
-    figure_parser.add_argument("--scale", choices=scale_names(), default=None)
-    figure_parser.add_argument("--seed", type=int, default=1)
-    figure_parser.add_argument("--rows", type=int, default=12)
-    figure_parser.add_argument(
-        "--quick", action="store_true", help="thinned strategy selection"
-    )
-    figure_parser.add_argument(
-        "--plot", action="store_true", help="render an ASCII chart of the series"
-    )
-    figure_parser.add_argument(
-        "--log", action="store_true", help="log-scale the chart's value axis"
-    )
-    figure_parser.add_argument(
-        "--save",
-        type=str,
-        default=None,
-        metavar="FILE",
-        help="write the figure data to FILE (.json/.csv)",
-    )
+    _add_figure_arguments(figure_parser)
     figure_parser.add_argument(
         "--workers",
         type=int,
@@ -721,17 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
         "suite",
         help="run the multi-strategy (A, C) exploration as one parallel suite",
     )
-    suite_parser.add_argument("--app", required=True, choices=applications.names())
-    suite_parser.add_argument(
-        "--strategies",
-        nargs="+",
-        choices=sweepable_strategies(),
-        default=None,
-        help="strategies to include (default: simple, generalized, randomized)",
-    )
-    suite_parser.add_argument("--scenario", choices=SCENARIOS, default="failure-free")
-    suite_parser.add_argument("--scale", choices=scale_names(), default=None)
-    suite_parser.add_argument("--seed", type=int, default=1)
+    _add_suite_arguments(suite_parser)
     suite_parser.add_argument(
         "--workers",
         type=int,
@@ -741,14 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
     suite_parser.add_argument(
         "--quiet", action="store_true", help="suppress per-cell progress/ETA lines"
     )
-    suite_parser.add_argument(
-        "--save",
-        type=str,
-        default=None,
-        metavar="FILE",
-        help="write the suite result document to FILE (.json)",
-    )
-    _add_store_argument(suite_parser)
     suite_parser.set_defaults(handler=_command_suite)
 
     report_parser = commands.add_parser(
@@ -760,53 +765,15 @@ def build_parser() -> argparse.ArgumentParser:
     report_figure = report_targets.add_parser(
         "figure", help="rebuild a paper figure from stored cells"
     )
-    report_figure.add_argument("number", type=int, help="figure number (1-5)")
-    report_figure.add_argument("--app", choices=applications.names(), default=None)
-    report_figure.add_argument("--scale", choices=scale_names(), default=None)
-    report_figure.add_argument("--seed", type=int, default=1)
-    report_figure.add_argument("--rows", type=int, default=12)
-    report_figure.add_argument(
-        "--quick", action="store_true", help="thinned strategy selection"
-    )
-    report_figure.add_argument(
-        "--plot", action="store_true", help="render an ASCII chart of the series"
-    )
-    report_figure.add_argument(
-        "--log", action="store_true", help="log-scale the chart's value axis"
-    )
-    report_figure.add_argument(
-        "--save",
-        type=str,
-        default=None,
-        metavar="FILE",
-        help="write the figure data to FILE (.json/.csv)",
-    )
-    report_figure.set_defaults(handler=_command_report, workers=1)
+    _add_figure_arguments(report_figure)
     _add_store_argument(report_figure)
+    report_figure.set_defaults(handler=_command_report, workers=1)
 
     report_suite = report_targets.add_parser(
         "suite", help="rebuild the multi-strategy sweep tables from stored cells"
     )
-    report_suite.add_argument("--app", required=True, choices=applications.names())
-    report_suite.add_argument(
-        "--strategies",
-        nargs="+",
-        choices=sweepable_strategies(),
-        default=None,
-        help="strategies to include (default: simple, generalized, randomized)",
-    )
-    report_suite.add_argument("--scenario", choices=SCENARIOS, default="failure-free")
-    report_suite.add_argument("--scale", choices=scale_names(), default=None)
-    report_suite.add_argument("--seed", type=int, default=1)
-    report_suite.add_argument(
-        "--save",
-        type=str,
-        default=None,
-        metavar="FILE",
-        help="write the suite result document to FILE (.json)",
-    )
+    _add_suite_arguments(report_suite)
     report_suite.set_defaults(handler=_command_report)
-    _add_store_argument(report_suite)
 
     store_parser = commands.add_parser(
         "store", help="inspect, prune or compare result stores"

@@ -320,13 +320,15 @@ def run_experiment(config: ConfigLike, store=None) -> ExperimentResult:
     return result
 
 
-def replicate_seeds(
-    config: ConfigLike, repeats: int, seed_offset: int = 1000
-) -> List[ConfigLike]:
+#: root-seed spacing between the repetitions of one configuration
+REPEAT_SEED_OFFSET = 1000
+
+
+def replicate_seeds(config: ConfigLike, repeats: int) -> List[ConfigLike]:
     """The ``repeats`` seed variants behind an averaged run.
 
     Every repetition is the same configuration under an independent root
-    seed (``seed + i * seed_offset``). Exposed separately from
+    seed (``seed + i * REPEAT_SEED_OFFSET``). Exposed separately from
     :func:`run_averaged` so that a suite can fan the repetitions out to
     worker processes and average afterwards with
     :func:`average_results`.
@@ -334,21 +336,19 @@ def replicate_seeds(
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     return [
-        config.with_overrides(seed=config.seed + i * seed_offset)
+        config.with_overrides(seed=config.seed + i * REPEAT_SEED_OFFSET)
         for i in range(repeats)
     ]
 
 
-def run_averaged(
-    config: ConfigLike, repeats: int, seed_offset: int = 1000
-) -> ExperimentResult:
+def run_averaged(config: ConfigLike, repeats: int) -> ExperimentResult:
     """Average the metric over ``repeats`` independent seeds (§4.2 runs 10).
 
     Series are averaged pointwise; all runs share the sampling grid, so
     this matches the paper's "the average of these runs is shown".
     """
     return average_results(
-        [run_experiment(c) for c in replicate_seeds(config, repeats, seed_offset)]
+        [run_experiment(c) for c in replicate_seeds(config, repeats)]
     )
 
 

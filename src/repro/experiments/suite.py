@@ -59,8 +59,9 @@ from repro.store import ResultStore, StoreMissError
 #: frozen, picklable and seed-complete — and may be mixed in one suite.
 CellTask = Callable[[ConfigLike], Any]
 
-#: seed spacing between repetition fans (matches ``run_averaged``)
-REPEAT_SEED_OFFSET = 1000
+#: cells submitted to the pool per worker at once: a bounded queue keeps
+#: memory flat on huge suites and still overlaps scheduling with execution
+CELLS_IN_FLIGHT_PER_WORKER = 2
 
 
 # ----------------------------------------------------------------------
@@ -127,14 +128,12 @@ class ExperimentSuite:
         ]
         return cls(name=name, configs=tuple(configs), description=description)
 
-    def repeated(
-        self, repeats: int, seed_offset: int = REPEAT_SEED_OFFSET
-    ) -> "ExperimentSuite":
+    def repeated(self, repeats: int) -> "ExperimentSuite":
         """Fan every cell into ``repeats`` deterministic seed variants.
 
         Cell ``i`` of the original suite becomes cells
-        ``[i * repeats, (i + 1) * repeats)`` with seeds
-        ``seed + j * seed_offset`` — the same seeds
+        ``[i * repeats, (i + 1) * repeats)`` with the seeds of
+        :func:`repro.experiments.runner.replicate_seeds` — the same seeds
         :func:`repro.experiments.runner.run_averaged` uses, so averaging
         the fan reproduces the serial path bit-for-bit.
         """
@@ -143,7 +142,7 @@ class ExperimentSuite:
         fanned = [
             variant
             for config in self.configs
-            for variant in replicate_seeds(config, repeats, seed_offset)
+            for variant in replicate_seeds(config, repeats)
         ]
         return ExperimentSuite(
             name=self.name,
@@ -343,10 +342,6 @@ class SuiteRunner:
     progress:
         Optional callback receiving a :class:`SuiteProgress` after every
         finished cell (see :func:`print_progress`).
-    max_queue_factor:
-        How many cells are in flight per worker at once. Bounding the
-        queue keeps memory flat on huge suites while still overlapping
-        scheduling with execution.
     store:
         Optional :class:`~repro.store.ResultStore`. Before dispatching a
         cell the runner checks the store and serves hits without
@@ -364,16 +359,12 @@ class SuiteRunner:
         workers: Optional[int] = None,
         task: CellTask = run_experiment,
         progress: Optional[Callable[[SuiteProgress], None]] = None,
-        max_queue_factor: int = 2,
         store: Optional[ResultStore] = None,
         offline: bool = False,
     ):
         self.workers = worker_count(workers)
         self.task = task
         self.progress = progress
-        if max_queue_factor < 1:
-            raise ValueError(f"max_queue_factor must be >= 1, got {max_queue_factor}")
-        self.max_queue_factor = max_queue_factor
         if offline and store is None:
             raise ValueError("offline=True requires a result store")
         self.store = store
@@ -485,7 +476,7 @@ class SuiteRunner:
     ) -> Dict[int, CellResult]:
         t0 = time.perf_counter()
         by_index: Dict[int, CellResult] = {}
-        window = workers * self.max_queue_factor
+        window = workers * CELLS_IN_FLIGHT_PER_WORKER
         queue = iter(pending)
         failure: Optional[SuiteExecutionError] = None
         context = multiprocessing.get_context("fork")

@@ -70,14 +70,19 @@ def test_cli_lists_backends(capsys):
 # Dispatch + determinism
 # ----------------------------------------------------------------------
 def test_vectorized_result_shape():
-    result = run_experiment(vec_config(collect_tokens=True, audit_sends=True))
-    assert result.config.backend == "vectorized"
-    assert not result.metric.empty
-    assert result.tokens is not None and not result.tokens.empty
-    assert result.data_messages > 0
-    assert result.network.by_kind["data"] == result.data_messages
-    assert result.ratelimit_violations == []
-    assert result.events_processed > 0
+    # The second input is the population the backend exists for: the
+    # event engine would need minutes for an N = 10^5 cell.
+    for size in (dict(), dict(n=100_000)):
+        result = run_experiment(
+            vec_config(collect_tokens=True, audit_sends=True, **size)
+        )
+        assert result.config.backend == "vectorized"
+        assert not result.metric.empty
+        assert result.tokens is not None and not result.tokens.empty
+        assert result.data_messages > 0
+        assert result.network.by_kind["data"] == result.data_messages
+        assert result.ratelimit_violations == []
+        assert result.events_processed > 0
 
 
 def test_vectorized_is_deterministic():

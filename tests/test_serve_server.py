@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -31,6 +33,24 @@ async def start_server(limiter) -> AdmissionServer:
 # ----------------------------------------------------------------------
 # Server
 # ----------------------------------------------------------------------
+def test_serving_process_does_not_import_scipy():
+    """``repro/__init__`` reaches ``overlay/matrix.py``; only the chaotic
+    iteration reference needs scipy, and every ``repro serve`` worker
+    would pay ≈ 0.2 s of start-up for importing it."""
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.serve; print('scipy' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
+
+
 def test_server_answers_batched_pipeline_in_order():
     async def scenario():
         limiter = make_limiter()  # C=3, long period: exactly 3 admits
