@@ -58,6 +58,19 @@ and churn randomness use the *same* named streams as the event engine,
 so both backends simulate the identical topology and availability
 trace.
 
+Two invariants keep the slot loop fast *and* bit-identical to what
+every earlier commit computed (``tests/test_vectorized_golden.py`` pins
+results across commits, ``tests/test_vectorized_invariants.py`` the
+first point):
+
+* **Uniform-degree draw ≡ broadcast draw.** When every node has the same
+  out-degree k (every k-out overlay), ``rng.integers(0, k, size=m)`` is
+  the stream ``rng.integers(0, degrees[src])`` yields, at a fifth of the
+  cost, and a sender's neighbor slice starts at ``src * k``: a peer is
+  ``indices[src * k + draw]`` with no degree or offset gather.
+* **No RNG call moves.** Every draw keeps its generator, order, bound
+  and count, whatever is done to the array work between draws.
+
 Supported envelope: the push-gossip application (any registered
 strategy, overlay and churn model; loss, jitter, period spread,
 heterogeneous knobs as above). Other applications, graded usefulness
@@ -74,7 +87,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.backends.base import BackendUnsupportedError, SimulationBackend
-from repro.core.kernel import DecisionKernel, strategy_tables as _strategy_tables
+from repro.core.kernel import DecisionKernel
 from repro.core.ratelimit import RateLimitViolation, burst_bound
 from repro.metrics.series import TimeSeries
 from repro.sim.network import NetworkStats
@@ -88,6 +101,11 @@ _REJECTION_ROUNDS = 8
 
 #: applications the vectorized kernels implement
 _SUPPORTED_APPS = ("push-gossip",)
+
+
+def _joined(parts: List[np.ndarray]) -> np.ndarray:
+    """The parts as one int64 array."""
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
 def _overlay_csr(overlay) -> Tuple[np.ndarray, np.ndarray]:
@@ -211,13 +229,13 @@ class _PushGossipKernel:
         # strategy LUTs, so a reaction batch costs two gathers and one
         # Bernoulli draw.
         self.kernel: DecisionKernel = strategy.decision_kernel
-        self.lut_max = self.kernel.lut_max
         self.pro_lut = self.kernel.pro_lut
         #: strategies that never react (the purely proactive baseline)
         #: skip the reaction machinery per delivery batch entirely
         self.can_react = self.kernel.can_react
         #: message-index claim buffer for one-arrival-per-dst selection
-        self._claim = np.full(n, -1, dtype=np.int64)
+        #: (every entry is written before it is read, so never reset)
+        self._claim = np.empty(n, dtype=np.int64)
 
         # Same named streams as the event engine: identical overlay and
         # availability trace on both backends. Large k-out overlays are
@@ -238,6 +256,12 @@ class _PushGossipKernel:
             )
             self.indptr, self.indices = _overlay_csr(overlay)
         self.degrees = self.indptr[1:] - self.indptr[:-1]
+        #: the out-degree when every node has the same one (every k-out
+        #: overlay), else 0: ``integers(0, k, size=m)`` then draws the
+        #: stream ``integers(0, degrees[src])`` would, at a fifth of the
+        #: cost, and a neighbor slice starts at ``src * k``
+        uniform = (self.degrees == self.degrees[0]).all()
+        self.out_degree = int(self.degrees[0]) if uniform else 0
 
         trace = churn_models.create(
             spec.churn.name,
@@ -260,6 +284,10 @@ class _PushGossipKernel:
         #: per-hop availability filters and the online check inside peer
         #: selection are identities and are skipped wholesale
         self.has_churn = trace is not None
+        self._everyone = np.arange(n)
+        #: whether peer selection can come back empty-handed (-1): only
+        #: when neighbors can be offline or a node has no out-links
+        self.may_lack_peer = self.has_churn or not self.degrees.all()
 
         app = spec.app.kwargs
         self.pull_on_rejoin = (
@@ -302,7 +330,6 @@ class _PushGossipKernel:
         self.tick_credit = np.zeros(n, dtype=np.float64)
 
         # Carry-over messages whose cascade outlived the slot's hop budget.
-        self.carry_src = np.empty(0, dtype=np.int64)
         self.carry_dst = np.empty(0, dtype=np.int64)
         self.carry_payload = np.empty(0, dtype=np.int64)
 
@@ -313,6 +340,17 @@ class _PushGossipKernel:
     # ------------------------------------------------------------------
     # Peer selection over the CSR adjacency
     # ------------------------------------------------------------------
+    def _draw_neighbor(self, senders: np.ndarray) -> np.ndarray:
+        """One uniform out-neighbor per sender (each has at least one)."""
+        k = self.out_degree
+        if k:
+            gather = self.rng.integers(0, k, size=len(senders))
+            gather += senders * k
+        else:
+            gather = self.rng.integers(0, self.degrees[senders])
+            gather += self.indptr[senders]
+        return self.indices.take(gather)
+
     def _select_peers(self, src: np.ndarray) -> np.ndarray:
         """A random *online* out-neighbor per sender, or -1 when none.
 
@@ -322,31 +360,29 @@ class _PushGossipKernel:
         two-phase scheme as :class:`repro.overlay.peer_sampling.PeerSampler`.
         """
         m = len(src)
-        degrees = self.degrees[src]
+        k = self.out_degree
         if not self.has_churn:
             # Every neighbor is online: one uniform draw is the answer.
-            offsets = self.rng.integers(0, np.maximum(degrees, 1))
-            gather = self.indptr[src] + offsets
-            if degrees.all():
-                return self.indices[gather]
-            # Degree-0 senders have no slice to gather from (a trailing
-            # sink's start offset is len(indices)); read a dummy index
-            # and mask the result to -1.
+            if k:
+                return self._draw_neighbor(src)
+            degrees = self.degrees[src]
+            gather = self.indptr[src] + self.rng.integers(0, np.maximum(degrees, 1))
             if not len(self.indices):
                 return np.full(m, -1, dtype=np.int64)
-            picks = self.indices[np.where(degrees > 0, gather, 0)]
-            return np.where(degrees > 0, picks, -1)
+            # Degree-0 senders have no slice to gather from (a trailing
+            # sink's start offset is len(indices)): clip the read and
+            # mask the result to -1.
+            return np.where(degrees > 0, self.indices.take(gather, mode="clip"), -1)
         result = np.full(m, -1, dtype=np.int64)
-        pending = np.flatnonzero(degrees > 0)
+        pending = np.arange(m) if k else np.flatnonzero(self.degrees[src] > 0)
         for _ in range(_REJECTION_ROUNDS):
             if not len(pending):
                 return result
-            senders = src[pending]
-            offsets = self.rng.integers(0, degrees[pending])
-            candidates = self.indices[self.indptr[senders] + offsets]
-            hit = self.online[candidates]
-            result[pending[hit]] = candidates[hit]
-            pending = pending[~hit]
+            candidates = self._draw_neighbor(src.take(pending))
+            hit = self.online.take(candidates)
+            accepted = np.flatnonzero(hit)
+            result[pending.take(accepted)] = candidates.take(accepted)
+            pending = pending.take(np.flatnonzero(~hit))
         # Exact fallback: only reached when a sender's neighborhood is
         # mostly offline; the loop body is tiny and the set is rare.
         indptr, indices, online = self.indptr, self.indices, self.online
@@ -378,18 +414,14 @@ class _PushGossipKernel:
             pending = inject_times_per_slot[slot]
             early = pending - pending // 2
             self._inject(early)
-            src, dst, payload = self._proactive_phase(slot)
+            dst, payload = self._proactive_phase(slot)
             if replies is not None:
-                src = np.concatenate([replies[0], src])
-                dst = np.concatenate([replies[1], dst])
-                payload = np.concatenate([replies[2], payload])
-            if len(self.carry_src):
-                src = np.concatenate([self.carry_src, src])
+                dst = np.concatenate([replies[0], dst])
+                payload = np.concatenate([replies[1], payload])
+            if len(self.carry_dst):
                 dst = np.concatenate([self.carry_dst, dst])
                 payload = np.concatenate([self.carry_payload, payload])
-            self.carry_src, self.carry_dst, self.carry_payload = self._hop_loop(
-                src, dst, payload
-            )
+            self.carry_dst, self.carry_payload = self._hop_loop(dst, payload)
             self._inject(pending // 2)
             self._sample((slot + 1) * period)
             if self.slot_sends is not None:
@@ -458,20 +490,19 @@ class _PushGossipKernel:
             self.balance[burned] -= 1
             reply_src.append(burned)
             reply_dst.append(batch_r[answer])
-        src = np.concatenate(reply_src) if reply_src else np.empty(0, dtype=np.int64)
-        dst = np.concatenate(reply_dst) if reply_dst else np.empty(0, dtype=np.int64)
+        src, dst = _joined(reply_src), _joined(reply_dst)
         self._record_data_sends(src)
-        return src, dst, self.update[src]
+        return dst, self.update[src]
 
     def _inject(self, count: int) -> None:
         """Inject ``count`` fresh updates into random online nodes."""
         if not count:
             return
-        online_ids = np.flatnonzero(self.online)
+        online_ids = self._online_ids()
         self.events_processed += count
         if not len(online_ids):
             return  # all offline: injections are skipped, like the event engine
-        picks = online_ids[self.rng.integers(0, len(online_ids), size=count)]
+        picks = online_ids.take(self.rng.integers(0, len(online_ids), size=count))
         indices = self.latest + 1 + np.arange(count, dtype=np.int64)
         self.latest += count
         # Duplicate picks keep the freshest injected index.
@@ -479,7 +510,6 @@ class _PushGossipKernel:
 
     def _proactive_phase(self, slot: int):
         """Every online node's timer: send proactively or bank a token."""
-        n = self.spec.n
         if self.tick_rate is None:
             ticks = self.online.astype(np.int64)
         else:
@@ -487,70 +517,68 @@ class _PushGossipKernel:
             ticks = np.floor(self.tick_credit).astype(np.int64)
             self.tick_credit -= ticks
             ticks *= self.online  # offline timers neither bank nor spend
-        self.events_processed += n  # every node's timer fires, as in the engine
-        out_src: List[np.ndarray] = []
-        while True:
-            active = np.flatnonzero(ticks > 0)
-            if not len(active):
-                break
-            ticks[active] -= 1
-            probabilities = self.pro_lut[self._lut_index(self.balance[active])]
+        self.events_processed += self.spec.n  # every node's timer fires, as in the engine
+        src_parts: List[np.ndarray] = []
+        dst_parts: List[np.ndarray] = []
+        for done in range(int(ticks.max())):
+            active = np.flatnonzero(ticks > done)
+            balances = self.balance.take(active)
             coin = self.rng.random(len(active))
-            senders = active[coin < probabilities]
-            bankers = active[coin >= probabilities]
-            self._bank(bankers)
-            if len(senders):
+            sends = coin < self.pro_lut.take(self.kernel.lut_index(balances))
+            banking = np.flatnonzero(~sends)
+            self._bank(active.take(banking), balances.take(banking))
+            sending = np.flatnonzero(sends)
+            if len(sending):
+                senders = active.take(sending)
                 peers = self._select_peers(senders)
-                ok = peers >= 0
-                # No online neighbor: the send is impossible; bank the
-                # round's token instead (clamped at C).
-                self._bank(senders[~ok])
-                senders, peers = senders[ok], peers[ok]
-                out_src.append(senders)
-                out_src.append(peers)  # interleaved (src, dst) pairs; split below
+                if self.may_lack_peer:
+                    # No online neighbor: the send is impossible; bank
+                    # the round's token instead (clamped at C).
+                    stuck = np.flatnonzero(peers < 0)
+                    self._bank(senders.take(stuck), balances.take(sending.take(stuck)))
+                    sent = np.flatnonzero(peers >= 0)
+                    senders, peers = senders.take(sent), peers.take(sent)
+                src_parts.append(senders)
+                dst_parts.append(peers)
         # Bootstrap for never-proactive strategies: one kicked message
         # per online node in slot 0, outside the token accounting.
         if slot == 0 and self.strategy.bootstrap_kick:
-            starters = np.flatnonzero(self.online)
+            starters = self._online_ids()
             peers = self._select_peers(starters)
-            ok = peers >= 0
-            out_src.append(starters[ok])
-            out_src.append(peers[ok])
-        if out_src:
-            src = np.concatenate(out_src[0::2])
-            dst = np.concatenate(out_src[1::2])
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
+            sent = np.flatnonzero(peers >= 0)
+            src_parts.append(starters.take(sent))
+            dst_parts.append(peers.take(sent))
+        src, dst = _joined(src_parts), _joined(dst_parts)
         self._record_data_sends(src)
-        return src, dst, self.update[src]
+        return dst, self.update.take(src)
 
-    def _hop_loop(self, src, dst, payload):
+    def _hop_loop(self, dst, payload):
         """Deliver messages in transfer-time sub-rounds until the slot ends."""
-        rng = self.rng
+        rng, stats, claim, update = self.rng, self.stats, self._claim, self.update
         for hop in range(self.max_hops):
-            if not len(src):
+            count = len(dst)
+            if not count:
                 break
-            if hop and len(src) <= self.min_hop_batch:
+            if hop and count <= self.min_hop_batch:
                 break  # trickling tail: carry into the next slot's batch
             # i.i.d. in-transit loss, then offline destinations (only
             # carried-over messages can meet one: within a slot the
             # availability mask is frozen and peers were drawn online).
             if self.loss_rate > 0.0 or self.has_churn:
+                alive, kept = None, count
                 if self.loss_rate > 0.0:
-                    dropped = rng.random(len(src)) < self.loss_rate
-                    self.stats.lost_dropped += int(dropped.sum())
-                    alive = self.online[dst] & ~dropped
-                    self.stats.lost_offline += int(len(dst) - alive.sum()) - int(
-                        dropped.sum()
-                    )
-                else:
-                    alive = self.online[dst]
-                    self.stats.lost_offline += int(len(dst) - alive.sum())
-                src, dst, payload = src[alive], dst[alive], payload[alive]
-            delivered = len(src)
-            self.stats.delivered += delivered
-            self.events_processed += delivered
+                    alive = rng.random(count) >= self.loss_rate
+                    kept = np.count_nonzero(alive)
+                    stats.lost_dropped += count - kept
+                if self.has_churn:
+                    online = self.online.take(dst)
+                    alive = online if alive is None else alive & online
+                alive = np.flatnonzero(alive)
+                dst, payload = dst.take(alive), payload.take(alive)
+                count = len(dst)
+                stats.lost_offline += kept - count
+            stats.delivered += count
+            self.events_processed += count
             # Multiple arrivals at one node within a hop are processed
             # sequentially (state update, reaction, then the next
             # arrival); first-arrival batches replay that order while
@@ -560,37 +588,35 @@ class _PushGossipKernel:
             # batches into a single draw.
             spender_parts: List[np.ndarray] = []
             amount_parts: List[np.ndarray] = []
-            claim = self._claim
-            while len(dst):
+            while count:
                 # One-arrival-per-destination selection in O(m): every
                 # message scatters its index into the claim buffer
                 # (duplicate writes resolve in order, last wins) and the
                 # survivors read their own index back. No sort, no
                 # O(n) histogram.
-                order = np.arange(len(dst))
+                order = np.arange(count)
                 claim[dst] = order
-                chosen = claim[dst] == order
-                claim[dst] = -1  # reset the touched entries only
-                if chosen.all():
+                chosen = claim.take(dst) == order
+                first = np.flatnonzero(chosen)
+                if len(first) == count:
                     batch_dst, batch_payload = dst, payload
-                    deferred = None
+                    count = 0
                 else:
-                    batch_dst, batch_payload = dst[chosen], payload[chosen]
-                    deferred = ~chosen
-                useful = batch_payload > self.update[batch_dst]
-                if useful.any():
-                    adopters = batch_dst[useful]
-                    self.update[adopters] = batch_payload[useful]
+                    batch_dst, batch_payload = dst.take(first), payload.take(first)
+                    later = np.flatnonzero(~chosen)
+                    dst, payload = dst.take(later), payload.take(later)
+                    count = len(later)
+                useful = batch_payload > update.take(batch_dst)
+                adopting = np.flatnonzero(useful)
+                if len(adopting):
+                    update[batch_dst.take(adopting)] = batch_payload.take(adopting)
                 if self.can_react:
                     reacted = self._react(batch_dst, useful)
                     if reacted is not None:
                         spender_parts.append(reacted[0])
                         amount_parts.append(reacted[1])
-                if deferred is None:
-                    break
-                src, dst, payload = src[deferred], dst[deferred], payload[deferred]
-            src, dst, payload = self._emit_reactions(spender_parts, amount_parts)
-        return src, dst, payload
+            dst, payload = self._emit_reactions(spender_parts, amount_parts)
+        return dst, payload
 
     def _react(self, nodes: np.ndarray, useful: np.ndarray):
         """ONMESSAGE's reactive half: spend tokens for one arrival batch.
@@ -599,53 +625,51 @@ class _PushGossipKernel:
         deferred to :meth:`_emit_reactions` so one peer draw covers the
         whole hop.
         """
-        balances = self.balance[nodes]
+        balances = self.balance.take(nodes)
         # randRound: integer part + Bernoulli(fraction), via the shared
         # kernel's fused LUTs (one uniform per arrival, the historical
         # draw pattern — existing seeds stay bit-identical)
         count = self.kernel.reaction_counts(balances, useful, self.rng)
         if not self.overdraft:
             np.minimum(count, balances, out=count)
-        spending = count > 0
-        if not spending.any():
+        spending = np.flatnonzero(count > 0)
+        if not len(spending):
             return None
-        spenders, amounts = nodes[spending], count[spending]
-        self.balance[spenders] -= amounts  # unique within the batch
+        spenders, amounts = nodes.take(spending), count.take(spending)
+        self.balance[spenders] = balances.take(spending) - amounts  # unique nodes
         return spenders, amounts
 
     def _emit_reactions(self, spender_parts, amount_parts):
         """Turn the hop's token spends into next-hop messages."""
-        if not spender_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty
-        spenders = np.concatenate(spender_parts)
-        amounts = np.concatenate(amount_parts)
-        senders = np.repeat(spenders, amounts)
+        senders = np.repeat(_joined(spender_parts), _joined(amount_parts))
         peers = self._select_peers(senders)
-        ok = peers >= 0
-        unsent = senders[~ok]
-        if len(unsent):
-            # No online peer for some copies: refund those tokens.
-            np.add.at(self.balance, unsent, 1)
-            if self.capacity is not None:
-                np.minimum(self.balance, self.capacity, out=self.balance)
-        senders, peers = senders[ok], peers[ok]
+        if self.may_lack_peer:
+            unsent = senders.take(np.flatnonzero(peers < 0))
+            if len(unsent):
+                # No online peer for some copies: refund those tokens.
+                np.add.at(self.balance, unsent, 1)
+                if self.capacity is not None:
+                    np.minimum(self.balance, self.capacity, out=self.balance)
+            sent = np.flatnonzero(peers >= 0)
+            senders, peers = senders.take(sent), peers.take(sent)
         self._record_data_sends(senders)
-        return senders, peers, self.update[senders]
+        return peers, self.update.take(senders)
 
     # ------------------------------------------------------------------
     # Bookkeeping
     # ------------------------------------------------------------------
-    def _lut_index(self, balances: np.ndarray) -> np.ndarray:
-        return self.kernel.lut_index(balances)
+    def _bank(self, nodes: np.ndarray, balances: np.ndarray) -> None:
+        """Grant the round's token(s) to the given nodes, clamped at C.
 
-    def _bank(self, nodes: np.ndarray) -> None:
-        """Grant the round's token(s) to the given nodes, clamped at C."""
+        ``nodes`` are unique; ``balances`` are their current balances,
+        which the caller has gathered already.
+        """
         if not len(nodes):
             return
-        self.balance[nodes] += self.grant
+        balances = balances + self.grant
         if self.capacity is not None:
-            self.balance[nodes] = np.minimum(self.balance[nodes], self.capacity)
+            np.minimum(balances, self.capacity, out=balances)
+        self.balance[nodes] = balances
 
     def _record_data_sends(self, src: np.ndarray) -> None:
         count = len(src)
@@ -654,15 +678,19 @@ class _PushGossipKernel:
         self.stats.sent += count
         self.stats.by_kind["data"] = self.stats.by_kind.get("data", 0) + count
         if self._sends_this_slot is not None:
-            np.add.at(self._sends_this_slot, src, 1)
+            self._sends_this_slot += np.bincount(src, minlength=self.spec.n)
+
+    def _online_ids(self) -> np.ndarray:
+        """Indices of the nodes online right now (everyone, without churn)."""
+        return np.flatnonzero(self.online) if self.has_churn else self._everyone
 
     def _sample(self, now: float) -> None:
-        online_count = int(self.online.sum())
-        if self.latest > 0 and online_count:
-            lag = self.latest - float(self.update[self.online].mean())
+        ids = self._online_ids()
+        if self.latest > 0 and len(ids):
+            lag = self.latest - float(self.update.take(ids).mean())
             self.metric_series.append(now, lag)
-        if self.token_series is not None and online_count:
-            self.token_series.append(now, float(self.balance[self.online].mean()))
+        if self.token_series is not None and len(ids):
+            self.token_series.append(now, float(self.balance.take(ids).mean()))
 
     # ------------------------------------------------------------------
     # §3.4 burst audit over slot windows
