@@ -97,6 +97,7 @@ class DecisionKernel:
         "react_frac_lut",
         "can_react",
         "clip_index",
+        "deterministic",
         "_pro_list",
         "_int_list",
         "_frac_list",
@@ -119,6 +120,13 @@ class DecisionKernel:
         #: declared capacity) and the LUT index must clip
         self.clip_index = (
             strategy.requires_overdraft or strategy.token_capacity is None
+        )
+        #: whether a decision over the tables (bool usefulness, balance in
+        #: ``[0, lut_max]``) is a pure function of ``(balance, useful)``:
+        #: no randRound fraction anywhere and every proactive probability
+        #: 0 or 1, so neither uniform of the RNG contract is ever read
+        self.deterministic = bool(
+            not self.react_frac_lut.any() and np.isin(self.pro_lut, (0.0, 1.0)).all()
         )
         # Plain-list mirrors: scalar lookups on python ints are ~3x
         # faster than indexing 0-d numpy scalars out of the arrays.

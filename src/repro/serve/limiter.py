@@ -48,7 +48,9 @@ from __future__ import annotations
 import random
 import struct
 import threading
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import length_hint
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -72,6 +74,12 @@ DECISION_FRAME_SIZE = DECISION_STRUCT.size
 STATUS_DECISION = 1
 REASON_NAMES: Tuple[Optional[str], ...] = (None, "reactive", "proactive", "exhausted")
 REASON_CODES = {name: code for code, name in enumerate(REASON_NAMES) if name}
+
+_copy_record = struct.Struct(f"{DECISION_FRAME_SIZE}s").pack_into
+_new_object = object.__new__
+
+#: the ranks (and positions) of a batch of one
+_FIRST = (0,)
 
 
 @dataclass(frozen=True, init=False)
@@ -188,29 +196,42 @@ class TokenAccountLimiter:
         self._clock = clock
         self._rng = random.Random(seed)
         #: the shared Algorithm-4 kernel (also used by the vectorized
-        #: simulation backend) — scalar decisions and batched
-        #: ``decide_many`` both run through it
+        #: simulation backend): every verdict here is its tables' or its
+        #: ``decide_one_drawn``'s
         self._kernel = self.strategy.decision_kernel
-        # Batch decisions draw from a NumPy generator (decide_many's
-        # columnar draws); the lock covers it across shards, since
-        # unlike the per-shard state the RNG is limiter-global.
+        # Batch decisions draw from a NumPy generator (one ``(n, 2)`` block
+        # per shard group); the lock covers it across shards, since unlike
+        # the per-shard state the RNG is limiter-global.
         self._np_rng = np.random.default_rng(seed)
         self._np_rng_lock = threading.Lock()
-        # Whether try_acquire_run's closed form is exact for this
-        # strategy: a plain bounded bucket whose kernel is fully
-        # deterministic (no randRound fraction, 0/1 proactive coin) and
-        # never admits from an empty account. Deciding n back-to-back
-        # requests at one timestamp is then an admit-prefix walk down
-        # the balance — no per-request randomness to honor.
+        #: uniforms owed to batches that could not read them (``_decide_batch``)
+        self._np_rng_skipped = 0
         kernel = self._kernel
-        cap = self.strategy.token_capacity
-        self._run_closed_form = (
-            cap is not None
-            and cap > 0
-            and not kernel.clip_index
-            and max(kernel._frac_list) == 0.0
-            and all(p in (0.0, 1.0) for p in kernel._pro_list)
-            and kernel._pro_list[0] == 0.0
+        # No decision reads a uniform: a deterministic kernel whose balances
+        # never leave its tables (no overdraft, a declared capacity). Graded
+        # (non-bool) usefulness still draws — it bypasses the tables.
+        self._drawless = kernel.deterministic and not kernel.clip_index
+        # Whether try_acquire_run applies: n back-to-back requests at one
+        # timestamp are then an admit prefix walking down the balance and
+        # a reject tail — a plain bounded bucket (never admits from empty).
+        self._run_closed_form = bool(
+            self._drawless and cap > 0 and kernel.pro_lut[0] == 0.0
+        )
+        # What _account_pass reads per call, gathered once (the LUT list
+        # mirrors are the one place serve/ reaches into the kernel).
+        self._step_constants = (
+            self.period,
+            self.period * (1.0 - _TICK_EPSILON),  # the proactive slot's gap
+            cap,
+            self.strategy.requires_overdraft,
+            not kernel.clip_index,  # balances never leave the tables
+        )
+        self._step_tables = (
+            kernel._int_list,
+            kernel._frac_list,
+            kernel._pro_list,
+            kernel.lut_span,
+            kernel.lut_max,
         )
 
     # ------------------------------------------------------------------
@@ -220,65 +241,6 @@ class TokenAccountLimiter:
             initial=self._initial_tokens,
             capacity=self.strategy.token_capacity,
             allow_overdraft=self.strategy.requires_overdraft,
-        )
-
-    def _advance(self, state: KeyState, now: float) -> None:
-        """Credit every whole period elapsed since the key's anchor."""
-        elapsed = now - state.anchor
-        if elapsed <= 0:
-            return
-        ticks = int(elapsed / self.period + _TICK_EPSILON)
-        if ticks <= 0:
-            return
-        state.anchor += ticks * self.period
-        state.ticks_granted += ticks
-        state.account.grant_many(ticks)
-
-    def _retry_after(self, state: KeyState, now: float) -> float:
-        """Seconds until the key's next admission opportunity."""
-        if self.strategy.token_capacity == 0:
-            # Capacity-0 strategies can only admit through the paced
-            # proactive slot — ticks grant nothing (the clamp eats
-            # them), so the tick grid must not shorten the hint.
-            if state.last_proactive is not None:
-                return max(0.0, state.last_proactive + self.period - now)
-            return 0.0
-        return max(0.0, state.anchor + self.period - now)
-
-    def _settle(
-        self,
-        shard: Shard,
-        state: KeyState,
-        key: str,
-        verdict: Optional[str],
-        now: float,
-    ) -> Decision:
-        """Apply one kernel verdict to the key's account (§3.4 accounting).
-
-        Shared by the scalar and batched paths: the caller holds the
-        shard lock and has already advanced the account to ``now``.
-        """
-        account = state.account
-        if verdict is not None:
-            if account.balance >= 1 or account.allow_overdraft:
-                # Both branches spend a banked token when one exists:
-                # the proactive send consumes the round's token in the
-                # paper too (only the skipped round banks it).
-                account.withdraw(1)
-                shard.admitted += 1
-                return Decision(True, key, verdict, account.balance)
-            if verdict == "proactive":
-                # Token-less proactive slot (capacity-0 strategies):
-                # at most one admission per period, the wall-clock
-                # form of "one proactive send per round".
-                last = state.last_proactive
-                if last is None or now - last >= self.period * (1.0 - _TICK_EPSILON):
-                    state.last_proactive = now
-                    shard.admitted += 1
-                    return Decision(True, key, "proactive", account.balance)
-        shard.rejected += 1
-        return Decision(
-            False, key, "exhausted", account.balance, self._retry_after(state, now)
         )
 
     # ------------------------------------------------------------------
@@ -294,21 +256,33 @@ class TokenAccountLimiter:
         for this call (tests and replay); a ``now`` earlier than the
         key's last decision clamps forward to it — backwards time must
         not corrupt the tick anchor or re-arm the proactive slot.
+
+        A batch of one through :meth:`_account_pass`; the two uniforms
+        come from the scalar generator, and only when something can read
+        them (a randomized kernel, overdraft, a graded flag).
         """
         if now is None:
             now = self._clock()
-        shard = self._table.shard_for(key)
+        plain_flag = useful is True or useful is False
+        uniforms = None
+        out: List[Optional[Decision]] = [None]
+        table = self._table
+        shard = table.shards[table.shard_index(key)]
         with shard.lock:
             state = shard.get_or_create(key, self._new_account, now)
-            if now < state.last_now:
-                now = state.last_now
-            else:
-                state.last_now = now
-            self._advance(state, now)
-            verdict = self._kernel.decide_one(
-                state.account.balance, useful, self._rng
+            if not (plain_flag and self._drawless):
+                uniforms = (self._rng.random(), self._rng.random())
+            self._account_pass(
+                shard,
+                ((state, _FIRST),),
+                (key,),
+                useful if plain_flag else (useful,),
+                _FIRST,
+                now,
+                out,
+                uniforms,
             )
-            return self._settle(shard, state, key, verdict, now)
+        return out[0]
 
     def try_acquire_many(
         self,
@@ -320,17 +294,17 @@ class TokenAccountLimiter:
 
         The object form of the batch API (the wire path rides on
         :meth:`try_acquire_frames`): keys are grouped by owning shard,
-        each shard lock is taken **once**, accounts advance in bulk, and
-        the verdicts come from one columnar
-        :meth:`~repro.core.kernel.DecisionKernel.decide_many` call per
-        shard group instead of per-key scalar decisions.
+        each shard lock is taken **once**, and under it every key of the
+        group is decided **once** — one clock clamp, one tick credit and
+        a walk of its positions down the balance (:meth:`_decide_batch`).
 
         Semantics match a sequence of :meth:`try_acquire` calls at one
-        ``now`` — the fused per-shard pass settles each position in
-        order, so duplicate keys see the previous occurrence's spend —
-        except that decisions for *different* keys draw from the batch
-        RNG stream in shard order rather than input order. The §3.4
-        burst bound is per key, so it is preserved exactly.
+        ``now``: table lookups, creations and evictions happen in input
+        order, and a key's positions settle in input order, so a repeat
+        sees the previous occurrence's spend — except that decisions
+        for *different* keys draw from the batch RNG stream in shard
+        order rather than input order. The §3.4 burst bound is per key,
+        so it is preserved exactly.
 
         ``useful`` is one flag for the whole batch or a sequence
         aligned with ``keys`` (else ``ValueError``, no account touched).
@@ -356,12 +330,16 @@ class TokenAccountLimiter:
     def _acquire_batch(self, keys, useful, now, out):
         """Decide ``keys`` into ``out``, one lock hold per shard; returns ``out``."""
         count = len(keys)
-        if not (useful is True or useful is False) and len(useful) != count:
-            raise ValueError(f"{len(useful)} useful flags for {count} keys")
+        plain_flags = useful is True or useful is False
+        if not plain_flags:
+            if len(useful) != count:
+                raise ValueError(f"{len(useful)} useful flags for {count} keys")
+            plain_flags = set(map(type, useful)) <= {bool}
         if not count:
             return out
         if now is None:
             now = self._clock()
+        drawless = self._drawless and plain_flags
         table = self._table
         shards = table.shards
         if table._mask == 0:
@@ -372,20 +350,16 @@ class TokenAccountLimiter:
             # common repeated-key case a dict hit).
             shard_index = table.shard_index
             route_cache = table._route_cache
-            groups = {}
+            groups = defaultdict(list)
             for position, key in enumerate(keys):
                 index = route_cache.get(key)
                 if index is None:
                     index = shard_index(key)
-                group = groups.get(index)
-                if group is None:
-                    groups[index] = [position]
-                else:
-                    group.append(position)
+                groups[index].append(position)
         for index, positions in groups.items():
             shard = shards[index]
             with shard.lock:
-                self._decide_batch(shard, keys, useful, positions, now, out)
+                self._decide_batch(shard, keys, useful, positions, now, out, drawless)
         return out
 
     def try_acquire_run(
@@ -395,21 +369,21 @@ class TokenAccountLimiter:
         useful: bool = True,
         now: Optional[float] = None,
     ) -> Optional[tuple]:
-        """``count`` back-to-back decisions for one key, in closed form.
+        """``count`` back-to-back decisions for one key, as one aggregate.
 
         The bulk seam the cluster's ``ACQUIRE_BULK`` opcode rides on:
-        for deterministic strategies (see ``_run_closed_form``) the
-        outcome of n consecutive requests at one ``now`` is always an
-        admit prefix followed by rejections, so one balance walk under
-        the shard lock replaces n per-request decisions and Decision
-        allocations. Returns ``(admits, rejects, balance, reason,
+        :meth:`_account_pass` for one state and ``count`` positions with
+        nothing emitted per request. For deterministic strategies (see
+        ``_run_closed_form``) the outcome at one ``now`` is an admit
+        prefix followed by rejections, so the walk stops at the first
+        reject. Returns ``(admits, rejects, balance, reason,
         retry_after)`` — ``balance`` is the pre-spend balance (admitted
         requests observed ``balance-1 … balance-admits``, rejected ones
-        ``balance-admits``) — or ``None`` when the closed form does not
-        apply (randomized kernels, graded usefulness, overdraft or
-        capacity-0 strategies, or a run that would mix admit reasons);
-        the caller then falls back to :meth:`try_acquire_many`, which
-        is exact for every strategy. Counters, LRU touch and tick
+        ``balance-admits``) — or ``None`` when that shape does not apply
+        (randomized kernels, graded usefulness, overdraft or capacity-0
+        strategies, or a run that mixes admit reasons, which is taken
+        back); the caller then falls back to :meth:`try_acquire_many`,
+        which is exact for every strategy. Counters, LRU touch and tick
         accounting match the generic path exactly.
         """
         if count < 1:
@@ -418,51 +392,24 @@ class TokenAccountLimiter:
             return None
         if now is None:
             now = self._clock()
-        kernel = self._kernel
-        int_lut = kernel._int_list
-        pro_lut = kernel._pro_list
-        offset = kernel.lut_span if useful else 0
+        ranks = range(count)
         shard = self._table.shard_for(key)
         with shard.lock:
             state = shard.get_or_create(key, self._new_account, now)
-            if now < state.last_now:
-                now = state.last_now
-            else:
-                state.last_now = now
-            self._advance(state, now)
+            admits, rejects, reasons, retry = self._account_pass(
+                shard, ((state, ranks),), None, useful, ranks, now, None, None
+            )
             account = state.account
-            balance = account.balance
-            # Pure walk first — no state mutated until the run is known
-            # to be single-reason, so a None return leaves the account
-            # exactly where try_acquire_many's fallback expects it
-            # (_advance at the same ``now`` is a no-op on retry).
-            admits = 0
-            reason: Optional[str] = None
-            x = balance
-            while admits < count and x >= 1:
-                if int_lut[x + offset] >= 1:
-                    branch = "reactive"
-                elif pro_lut[x] == 1.0:
-                    branch = "proactive"
-                else:
-                    break
-                if reason is None:
-                    reason = branch
-                elif branch != reason:
-                    return None
-                x -= 1
-                admits += 1
-            account.balance = x
-            account.spent += admits
-            shard.admitted += admits
-            rejects = count - admits
-            shard.rejected += rejects
-            retry = 0.0
-            if rejects:
-                retry = state.anchor + self.period - now
-                if retry < 0.0:
-                    retry = 0.0
-            return admits, rejects, balance, reason or "exhausted", retry
+            if reasons == 3:
+                # reactive and proactive admits both: undo the spend (the
+                # clamp and tick credit are a no-op on the fallback's retry)
+                account.balance += admits
+                account.spent -= admits
+                shard.admitted -= admits
+                shard.rejected -= rejects
+                return None
+            balance = account.balance + admits
+            return admits, rejects, balance, REASON_NAMES[reasons] or "exhausted", retry
 
     def _decide_batch(
         self,
@@ -472,64 +419,104 @@ class TokenAccountLimiter:
         positions: List[int],
         now: float,
         out: Union[List[Optional[Decision]], bytearray],
+        drawless: bool,
     ) -> None:
-        """Decide one shard's positions, in order, under its lock.
+        """Decide one shard's positions under its lock: the table pass.
 
-        The batch hot loop. All uniforms for the sub-batch are drawn up
-        front as one ``(n, 2)`` block — row-major, so the stream is
-        bit-identical to ``n`` sequential scalar decisions on the same
-        generator (the kernel's two-draw contract) — and a single fused
-        pass per key then advances the account, decides through the
-        kernel's LUTs and settles. ``get_or_create`` / ``_advance`` /
-        ``_settle`` are inlined for their common cases (key creation,
-        graded usefulness, capacity-0 slots and overdraft still route
-        through the shared methods): at ~1-2 µs per decision the
-        method-call and list-staging overhead of a layered
-        implementation would eat the batch speedup.
+        In input order, each position looks its key up (LRU touch,
+        creation, eviction — exactly what n sequential calls do) and
+        joins its :class:`KeyState`'s run by **rank** in the shard group;
+        a key evicted and reborn inside the batch is two states and two
+        runs. :meth:`_account_pass` then decides each state once — in a
+        ``finally``, so the positions gathered before a failing lookup
+        still spend and are counted.
 
-        Every iteration ends in four locals (admitted, reason code, balance
-        after, retry) and **one** emission point: a :class:`Decision` into
-        a list ``out``, or the packed record into a ``bytearray`` ``out``.
+        The group's uniforms are one ``(n, 2)`` block, row-major: rank
+        ``r`` reads draws ``2r`` and ``2r + 1``, the stream n sequential
+        scalar decisions on the generator would see (the kernel's
+        two-draw contract). A ``drawless`` group reads none, so the
+        block is only *owed*: the generator jumps ahead by what was
+        skipped before its next real draw, and every later draw is the
+        one it would have been.
         """
         n = len(positions)
+        uniforms = None
+        with self._np_rng_lock:
+            if drawless:
+                self._np_rng_skipped += 2 * n
+            else:
+                if self._np_rng_skipped:
+                    self._np_rng.bit_generator.advance(self._np_rng_skipped)
+                    self._np_rng_skipped = 0
+                uniforms = self._np_rng.random((n, 2)).ravel().tolist()
         entries_get = shard.entries.get
         move_to_end = shard.entries.move_to_end
         get_or_create = shard.get_or_create
         new_account = self._new_account
-        settle = self._settle
-        period = self.period
-        cap = self.strategy.token_capacity
-        # Plain token bucket (finite positive capacity): no overdraft
-        # and no capacity-0 proactive slot, so rejects inline too.
-        plain = cap is not None and cap > 0
-        kernel = self._kernel
-        int_lut = kernel._int_list
-        frac_lut = kernel._frac_list
-        pro_lut = kernel._pro_list
-        span = kernel.lut_span
-        lut_max = kernel.lut_max
-        decide_drawn = kernel.decide_one_drawn
-        scalar_useful = useful is True or useful is False
-        with self._np_rng_lock:
-            draws = self._np_rng.random((n, 2))
-        uniforms = draws.ravel().tolist()
-        packed = isinstance(out, bytearray)
-        pack = DECISION_STRUCT.pack_into
-        size, status = DECISION_FRAME_SIZE, STATUS_DECISION
-        body = size - 2
-        reason_names = REASON_NAMES
-        alloc = object.__new__
-        admits = 0
-        rejects = 0
-        cursor = 0
+        runs: Dict[KeyState, List[int]] = {}
+        runs_get = runs.get
         try:
-            for position in positions:
+            for rank, position in enumerate(positions):
                 key = keys[position]
                 state = entries_get(key)
                 if state is None:
                     state = get_or_create(key, new_account, now)
                 else:
                     move_to_end(key)
+                run = runs_get(state)
+                if run is None:  # (a defaultdict's miss costs twice this one)
+                    runs[state] = [rank]
+                else:
+                    run.append(rank)
+        finally:
+            self._account_pass(
+                shard, runs.items(), keys, useful, positions, now, out, uniforms
+            )
+
+    def _account_pass(self, shard, runs, keys, useful, positions, now, out, uniforms):
+        """The account step, once per state: scalar, batch and run all end here.
+
+        ``runs`` yields ``(state, ranks)``. Per state: clamp a stale
+        ``now`` forward, credit every whole period since the anchor and
+        read the balance — once; then walk the state's ranks down it. Per
+        rank that leaves the kernel's verdict through its LUTs
+        (``decide_one_drawn`` for graded flags and balances off the
+        tables) on ``uniforms[2r]`` and ``uniforms[2r + 1]`` — ``None``
+        when nothing can read one — the §3.4 settlement and **one**
+        emission point. The shard counters move once per pass, on an
+        exception too.
+
+        Settlement: a verdict spends a banked token when one exists (the
+        proactive send consumes the round's token in the paper too) or
+        the account may overdraw; a proactive verdict against an empty
+        account takes the token-less slot — at most one per period, the
+        wall-clock form of "one proactive send per round"; anything else
+        is ``exhausted`` with a retry hint (the slot's for capacity 0,
+        where ticks grant nothing, else the tick grid's). With one flag
+        for the pass and no uniforms a reject is final — balance, verdict
+        and hint cannot change — so the rest of the state's ranks get
+        the same answer without being decided.
+
+        Emission: a :class:`Decision` into a list ``out`` at
+        ``positions[rank]``, the packed record into a ``bytearray``, or
+        for ``None`` (a run) nothing but the admit reason codes, or-ed
+        together. Returns ``(admits, rejects, those codes, last retry hint)``.
+        """
+        period, slot_gap, cap, overdraft, in_table = self._step_constants
+        int_lut, frac_lut, pro_lut, span, lut_max = self._step_tables
+        flag = useful  # one flag for the pass, else rebound per rank
+        one_flag = useful is True or useful is False
+        tabled = one_flag and in_table
+        final_reject = one_flag and uniforms is None
+        packed = type(out) is bytearray
+        pack = DECISION_STRUCT.pack_into
+        size, status = DECISION_FRAME_SIZE, STATUS_DECISION
+        body = size - 2
+        admits = rejects = reasons = 0
+        retry = 0.0
+        u_round = u_coin = 1.0  # never read when ``uniforms`` is None
+        try:
+            for state, ranks in runs:
                 # stale-now clamp, per key (see try_acquire)
                 key_now = now
                 if key_now < state.last_now:
@@ -537,88 +524,103 @@ class TokenAccountLimiter:
                 else:
                     state.last_now = key_now
                 account = state.account
+                balance = account.balance
                 elapsed = key_now - state.anchor
                 if elapsed > 0:
                     ticks = int(elapsed / period + _TICK_EPSILON)
                     if ticks > 0:
-                        # inline _advance + TokenAccount.grant_many
                         state.anchor += ticks * period
                         state.ticks_granted += ticks
-                        if cap is not None:
-                            headroom = cap - account.balance
-                            if ticks < headroom:
-                                headroom = ticks
-                            elif headroom < 0:
-                                headroom = 0
-                            ticks = headroom
-                        account.balance += ticks
+                        if cap is not None and ticks > cap - balance:
+                            ticks = max(0, cap - balance)
+                        account.balance = balance = balance + ticks
                         account.granted += ticks
-                balance = account.balance
-                u_round = uniforms[cursor]
-                u_coin = uniforms[cursor + 1]
-                cursor += 2
-                flag = useful if scalar_useful else useful[position]
-                # the kernel's verdict as a reason code (0 = stay silent)
-                if (flag is True or flag is False) and 0 <= balance <= lut_max:
-                    # inline decide_one_drawn's LUT fast path
-                    lut_key = balance + span if flag else balance
-                    if int_lut[lut_key] + (u_round < frac_lut[lut_key]) >= 1:
-                        code = 1
-                    else:
-                        probability = pro_lut[balance]
-                        if probability >= 1.0 or (
-                            probability > 0.0 and u_coin < probability
-                        ):
-                            code = 2
+                walk = iter(ranks)
+                for rank in walk:
+                    position = positions[rank]
+                    if not one_flag:
+                        flag = useful[position]
+                    if uniforms is not None:
+                        u_round = uniforms[2 * rank]
+                        u_coin = uniforms[2 * rank + 1]
+                    # the kernel's verdict as a reason code (0 = stay silent)
+                    if tabled or (
+                        (flag is True or flag is False) and 0 <= balance <= lut_max
+                    ):
+                        lut_key = balance + span if flag else balance
+                        if int_lut[lut_key] >= 1 or u_round < frac_lut[lut_key]:
+                            code = 1
                         else:
-                            code = 0
-                else:
-                    verdict = decide_drawn(balance, flag, u_round, u_coin)
-                    code = REASON_CODES.get(verdict, 0)
-                if code and balance >= 1:
-                    # inline _settle's token-spend admit
-                    balance -= 1
-                    account.balance = balance
-                    account.spent += 1
-                    admits += 1
-                    admitted = True
-                    retry = 0.0
-                elif plain and code != 2:
-                    # inline _settle's plain reject (silent verdict, or a
-                    # reactive verdict against an empty account)
-                    rejects += 1
-                    admitted = False
-                    code = 3
-                    retry = state.anchor + period - key_now
-                    if retry < 0.0:
+                            probability = pro_lut[balance]
+                            if probability >= 1.0 or (
+                                probability > 0.0 and u_coin < probability
+                            ):
+                                code = 2
+                            else:
+                                code = 0
+                    else:
+                        verdict = self._kernel.decide_one_drawn(
+                            balance, flag, u_round, u_coin
+                        )
+                        code = REASON_CODES.get(verdict, 0)
+                    if code and (balance >= 1 or overdraft):
+                        account.balance = balance = balance - 1
+                        account.spent += 1
+                        admits += 1
+                        admitted = True
                         retry = 0.0
-                else:
-                    # capacity-0 slot, overdraft: the shared path (credits itself)
-                    settled = settle(shard, state, key, reason_names[code], key_now)
-                    admitted = settled.admitted
-                    code = REASON_CODES[settled.reason]
-                    balance = settled.balance
-                    retry = settled.retry_after or 0.0
-                # the one emission point
-                if packed:
-                    at = position * size
-                    pack(out, at, body, status, admitted, code, balance, retry)
-                else:
-                    # skips the frozen constructor's overhead (an admission's
-                    # retry_after falls back to the class default, None)
-                    decision = alloc(Decision)
-                    fields = decision.__dict__
-                    fields["admitted"] = admitted
-                    fields["key"] = key
-                    fields["reason"] = reason_names[code]
-                    fields["balance"] = balance
-                    if not admitted:
-                        fields["retry_after"] = retry
-                    out[position] = decision
+                    elif code == 2 and (
+                        state.last_proactive is None
+                        or key_now - state.last_proactive >= slot_gap
+                    ):
+                        state.last_proactive = key_now
+                        admits += 1
+                        admitted = True
+                        retry = 0.0
+                    else:
+                        rejects += 1
+                        admitted = False
+                        code = 3
+                        if cap != 0:
+                            retry = state.anchor + period - key_now
+                        elif state.last_proactive is None:
+                            retry = 0.0
+                        else:
+                            retry = state.last_proactive + period - key_now
+                        if retry < 0.0:
+                            retry = 0.0
+                    # the one emission point
+                    if packed:
+                        at = position * size
+                        pack(out, at, body, status, admitted, code, balance, retry)
+                    elif out is not None:
+                        # skips the frozen constructor's overhead (an admission's
+                        # retry_after falls back to the class default, None)
+                        decision = _new_object(Decision)
+                        fields = decision.__dict__
+                        fields["admitted"] = admitted
+                        fields["key"] = keys[position]
+                        fields["reason"] = REASON_NAMES[code]
+                        fields["balance"] = balance
+                        if not admitted:
+                            fields["retry_after"] = retry
+                        out[position] = decision
+                    elif admitted:
+                        reasons |= code
+                    if final_reject and not admitted:
+                        rejects += length_hint(walk)
+                        if packed:
+                            record = bytes(out[at : at + size])
+                            for rank in walk:
+                                _copy_record(out, positions[rank] * size, record)
+                        elif out is not None:
+                            for rank in walk:  # frozen, so one object will do
+                                out[positions[rank]] = decision
+                        break
         finally:
-            # on an exception too: the positions decided so far did spend
             shard.admitted += admits
             shard.rejected += rejects
+        return admits, rejects, reasons, retry
 
     # ------------------------------------------------------------------
     @property

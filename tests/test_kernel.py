@@ -180,6 +180,34 @@ def test_kernel_lut_index_clips_only_unbounded_strategies():
     assert unbounded.lut_index(np.array([-5, 1000])).min() >= 0
 
 
+#: which registered kernels never read a uniform over their tables
+DETERMINISTIC = {
+    "proactive": True,
+    "simple": True,
+    "generalized": True,
+    "randomized": False,
+    "graded-generalized": True,  # floors its graded budget; bools are the tables
+    "graded-randomized": False,
+    "reactive": True,  # k whole messages whatever the (unbounded) balance
+}
+
+
+@pytest.mark.parametrize("name", all_registered_strategies())
+def test_kernel_says_whether_it_is_deterministic(name):
+    """The attribute agrees with probing every table entry at the corners
+    of the unit square: no verdict there depends on either uniform."""
+    kernel = make_strategy(name).decision_kernel
+    assert kernel.deterministic is DETERMINISTIC[name]
+    corners = [(0.0, 0.0), (0.0, 1.0 - 2**-53), (1.0 - 2**-53, 0.0)]
+    draw_free = all(
+        len({kernel.decide_one_drawn(balance, useful, *draws) for draws in corners})
+        == 1
+        for balance in range(kernel.lut_max + 1)
+        for useful in (True, False)
+    )
+    assert draw_free is kernel.deterministic
+
+
 def test_kernel_is_importable_standalone():
     strategy = make_strategy("simple")
     kernel = DecisionKernel(strategy)

@@ -281,6 +281,60 @@ def test_thread_safety_accounting():
     assert limiter.admitted > 0 and limiter.rejected > 0
 
 
+def test_owed_draws_survive_threads_and_keep_the_stream_position():
+    """Batches a deterministic kernel decides without drawing only *owe*
+    their uniforms, on a counter every shard's thread adds to: a lost
+    update would leave the generator short of where a single-threaded
+    twin's stands once a graded batch finally draws."""
+    import sys
+
+    def twin():
+        return TokenAccountLimiter(
+            "generalized",
+            spend_rate=3,
+            capacity=6,
+            period=PERIOD,
+            shards=8,
+            seed=5,
+            clock=ManualClock(),
+        )
+
+    threaded, serial = twin(), twin()
+    batches = [
+        [f"key-{worker}-{(i * 5 + j) % 17}" for j in range(23)]
+        for worker in range(6)
+        for i in range(40)
+    ]
+    workers = [
+        threading.Thread(
+            target=lambda mine=batches[worker::6]: [
+                threaded.try_acquire_frames(batch, now=1.0) for batch in mine
+            ]
+        )
+        for worker in range(6)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in workers)
+    for batch in batches:
+        serial.try_acquire_frames(batch, now=1.0)
+    assert threaded._np_rng_skipped == serial._np_rng_skipped == 2 * 23 * len(batches)
+    graded = ["key-0-1", "key-3-2", "key-0-1"], [0.5, True, 0.25]
+    assert threaded.try_acquire_frames(*graded, now=1.0) == serial.try_acquire_frames(
+        *graded, now=1.0
+    )
+    assert threaded._np_rng_skipped == serial._np_rng_skipped == 0
+    assert threaded._np_rng.bit_generator.state == serial._np_rng.bit_generator.state
+    assert (threaded.admitted, threaded.rejected) == (serial.admitted, serial.rejected)
+
+
 def test_invalid_construction():
     with pytest.raises(ValueError):
         TokenAccountLimiter("simple", capacity=5, period=0.0)
@@ -467,8 +521,8 @@ SCALAR_COMPARABLE = DETERMINISTIC + ("reactive",)
 def test_packed_records_match_the_object_api_and_the_scalar_path(name, shards, rounds):
     """``try_acquire_frames`` ≡ ``encode_decisions_binary(try_acquire_many)``
     on a same-seed twin, for every registered strategy — capacity-0
-    ``proactive`` and the overdraft ``reactive`` reference take the
-    ``_settle`` slow path, ``randomized`` the coin — and ≡ n scalar
+    ``proactive`` takes the token-less slot, the ``reactive`` reference
+    overdraws, ``randomized`` flips the coin — and ≡ n scalar
     ``try_acquire`` calls where the strategy is deterministic. Batches
     repeat keys, mix per-request flags, and overflow a 16-key table, so
     accounts are evicted and reborn mid-batch."""
@@ -504,7 +558,20 @@ def test_packed_records_match_the_object_api_and_the_scalar_path(name, shards, r
         assert len(packed) == len(other)
         for index in range(40):
             assert packed.balance(f"key-{index}") == other.balance(f"key-{index}")
+        # the whole account, not just its balance, and the LRU order
+        assert account_states(packed) == account_states(other)
     assert packed.admitted + packed.rejected == sum(len(b) for _, b in rounds)
+
+
+def account_states(limiter):
+    """Per shard, in LRU order: every key's tick and token bookkeeping."""
+    return [
+        [
+            (key, s.ticks_granted, s.account.granted, s.account.spent, s.anchor)
+            for key, s in shard.entries.items()
+        ]
+        for shard in limiter._table.shards
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -588,6 +655,69 @@ def test_run_matches_sequential_acquires(name, useful):
     assert run_limiter.rejected == ref_limiter.rejected
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(("simple", "generalized", "graded-generalized")),
+    useful=st.booleans(),
+    count=st.integers(1, 3 * 6),  # 1 … 3·C for the largest capacity here
+    earlier=st.lists(
+        st.tuples(
+            st.floats(min_value=-1.0, max_value=2.5, allow_nan=False),
+            st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=12),
+        ),
+        max_size=6,
+    ),
+    step=st.floats(min_value=-1.0, max_value=4.0, allow_nan=False),
+)
+def test_run_is_the_aggregate_of_the_batch(name, useful, count, earlier, step):
+    """Batch ≡ run: ``try_acquire_run(key, n)`` is ``try_acquire_frames([key]
+    * n)`` added up — admits, rejects, the pre-spend balance, reason and
+    retry hint, and counters and ``balance()`` afterwards — on a
+    same-seed twin, after an arbitrary earlier schedule."""
+    run_limiter = make_limiter(name, ManualClock())
+    batch_limiter = make_limiter(name, ManualClock())
+    now = 5.0
+    for advance, requests in earlier:
+        now += advance
+        keys = [f"key-{index}" for index, _ in requests]
+        flags = [flag for _, flag in requests]
+        for limiter in (run_limiter, batch_limiter):
+            limiter.try_acquire_frames(keys, flags, now=now)
+    now += step
+    result = run_limiter.try_acquire_run("key-0", count, useful, now=now)
+    assert result is not None
+    admits, rejects, balance, reason, retry = result
+    frames = batch_limiter.try_acquire_frames(["key-0"] * count, useful, now=now)
+    records = [
+        wire.DECISION_STRUCT.unpack_from(frames, i * wire.DECISION_FRAME_SIZE)
+        for i in range(count)
+    ]
+    admitted = [record for record in records if record[2]]
+    rejected = [record for record in records if not record[2]]
+    assert (admits, rejects) == (len(admitted), len(rejected))
+    assert records == admitted + rejected  # an admit prefix, then rejections
+    # the records carry post-decision balances: the first one plus its spend
+    assert balance == records[0][4] + (1 if admitted else 0)
+    assert [record[4] for record in records] == [
+        balance - i - 1 for i in range(admits)
+    ] + [balance - admits] * rejects
+    assert {wire.REASON_NAMES[record[3]] for record in admitted} <= {reason}
+    if not admits:
+        assert reason == "exhausted"
+    if rejects:
+        assert retry == records[-1][5]
+    for limiter in (run_limiter, batch_limiter):
+        assert limiter.admitted + limiter.rejected == (
+            sum(len(requests) for _, requests in earlier) + count
+        )
+    assert (run_limiter.admitted, run_limiter.rejected) == (
+        batch_limiter.admitted,
+        batch_limiter.rejected,
+    )
+    assert run_limiter.balance("key-0") == batch_limiter.balance("key-0")
+    assert account_states(run_limiter) == account_states(batch_limiter)
+
+
 def test_run_declines_when_the_closed_form_cannot_apply():
     clock = ManualClock()
     random_limiter = make_limiter("randomized", clock)
@@ -618,6 +748,45 @@ def test_run_decline_leaves_state_reusable_by_the_fallback():
     ]
     assert probed.admitted == control.admitted
     assert probed.rejected == control.rejected
+
+
+def test_run_that_mixes_admit_reasons_is_taken_back():
+    """A custom deterministic strategy whose walk admits proactively at a
+    full account and reactively below it: the run declines *after* the
+    walk, so the spend and the counters must be undone for the fallback."""
+    from repro.core.strategies import Strategy
+
+    class FullThenReactive(Strategy):
+        name = "full-then-reactive"
+        token_capacity = 3
+
+        def proactive(self, balance):
+            return 1.0 if balance >= 3 else 0.0
+
+        def reactive(self, balance, useful):
+            return 1.0 if 0 < balance < 3 else 0.0
+
+    def twin():
+        return TokenAccountLimiter(
+            FullThenReactive(), period=PERIOD, clock=ManualClock(), seed=7, shards=1
+        )
+
+    probed, control = twin(), twin()
+    assert probed.try_acquire_run("k", 1, now=5.0) == (1, 0, 3, "proactive", 0.0)
+    control.try_acquire_many(["k"], now=5.0)
+    # a tick refills it to 3: proactive there, reactive at 2 and 1
+    assert probed.try_acquire_run("k", 5, now=6.0) is None
+    assert (probed.admitted, probed.rejected) == (control.admitted, control.rejected)
+    assert probed.balance("k") == 3  # the tick stays credited, the spend does not
+    after_probe = probed.try_acquire_many(["k"] * 5, now=6.0)
+    clean = control.try_acquire_many(["k"] * 5, now=6.0)
+    assert [d.reason for d in clean] == ["proactive", "reactive", "reactive"] + [
+        "exhausted"
+    ] * 2
+    assert [(d.admitted, d.reason, d.balance, d.retry_after) for d in after_probe] == [
+        (d.admitted, d.reason, d.balance, d.retry_after) for d in clean
+    ]
+    assert account_states(probed) == account_states(control)
 
 
 def test_run_accrues_ticks_like_the_scalar_path():
