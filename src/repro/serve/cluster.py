@@ -23,23 +23,31 @@ Per client connection the router opens one binary connection to every
 worker, so each worker answers *this client's* requests strictly FIFO.
 A drained client chunk becomes one **batch**: validated ACQUIRE frames
 are grouped by verbatim frame bytes (= one group per key+flags),
-positions remembered, and each worker receives its groups as compact
-``ACQUIRE_BULK`` records — ``count`` requests for ``key`` collapse to
-one ~``5+len(key)``-byte record instead of ``count`` relayed frames.
-Routing is memoized frame-bytes → (worker, bulk-record prefix) in a
-bounded dict, so the per-frame hot path is one dict hit.
+positions remembered, routing memoized frame-bytes → (worker,
+bulk-record prefix) in a bounded dict so the per-frame hot path is one
+dict hit. At the flush a group takes one of two roads, by its count
+alone. A frame seen **once** is forwarded to its owner verbatim — the
+copy made for the memo — and the worker's ordinary drain answers it
+with a 17-byte DECISION record. A frame seen ``count`` > 1 times
+collapses to one ~``5+len(key)``-byte ``ACQUIRE_BULK`` record, answered
+by 20-byte ``RUN`` frames and nothing else (*Bulk admission* in
+:mod:`repro.serve.wire`). A worker is sent its lone frames first, then
+its bulk frames, so its reply to a batch is two fixed strides.
 
-The reply side never works per group. A worker answers bulk records
-with 20-byte ``RUN`` frames and nothing else (see *Bulk admission* in
-:mod:`repro.serve.wire`), so a link's reply stream is one fixed stride.
-A responder task reassembles client order **per worker per batch**: the
-link takes whatever bytes have arrived, views them as ``RUN`` records,
-cuts where the records' decision counts add up to what the batch owes
-that worker, expands all of them into 17-byte DECISION records in one
-columnar pass (:func:`_expand_runs`) and scatters them to their request
-positions with one fancy-indexed assignment. What a link read beyond
-the cut — the next batch's replies, a STATS document — stays in the
-link's carry-over for the next reader.
+The reply side never works per group. A responder task reassembles
+client order **per worker per batch**, reading the link's preallocated
+receive buffer in place (:class:`_WorkerLink`: nothing is allocated per
+wake-up). The DECISION stride is scattered to its request positions as
+opaque records; the RUN stride is cut where its records' decision
+counts add up to what the batch owes that worker for repeats, expanded
+in one columnar pass (:func:`_expand_runs`) and scattered the same way.
+What a link received beyond that — the next batch's replies, a STATS
+document — stays in its buffer for the next reader.
+
+Order is kept per verbatim frame. Across frames — two keys, or one key
+under both flag values — a batch is one instant: a worker decides its
+lone frames, then its repeats group by group, however they interleaved.
+Replies return in request order; §3.4 is per key over time, so it holds.
 
 ``STATS`` is a flush barrier: the router forwards it to every live
 worker on the same connections (preserving FIFO alignment), sums the
@@ -81,7 +89,12 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.serve import wire
-from repro.serve.connection import FramedConnection, FramedListener
+from repro.serve.connection import (
+    _RECV_BUFFER,
+    FramedConnection,
+    FramedLink,
+    FramedListener,
+)
 from repro.serve.limiter import Decision
 from repro.serve.ring import HashRing
 
@@ -93,15 +106,19 @@ _ROUTE_CACHE_MAX = 65536
 _PAUSE_OUTSTANDING = 32768
 _RESUME_OUTSTANDING = 8192
 
-#: worker links carry up to ~52k pipelined 20-byte RUN frames per read
-_LINK_READ_LIMIT = 2**20
+#: a worker link's receive buffer: a reader waits for one batch's records
+#: contiguously, so it fits a client chunk of one-byte-key ACQUIRE frames
+#: (5 bytes each), every one answered by its own RUN, plus a STATS frame
+_LINK_BUFFER = (_RECV_BUFFER // 5) * wire.RUN_FRAME_SIZE + wire.MAX_FRAME + 2
 
 #: a run of DECISION frames viewed as opaque 17-byte records (reordering
 #: permutes whole frames; assigning them field by field is ~6x slower)
 _DECISION_RECORD = np.dtype((np.void, wire.DECISION_FRAME_SIZE))
 
-#: the constant head of every RUN frame: u16 length, status
-_RUN_HEAD = struct.pack("<HB", wire.RUN_FRAME_SIZE - 2, wire.STATUS_RUN)
+#: the constant head of every RUN / DECISION frame: u16 length, status
+_HEAD = struct.Struct("<HB")
+_RUN_HEAD = _HEAD.pack(wire.RUN_FRAME_SIZE - 2, wire.STATUS_RUN)
+_DECISION_HEAD = _HEAD.pack(wire.DECISION_FRAME_SIZE - 2, wire.STATUS_DECISION)
 
 _U16 = struct.Struct("<H")
 _BULK_OP = bytes((wire.OP_ACQUIRE_BULK,))
@@ -167,29 +184,35 @@ def _expand_runs(records: np.ndarray) -> np.ndarray:
     return frames
 
 
-class _WorkerLink:
+class _WorkerLink(FramedLink):
     """One client connection's private link to one worker.
 
-    Replies are consumed through :attr:`pending`, the bytes read from
-    the worker and not yet claimed: each reader takes what it is owed
-    off the front and leaves the rest — replies to later batches, a
-    STATS document — for the next one.
+    Each reader views what it is owed at ``_start``, steps past it and
+    leaves the rest for the next one; a returned view is good until the
+    caller's next ``await``. No reader waits for more than
+    :data:`_LINK_BUFFER` contiguous bytes, so a full buffer (read side
+    held) already holds whatever is awaited.
     """
 
-    __slots__ = ("reader", "writer", "dead", "pending")
-
-    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        self.reader = reader
-        self.writer = writer
+    def __init__(self) -> None:
+        super().__init__(_LINK_BUFFER)
         self.dead = False
-        self.pending = b""
 
-    async def _fill(self) -> None:
-        """Wait for the worker's next bytes: one read per wake-up."""
-        chunk = await self.reader.read(_LINK_READ_LIMIT)
-        if not chunk:
-            raise ConnectionError("worker closed the link")
-        self.pending = self.pending + chunk if self.pending else chunk
+    async def decisions(self, count: int) -> np.ndarray:
+        """The DECISION records answering ``count`` forwarded frames, as opaque
+        rows; refused as soon as the bytes present cannot begin that."""
+        size = wire.DECISION_FRAME_SIZE
+        status = wire.STATUS_DECISION
+        while True:
+            start = self._start
+            whole = min((self._end - start) // size, count)
+            records = np.frombuffer(self._buffer, wire.DECISION_DTYPE, whole, start)
+            if ((records["len"] != size - 2) | (records["status"] != status)).any():
+                raise ConnectionError("worker answered an ACQUIRE without a DECISION")
+            if whole == count:
+                self._consume(count * size)
+                return records.view(_DECISION_RECORD)
+            await self._fill(start + whole * size, _DECISION_HEAD)
 
     async def runs(self, owed: int) -> np.ndarray:
         """The RUN records that answer the next ``owed`` decisions.
@@ -206,10 +229,10 @@ class _WorkerLink:
         size = wire.RUN_FRAME_SIZE
         status = wire.STATUS_RUN
         while True:
-            pending = self.pending
-            whole = min(len(pending) // size, owed)
+            start = self._start
+            whole = min((self._end - start) // size, owed)
             if whole:
-                records = np.frombuffer(pending, dtype=wire.RUN_DTYPE, count=whole)
+                records = np.frombuffer(self._buffer, wire.RUN_DTYPE, whole, start)
                 counts = records["admits"].astype(np.intp) + records["rejects"]
                 covered = counts.cumsum()
                 cut = int(covered.searchsorted(owed)) + 1
@@ -219,25 +242,11 @@ class _WorkerLink:
                 if cut <= whole:
                     if covered[cut - 1] != owed:
                         raise ConnectionError("RUN frames overshoot the batch")
-                    self.pending = pending[cut * size :]
+                    self._consume(cut * size)
                     return records
                 if whole == owed:
                     raise ConnectionError("RUN frames fall short of the batch")
-            head = pending[whole * size : whole * size + len(_RUN_HEAD)]
-            if head != _RUN_HEAD[: len(head)]:
-                raise ConnectionError("worker answered a bulk group without a RUN")
-            await self._fill()
-
-    async def frame(self) -> bytes:
-        """The next length-prefixed frame's payload (a STATS reply)."""
-        while True:
-            pending = self.pending
-            if len(pending) >= 2:
-                end = 2 + (pending[0] | (pending[1] << 8))
-                if len(pending) >= end:
-                    self.pending = pending[end:]
-                    return pending[2:end]
-            await self._fill()
+            await self._fill(start + whole * size, _RUN_HEAD)
 
 
 class _RouterConnection(FramedConnection):
@@ -268,10 +277,7 @@ class _RouterConnection(FramedConnection):
 
     def _close_links(self) -> None:
         for link in self._links.values():
-            try:
-                link.writer.close()
-            except RuntimeError:  # pragma: no cover - loop already gone
-                pass
+            link.close()
         self._links.clear()
 
     def idle(self) -> bool:
@@ -288,23 +294,22 @@ class _RouterConnection(FramedConnection):
 
     async def _setup(self) -> None:
         """Open this connection's private link to every live worker."""
+        loop = asyncio.get_running_loop()
         for name, (host, port) in list(self.router._workers.items()):
             try:
-                reader, writer = await asyncio.open_connection(
-                    host, port, limit=_LINK_READ_LIMIT
-                )
-                writer.write(wire.MAGIC)
-                ack = await reader.readexactly(len(wire.MAGIC))
-                if ack != wire.MAGIC:
+                _, link = await loop.create_connection(_WorkerLink, host, port)
+                link.transport.write(wire.MAGIC)
+                if await link.take(len(wire.MAGIC)) != wire.MAGIC:
+                    link.close()
                     raise ConnectionError("bad worker hello")
-            except (ConnectionError, OSError, asyncio.IncompleteReadError):
+            except (ConnectionError, OSError):
                 self.router.worker_failed(name)
                 continue
-            self._links[name] = _WorkerLink(reader, writer)
+            self._links[name] = link
         if self.transport is None:  # client left during setup
             self._close_links()
             return
-        self._responder = asyncio.get_running_loop().create_task(self._respond())
+        self._responder = loop.create_task(self._respond())
         self.begin()  # hello ack, then the frames that arrived meanwhile
 
     # ------------------------------------------------------------------
@@ -374,8 +379,9 @@ class _RouterConnection(FramedConnection):
             nonlocal groups, position
             if not position:
                 return
-            #: worker name -> ([bulk records], [their positions, flat])
-            pending: Dict[str, Tuple[List[bytes], List[int]]] = {}
+            #: worker name -> (lone frames, their positions, bulk records
+            #: of the repeated ones, their positions flat)
+            pending: Dict[str, Tuple[list, list, list, list]] = {}
             orphans: List[int] = []
             for frame, positions in groups.items():
                 entry = route.get(frame)
@@ -393,17 +399,27 @@ class _RouterConnection(FramedConnection):
                 name, prefix = entry
                 bucket = pending.get(name)
                 if bucket is None:
-                    pending[name] = bucket = ([], [])
-                bucket[0].append(prefix + pack_count(len(positions)))
-                bucket[1].extend(positions)
-            plan: List[Tuple[Optional[str], np.ndarray]] = []
-            for name, (records, owed) in pending.items():
+                    pending[name] = bucket = ([], [], [], [])
+                if len(positions) == 1:
+                    bucket[0].append(frame)
+                    bucket[1].append(positions[0])
+                else:
+                    bucket[2].append(prefix + pack_count(len(positions)))
+                    bucket[3].extend(positions)
+            plan: List[Tuple[Optional[str], np.ndarray, bool]] = []
+            for name, (lone, singles, records, repeats) in pending.items():
                 link = links.get(name)
                 if link is not None and not link.dead:
-                    link.writer.write(_pack_bulk_frames(records))
-                plan.append((name, np.array(owed, dtype=np.intp)))
+                    if records:
+                        lone.append(_pack_bulk_frames(records))
+                    link.transport.write(b"".join(lone))
+                if singles:
+                    plan.append((name, np.array(singles, dtype=np.intp), True))
+                if repeats:
+                    plan.append((name, np.array(repeats, dtype=np.intp), False))
+                router.forwarded += len(singles)
             if orphans:
-                plan.append((None, np.array(orphans, dtype=np.intp)))
+                plan.append((None, np.array(orphans, dtype=np.intp), False))
             router.groups += len(groups)
             router.routed += position
             self._outstanding += position
@@ -453,7 +469,7 @@ class _RouterConnection(FramedConnection):
                 names = []
                 for name, link in links.items():
                     if not link.dead:
-                        link.writer.write(stats_frame)
+                        link.transport.write(stats_frame)
                         names.append(name)
                 owe(("S", tuple(names)))
             else:  # "P" (an ACQUIRE short enough to miss the fast path
@@ -506,37 +522,37 @@ class _RouterConnection(FramedConnection):
                 self.transport.close()
 
     async def _gather_batch(
-        self, plan: List[Tuple[Optional[str], np.ndarray]], total: int
+        self, plan: List[Tuple[Optional[str], np.ndarray, bool]], total: int
     ) -> bytes:
         """Collect one batch's worker replies, scattered to client order.
 
-        ``plan`` lists, per worker, the request positions of the
-        decisions it owes, in the order its bulk records asked for
-        them — which is the order its RUN frames expand to. A read
-        failure or protocol surprise marks the worker lost and its
-        share of the batch becomes synthesized REJECT frames, keeping
-        the client's stream complete and ordered.
+        ``plan`` lists, per worker and stride (DECISION records for its
+        lone frames, then RUNs for its bulk records), the request
+        positions answered, in the order asked. A read failure or
+        protocol surprise marks the worker lost and what it still owes
+        the batch becomes synthesized REJECT frames, keeping the
+        client's stream complete and ordered.
         """
         merged = np.empty(total, dtype=_DECISION_RECORD)
-        for name, positions in plan:
+        for name, positions, lone in plan:
             link = self._links.get(name) if name is not None else None
             frames = _SYNTH_REJECT
             if link is not None and not link.dead:
                 try:
-                    runs = await link.runs(len(positions))
-                    frames = _expand_runs(runs).view(_DECISION_RECORD)
+                    if lone:
+                        frames = await link.decisions(len(positions))
+                    else:
+                        runs = await link.runs(len(positions))
+                        frames = _expand_runs(runs).view(_DECISION_RECORD)
                 except (ConnectionError, OSError):
                     self._worker_lost(name, link)
-            merged[positions] = frames
+            merged[positions] = frames  # a view of the link: before the next await
         return merged.tobytes()
 
     def _worker_lost(self, name: str, link: _WorkerLink) -> None:
         """Mark a link dead and report the worker to the ring."""
         link.dead = True
-        try:
-            link.writer.close()
-        except RuntimeError:  # pragma: no cover - loop teardown race
-            pass
+        link.close()
         self.router.worker_failed(name)
 
     async def _aggregate_stats(self, names: Tuple[str, ...]) -> bytes:
@@ -574,6 +590,7 @@ class _RouterConnection(FramedConnection):
         document["connections"] = router.connections
         document["groups"] = router.groups
         document["routed"] = router.routed
+        document["forwarded"] = router.forwarded
         return json.dumps(document, sort_keys=True).encode()
 
 
@@ -607,10 +624,12 @@ class ClusterRouter(FramedListener):
         self._route_cache: Dict[bytes, Tuple[str, bytes]] = {}
         #: ring membership changes from worker failures so far
         self.remaps = 0
-        #: bulk groups formed, and the decisions they asked for, over
-        #: every flushed batch (their ratio is the coalescing factor)
+        #: groups formed, the decisions they asked for (their ratio is
+        #: the coalescing factor) and how many of those travelled as
+        #: verbatim ACQUIRE frames, over every flushed batch
         self.groups = 0
         self.routed = 0
+        self.forwarded = 0
 
     # ------------------------------------------------------------------
     @property

@@ -3,9 +3,13 @@
 Everything a listening endpoint of the wire protocol
 (:mod:`repro.serve.wire`) needs besides deciding what a frame means:
 
-* :class:`FramedConnection` — one client connection. Bytes land in a
-  reusable receive buffer via ``readinto``
-  (:class:`asyncio.BufferedProtocol`), the hello is checked (a
+* :class:`ReceiveBuffer` — bytes land by ``recv_into``
+  (:class:`asyncio.BufferedProtocol`) in a preallocated buffer and are
+  parsed in place.
+* :class:`FramedLink` — the connecting side on that buffer, read by
+  ``await`` (the router's links to its workers).
+* :class:`FramedConnection` — one client connection on that buffer: the
+  hello is checked (a
   connection's first bytes are :data:`~repro.serve.wire.MAGIC` or it
   gets one ``!`` line and a close), and the socket's read side is held
   whenever requests must not be accepted: the peer is not draining
@@ -32,21 +36,105 @@ _RECV_BUFFER = 2**16
 _REFUSAL = b"! unsupported protocol: expected the binary wire v1 hello\n"
 
 
-class FramedConnection(asyncio.BufferedProtocol):
-    """One client connection: receive buffer, hello, read-side holds.
+class ReceiveBuffer(asyncio.BufferedProtocol):
+    """A preallocated receive buffer, parsed in place.
 
     ``_start``/``_end`` delimit the unparsed region of ``_buffer``
-    (``_view`` is a ``memoryview`` of it, so a drain parses through
-    zero-copy slices); it is compacted to the front once consumed.
+    (``_view`` is a ``memoryview`` of it, so a parser works through
+    zero-copy slices). The region moves only in :meth:`get_buffer`, so
+    a view of it is good until the event loop runs again. A subclass
+    that can fill the buffer must hold the read side while it is full:
+    an empty receive view is fatal to an asyncio transport.
     """
 
-    def __init__(self, listener: "FramedListener"):
-        self.listener = listener
-        self.transport: Optional[asyncio.Transport] = None
-        self._buffer = bytearray(_RECV_BUFFER)
+    def __init__(self, size: int):
+        self._buffer = bytearray(size)
         self._view = memoryview(self._buffer)
         self._start = 0
         self._end = 0
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        """The free tail of the receive buffer (asyncio callback)."""
+        if self._start and self._start == self._end:
+            self._start = self._end = 0
+        elif len(self._buffer) - self._end < 2048 and self._start:
+            # Compact the unparsed residue to the front: a memmove
+            # through the view, no temporary and never a resize.
+            remaining = self._end - self._start
+            self._view[:remaining] = self._view[self._start : self._end]
+            self._start, self._end = 0, remaining
+        return self._view[self._end :]
+
+
+class FramedLink(ReceiveBuffer):
+    """The connecting side of a framed connection, read by ``await``.
+
+    Readers look at ``_buffer[_start:_end]`` in place, :meth:`_fill`
+    when it does not hold enough yet and :meth:`_consume` what they
+    took. The read side is held while the buffer is full, so ``size``
+    must fit the longest run of bytes a reader waits for.
+    """
+
+    def __init__(self, size: int):
+        super().__init__(size)
+        self.transport: Optional[asyncio.Transport] = None
+        self._eof = False  # the peer closed the link: nothing more comes
+        self._arrived = asyncio.Event()
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def connection_lost(self, exc) -> None:
+        self._eof = True
+        self._arrived.set()
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self._end += nbytes
+        if self._end - self._start == len(self._buffer):
+            self.transport.pause_reading()  # full, until a reader consumes
+        self._arrived.set()
+
+    def close(self) -> None:
+        try:
+            self.transport.close()
+        except RuntimeError:  # pragma: no cover - loop already gone
+            pass
+
+    async def _fill(self, offset: int = 0, head: bytes = b"") -> None:
+        """Wait for the peer's next bytes — unless it hung up, or those at
+        ``offset`` already cannot begin the ``head`` record awaited there."""
+        got = self._buffer[offset : min(offset + len(head), self._end)]
+        if self._eof or got != head[: len(got)]:
+            raise ConnectionError("the reply stream cannot line up with the requests")
+        self._arrived.clear()
+        await self._arrived.wait()
+
+    def _consume(self, nbytes: int) -> None:
+        """Step past ``nbytes`` read in place; a full buffer has room again."""
+        if self._end - self._start == len(self._buffer):
+            self.transport.resume_reading()
+        self._start += nbytes
+
+    async def take(self, nbytes: int) -> bytes:
+        """The next ``nbytes`` bytes, copied out (a hello echo, a frame)."""
+        while self._end - self._start < nbytes:
+            await self._fill()
+        taken = bytes(self._view[self._start : self._start + nbytes])
+        self._consume(nbytes)
+        return taken
+
+    async def frame(self) -> bytes:
+        """The next length-prefixed frame's payload."""
+        return await self.take(int.from_bytes(await self.take(2), "little"))
+
+
+class FramedConnection(ReceiveBuffer):
+    """One client connection: hello, read-side holds, a drain per wake-up."""
+
+    def __init__(self, listener: "FramedListener"):
+        super().__init__(_RECV_BUFFER)
+        self.listener = listener
+        self.transport: Optional[asyncio.Transport] = None
         #: the hello was acked: buffered frames go to :meth:`drain`
         self._ready = False
         #: why the read side is paused right now (empty = reading)
@@ -112,18 +200,6 @@ class FramedConnection(asyncio.BufferedProtocol):
         self.release("peer-not-reading")
 
     # ------------------------------------------------------------------
-    def get_buffer(self, sizehint: int) -> memoryview:
-        """The free tail of the receive buffer (asyncio callback)."""
-        if self._start and self._start == self._end:
-            self._start = self._end = 0
-        elif len(self._buffer) - self._end < 2048 and self._start:
-            # Compact the unparsed residue (< one frame) to the front;
-            # slice assignment, the buffer is never resized.
-            remaining = self._end - self._start
-            self._buffer[:remaining] = self._buffer[self._start : self._end]
-            self._start, self._end = 0, remaining
-        return self._view[self._end :]
-
     def buffer_updated(self, nbytes: int) -> None:
         """``nbytes`` more arrived: drain them, or check the hello first."""
         self._end += nbytes

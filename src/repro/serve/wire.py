@@ -48,9 +48,12 @@ strategies, and every ``count == 1`` group, which the worker decides
 together through ``try_acquire_frames`` and re-frames as columns
 (:func:`runs_from_decision_frames`). Either way a group's frames
 cover exactly ``count`` decisions, which is how the router knows where
-one batch's reply ends. Plain clients never speak this opcode; it
-exists so a trusted aggregator can collapse per-request framing
-without changing any per-key admission outcome.
+one batch's reply ends. The router sends only groups of ``count`` > 1 —
+a request that is alone in its batch travels as the plain ``ACQUIRE``
+frame the client sent and is answered by a ``DECISION`` — but a server
+still accepts ``count == 1`` groups. Plain clients never speak this
+opcode; it exists so a trusted aggregator can collapse per-request
+framing without changing any per-key admission outcome.
 
 Response payloads start with a status byte: ``DECISION`` responses are
 a fixed 15-byte payload (struct ``<BBBid``: status, admitted, reason

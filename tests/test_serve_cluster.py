@@ -24,6 +24,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -37,6 +38,7 @@ from hypothesis import strategies as st
 from repro.core.ratelimit import RateLimitAuditor
 from repro.serve import AdmissionServer, ManualClock, TokenAccountLimiter, wire
 from repro.serve.cluster import ClusterRouter, _expand_runs, _WorkerLink
+from repro.serve.connection import _RECV_BUFFER
 from repro.serve.limiter import Decision
 from tests.conftest import binary_client as binary_session
 
@@ -86,14 +88,19 @@ async def acquire_many(reader, writer, keys, useful: bool = True):
     return decisions
 
 
-async def fetch_cluster_stats(reader, writer) -> dict:
-    writer.write(wire.encode_command_binary(wire.OP_STATS))
-    await writer.drain()
+async def read_stats(reader) -> dict:
+    """The STATS reply frame that is next on the stream."""
     header = await reader.readexactly(2)
     length = header[0] | (header[1] << 8)
     payload = await reader.readexactly(length)
     assert payload[0] == wire.STATUS_STATS
     return json.loads(payload[1:])
+
+
+async def fetch_cluster_stats(reader, writer) -> dict:
+    writer.write(wire.encode_command_binary(wire.OP_STATS))
+    await writer.drain()
+    return await read_stats(reader)
 
 
 async def teardown(router, servers, *connections):
@@ -143,38 +150,93 @@ def test_expand_runs_matches_per_decision_encoding(runs):
     assert _expand_runs(records).tobytes() == expected
 
 
-@pytest.mark.parametrize("chunk", [1, 19, 20, 4096])
+class FakeTransport:
+    """What a link needs of its transport, with the read side recorded."""
+
+    def __init__(self):
+        self.paused = False
+        self.holds = 0
+
+    def pause_reading(self):
+        assert not self.paused
+        self.paused = True
+        self.holds += 1
+
+    def resume_reading(self):
+        assert self.paused
+        self.paused = False
+
+    def close(self):
+        pass
+
+
+def fake_link() -> _WorkerLink:
+    link = _WorkerLink()
+    link.connection_made(FakeTransport())
+    return link
+
+
+async def deliver(link, stream: bytes, chunk: int, eof: bool = False) -> None:
+    """Hand ``stream`` to the link the way a transport does — at most
+    ``chunk`` bytes per wake-up through ``get_buffer`` /
+    ``buffer_updated``, nothing while the read side is held."""
+    offset = 0
+    while offset < len(stream):
+        if link.transport.paused:
+            await asyncio.sleep(0)
+            continue
+        view = link.get_buffer(-1)
+        assert len(view), "an empty receive view is fatal to an asyncio transport"
+        piece = stream[offset : offset + min(chunk, len(view))]
+        view[: len(piece)] = piece
+        link.buffer_updated(len(piece))
+        offset += len(piece)
+        await asyncio.sleep(0)
+    if eof:
+        link.connection_lost(None)
+
+
+def decision_stream(count: int) -> bytes:
+    return wire.encode_decisions_binary(
+        [Decision(i % 3 != 0, "k", "reactive", i) for i in range(count)]
+    )
+
+
+@pytest.mark.parametrize("chunk", [1, 17, 19, 20, 4096])
 def test_link_cuts_the_reply_stream_the_same_however_it_arrives(chunk):
-    """One link's replies to batch 1, a STATS document and batch 2 are
-    in flight together: each reader takes exactly its own share,
-    whatever the sizes of the reads that deliver them."""
+    """One link's replies to batch 1 (lone DECISION records, then RUNs),
+    a STATS document and batch 2 are in flight together: each reader
+    takes exactly its own share, whatever the sizes of the reads that
+    deliver them."""
+    lone = decision_stream(4)
     first = [(1, 3, 2, 5, 7.25), (1, 1, 0, 9, 0.0), (3, 0, 1, 0, 1.5)]  # 7 decisions
     second = [(2, 1, 0, 4, 0.0)] * 5  # a per-decision fallback group
     stats = wire.encode_status_binary(wire.STATUS_STATS, b'{"admitted": 10}')
-    stream = run_stream(first) + stats + run_stream(second)
+    stream = lone + run_stream(first) + stats + run_stream(second)
 
     async def scenario():
-        reader = asyncio.StreamReader()
-        link = _WorkerLink(reader, None)
-
-        async def feed():
-            for offset in range(0, len(stream), chunk):
-                reader.feed_data(stream[offset : offset + chunk])
-                await asyncio.sleep(0)
-            reader.feed_eof()
-
-        feeder = asyncio.get_running_loop().create_task(feed())
+        link = fake_link()
+        feeder = asyncio.get_running_loop().create_task(
+            deliver(link, stream, chunk, eof=True)
+        )
         taken = (
+            (await link.decisions(4)).tobytes(),
             (await link.runs(7)).tobytes(),
             await link.frame(),
             (await link.runs(5)).tobytes(),
         )
         await feeder
-        with pytest.raises(ConnectionError):  # EOF with a decision still owed
-            await link.runs(1)
+        for owed in (link.runs(1), link.decisions(1)):
+            with pytest.raises(ConnectionError):  # EOF with a decision still owed
+                await owed
         return taken
 
-    assert asyncio.run(scenario()) == (run_stream(first), stats[2:], run_stream(second))
+    assert asyncio.run(scenario()) == (
+        lone,
+        run_stream(first),
+        stats[2:],
+        run_stream(second),
+    )
 
 
 @pytest.mark.parametrize(
@@ -189,12 +251,116 @@ def test_link_cuts_the_reply_stream_the_same_however_it_arrives(chunk):
 )
 def test_link_refuses_a_reply_stream_that_does_not_line_up(stream):
     async def scenario():
-        reader = asyncio.StreamReader()
-        reader.feed_data(stream)  # no EOF: the refusal must not wait for more
+        link = fake_link()
+        await deliver(link, stream, 4096)  # no EOF: the refusal must not wait for more
         with pytest.raises(ConnectionError):
-            await asyncio.wait_for(_WorkerLink(reader, None).runs(3), timeout=5.0)
+            await asyncio.wait_for(link.runs(3), timeout=5.0)
 
     asyncio.run(scenario())
+
+
+#: reply streams that cannot be the 3 DECISION records a link is owed
+NOT_DECISIONS = {
+    "run-frame": decision_stream(1) + run_stream([(1, 2, 0, 5, 0.0)]),
+    "short-error-frame": wire.encode_status_binary(wire.STATUS_ERROR, b"no"),
+    "eof-mid-record": decision_stream(3)[:-5],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_DECISIONS))
+def test_link_refuses_anything_but_the_decisions_it_is_owed(name):
+    async def scenario():
+        link = fake_link()
+        await deliver(link, NOT_DECISIONS[name], 4096, eof=name == "eof-mid-record")
+        with pytest.raises(ConnectionError):
+            await asyncio.wait_for(link.decisions(3), timeout=5.0)
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("name", sorted(NOT_DECISIONS))
+def test_router_rejects_the_share_of_a_worker_that_answers_out_of_line(name):
+    """Through a live router: a worker whose reply to forwarded frames
+    is not DECISION records is dropped, and its share of the batch —
+    only its share — comes back as synthesized rejects, in order."""
+
+    class BadWorker(asyncio.Protocol):
+        def connection_made(self, transport):
+            self.transport = transport
+            self.greeted = False
+
+        def data_received(self, data):
+            if not self.greeted:
+                self.greeted = True
+                self.transport.write(wire.MAGIC)
+            else:
+                self.transport.write(NOT_DECISIONS[name])
+                if name == "eof-mid-record":
+                    self.transport.close()
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        bad = await loop.create_server(BadWorker, "127.0.0.1", 0)
+        good = await AdmissionServer(make_limiter(), host="127.0.0.1").start()
+        router = await ClusterRouter(
+            {
+                "w0": ("127.0.0.1", bad.sockets[0].getsockname()[1]),
+                "w1": ("127.0.0.1", good.port),
+            }
+        ).start()
+        keys = [f"k{i}" for i in range(40)]
+        owners = [router._ring.owner(key) for key in keys]
+        session = await binary_session(router.port)
+        decisions = await asyncio.wait_for(acquire_many(*session, keys), timeout=5.0)
+        remaps = router.remaps
+        await teardown(router, [good], session)
+        bad.close()
+        await bad.wait_closed()
+        return owners, decisions, remaps
+
+    owners, decisions, remaps = asyncio.run(scenario())
+    assert {"w0", "w1"} == set(owners)
+    assert remaps == 1
+    for owner, decision in zip(owners, decisions):
+        if owner == "w0":
+            assert (decision.admitted, decision.reason) == (False, "exhausted")
+            assert decision.balance == 0 and decision.retry_after == 0.0
+        else:
+            assert decision.admitted and decision.balance == 2
+
+
+def test_link_holds_the_read_side_while_its_buffer_is_full():
+    """More replies in flight than the link buffer holds: the read side
+    is held when the buffer fills and released once a reader consumes,
+    asyncio is never handed an empty view (``deliver`` asserts it), and
+    the records read across the hold are the ones fed."""
+    link = fake_link()
+    # the worst batch fits by construction: a reader waits for one
+    # batch's records contiguously, so this is what keeps a hold from
+    # ever being a deadlock
+    assert len(link._buffer) >= (
+        (_RECV_BUFFER // 5) * wire.RUN_FRAME_SIZE + wire.MAX_FRAME + 2
+    )
+    batches = 2 * len(link._buffer) // (4000 * wire.RUN_FRAME_SIZE) + 1
+    lone = decision_stream(1000)
+    runs = run_stream([(1, 1, 0, i, 0.0) for i in range(4000)])
+
+    async def scenario():
+        feeder = asyncio.get_running_loop().create_task(
+            deliver(link, (lone + runs) * batches, 2**16)
+        )
+        while not link.transport.paused:  # nobody reads: the buffer fills
+            await asyncio.sleep(0)
+        assert link._end - link._start == len(link._buffer)
+        taken = []
+        for _ in range(batches):
+            taken.append((await link.decisions(1000)).tobytes())
+            taken.append((await link.runs(4000)).tobytes())
+        await asyncio.wait_for(feeder, timeout=5.0)
+        return taken
+
+    assert asyncio.run(scenario()) == [lone, runs] * batches
+    assert link.transport.holds >= 1 and not link.transport.paused
 
 
 # ----------------------------------------------------------------------
@@ -231,10 +397,13 @@ def test_cluster_keys_spread_over_both_workers():
         await acquire_many(*session, keys)
         owners = {key: router._ring.owner(key) for key in keys}
         per_worker = [server.limiter.admitted for server in servers]
+        stats = await fetch_cluster_stats(*session)
         await teardown(router, servers, session)
-        return owners, per_worker
+        return owners, per_worker, stats
 
-    owners, per_worker = asyncio.run(scenario())
+    owners, per_worker, stats = asyncio.run(scenario())
+    # no key repeats, so every request travelled as its own ACQUIRE frame
+    assert stats["forwarded"] == stats["routed"] == stats["groups"] == len(owners)
     # the ring split the key space and each worker decided its share
     assert set(owners.values()) == {"w0", "w1"}
     counts = {
@@ -268,6 +437,7 @@ def test_cluster_aggregates_stats_and_answers_ping():
     # the 20 pipelined requests were fanned out as one group per key:
     # a coalescing factor routed / groups of 5
     assert stats["routed"] == 20 and stats["groups"] == 4
+    assert stats["forwarded"] == 0  # ... and none travelled alone
     assert pong[2] == wire.STATUS_PONG
 
 
@@ -304,6 +474,68 @@ def test_cluster_mixed_usefulness_flags_stay_per_request():
     assert not useless.admitted
     assert useful.admitted
     assert not useless_again.admitted
+
+
+@pytest.mark.parametrize(
+    "limiter",
+    [
+        dict(strategy="simple", capacity=3),
+        dict(strategy="generalized", spend_rate=3, capacity=6, initial_tokens=4),
+    ],
+    ids=["simple", "generalized"],
+)
+def test_cluster_decides_each_key_of_a_mixed_batch_as_one_limiter_would(limiter):
+    """One pipelined chunk interleaving keys sent once, keys repeated
+    2-40 times and a STATS barrier: whichever road a request takes
+    (forwarded frame or bulk group), every key's decisions are what a
+    fresh limiter answers to that key's requests one after another.
+    A key keeps one flag value, so its requests are one group per batch."""
+    rng = random.Random(21)
+    counts = {f"lone{i}": 1 for i in range(40)}
+    counts.update({f"hot{i}": rng.randint(2, 40) for i in range(12)})
+    useful = {key: rng.random() < 0.7 for key in counts}
+    halves = []
+    for _ in range(2):  # the keys lone before the barrier repeat after it
+        half = [key for key, count in counts.items() for _ in range(count)]
+        rng.shuffle(half)
+        halves.append(half)
+        counts = {key: 3 if count == 1 else 1 for key, count in counts.items()}
+    keys = halves[0] + halves[1]
+    chunk = b"".join(
+        [wire.encode_request_binary(key, useful[key]) for key in halves[0]]
+        + [wire.encode_command_binary(wire.OP_STATS)]
+        + [wire.encode_request_binary(key, useful[key]) for key in halves[1]]
+    )
+    assert len(chunk) < 2**16  # one receive buffer: two batches and a barrier
+
+    async def scenario():
+        router, servers = await start_cluster(2, clock=ManualClock(), **limiter)
+        reader, writer = session = await binary_session(router.port)
+        writer.write(chunk)
+        size = wire.DECISION_FRAME_SIZE
+        replies = await reader.readexactly(len(halves[0]) * size)
+        barrier = await read_stats(reader)
+        replies += await reader.readexactly(len(halves[1]) * size)
+        stats = await fetch_cluster_stats(reader, writer)
+        await teardown(router, servers, session)
+        return replies, barrier, stats
+
+    replies, barrier, stats = asyncio.run(scenario())
+    # the workers met the barrier where it was sent, between the halves
+    assert barrier["admitted"] + barrier["rejected"] == len(halves[0])
+    assert stats["routed"] == len(keys)
+    assert stats["admitted"] + stats["rejected"] == len(keys)
+    frames, _ = wire.split_frames(bytearray(replies))
+    reference = make_limiter(clock=ManualClock(), **limiter)
+    per_key = {}
+    for key, frame in zip(keys, frames):
+        per_key.setdefault(key, []).append(wire.decode_response_binary(frame, key)[1])
+    assert any(d.admitted for ds in per_key.values() for d in ds)
+    assert any(not d.admitted for ds in per_key.values() for d in ds)
+    for key, decisions in per_key.items():
+        assert decisions == [
+            reference.try_acquire(key, useful[key]) for _ in decisions
+        ], key
 
 
 def test_cluster_answers_errors_in_order_and_survives_them():
@@ -564,7 +796,7 @@ def test_cluster_burst_bound_holds_for_a_randomized_strategy():
     auditor, sent, stats = asyncio.run(scenario())
     assert stats["strategy"].startswith("randomized")
     assert stats["admitted"] + stats["rejected"] == sent == stats["routed"]
-    assert stats["groups"] * 5 == sent
+    assert stats["groups"] * 5 == sent and stats["forwarded"] == 0
     admissions = sum(map(auditor.total_sends, range(len(keys))))
     assert admissions == stats["admitted"]
     assert admissions >= len(keys) * (capacity + 20)  # it does admit at rate
