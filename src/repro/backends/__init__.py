@@ -1,10 +1,8 @@
 """Pluggable simulation backends (the fifth component registry).
 
 One scenario, several execution engines. The ``backend`` axis on
-:class:`~repro.scenarios.ScenarioSpec` /
-:class:`~repro.experiments.config.ExperimentConfig` names a registered
-entry here, and :func:`repro.experiments.runner.run_experiment`
-dispatches to it:
+:class:`~repro.scenarios.ScenarioSpec` names a registered entry here,
+and :func:`repro.experiments.runner.run_experiment` dispatches to it:
 
 * ``event`` — the exact discrete-event reference
   (:mod:`repro.backends.event`);

@@ -1,9 +1,7 @@
 """The simulation-backend contract.
 
 A *backend* is an execution engine for one fully specified scenario: it
-takes a configuration (an
-:class:`~repro.experiments.config.ExperimentConfig` or a
-:class:`~repro.scenarios.ScenarioSpec`) and produces an
+takes a :class:`~repro.scenarios.ScenarioSpec` and produces an
 :class:`~repro.experiments.runner.ExperimentResult` with the same shape
 regardless of how the simulation was carried out. Two backends ship
 built in:
@@ -20,7 +18,7 @@ built in:
   makes N ≥ 10^5 populations simulable.
 
 Backends are registered in :data:`repro.registry.backends` and selected
-through the ``backend`` field of the spec/config. The backend name is
+through the ``backend`` field of the spec. The backend name is
 part of the cell identity (it is hashed into the result-store key), so
 results produced by different engines can never collide in a store.
 
@@ -32,14 +30,11 @@ result on every run, at any worker count.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - types only, avoids import cycles
-    from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import ExperimentResult
     from repro.scenarios import ScenarioSpec
-
-    ConfigLike = Union[ExperimentConfig, ScenarioSpec]
 
 
 class BackendUnsupportedError(ValueError):
@@ -60,10 +55,5 @@ class SimulationBackend(ABC):
     name: str = "abstract"
 
     @abstractmethod
-    def run(self, config: "ConfigLike") -> "ExperimentResult":
-        """Execute the configured scenario and return its result.
-
-        ``result.config`` must be the *original* ``config`` object (not
-        the compiled spec), so store round-trips and suite bookkeeping
-        see exactly what they submitted.
-        """
+    def run(self, spec: "ScenarioSpec") -> "ExperimentResult":
+        """Execute the scenario ``spec`` names; ``result.config`` is ``spec``."""

@@ -85,9 +85,8 @@ def compare_backends(
     Parameters
     ----------
     config:
-        An :class:`~repro.experiments.config.ExperimentConfig` or
-        :class:`~repro.scenarios.ScenarioSpec`; its ``backend`` field is
-        overridden on each side.
+        A :class:`~repro.scenarios.ScenarioSpec`; its ``backend`` field
+        is overridden on each side.
     backend:
         The vectorized-side :class:`~repro.backends.base.SimulationBackend`
         instance to gate. ``None`` builds the registered one; the

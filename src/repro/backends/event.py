@@ -18,11 +18,11 @@ class EventBackend(SimulationBackend):
 
     name = "event"
 
-    def run(self, config):
+    def run(self, spec):
         """Build and execute the experiment on the event engine."""
         # Imported here: the runner imports the scenario layer, which
         # validates backend names against the registry, which imports
         # this module — a cycle at import time, harmless at call time.
         from repro.experiments.runner import Experiment
 
-        return Experiment(config).run()
+        return Experiment(spec).run()

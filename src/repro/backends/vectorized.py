@@ -160,12 +160,10 @@ class VectorizedBackend(SimulationBackend):
     grant_amount: int = 1
 
     # ------------------------------------------------------------------
-    def run(self, config):
+    def run(self, spec):
         """Execute the scenario; see the module docstring for the model."""
-        from repro.experiments.config import ExperimentConfig
         from repro.experiments.runner import ExperimentResult
 
-        spec = config.to_spec() if isinstance(config, ExperimentConfig) else config
         self._check_supported(spec)
         started = _wallclock.perf_counter()
         sim = _PushGossipKernel(spec, grant_amount=self.grant_amount)
@@ -173,8 +171,8 @@ class VectorizedBackend(SimulationBackend):
         elapsed = _wallclock.perf_counter() - started
         data_messages = sim.stats.by_kind.get("data", 0)
         return ExperimentResult(
-            config=config,
-            label=config.label(),
+            config=spec,
+            label=spec.label(),
             metric=sim.metric_series,
             tokens=sim.token_series,
             network=sim.stats,

@@ -77,7 +77,7 @@ from repro.registry import (
     overlays,
     strategies,
 )
-from repro.scenarios import ARRIVAL_PATTERNS, SCENARIOS, ComponentRef
+from repro.scenarios import ARRIVAL_PATTERNS, SCENARIOS, ComponentRef, ScenarioSpec
 from repro.sim.randomness import RandomStreams
 from repro.store import ResultStore, StoreMissError, diff_stores, resolve_store
 
@@ -230,7 +230,7 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+def _config_from_args(args: argparse.Namespace) -> ScenarioSpec:
     return ExperimentConfig(
         app=args.app,
         strategy=args.strategy,
@@ -251,24 +251,15 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    target = config
-    if args.app_param or args.churn or args.churn_param:
-        # Component-level overrides go beyond the flat config surface:
-        # compile to the declarative spec and patch the component refs.
-        spec = config.to_spec()
-        if args.app_param:
-            spec = spec.with_overrides(app=spec.app.with_params(**dict(args.app_param)))
-        if args.churn:
-            spec = spec.with_overrides(churn=ComponentRef(args.churn))
-        if args.churn_param:
-            spec = spec.with_overrides(
-                churn=spec.churn.with_params(**dict(args.churn_param))
-            )
-        target = spec
-    print(f"running {target.label()} (N={config.n}, periods={config.periods})")
-    result = run_experiment(target, store=resolve_store(args.store))
-    print(format_series_table({config.strategy: result.metric}, rows=15))
+    spec = _config_from_args(args)
+    churn = ComponentRef(args.churn) if args.churn else spec.churn
+    spec = spec.with_overrides(
+        app=spec.app.with_params(**dict(args.app_param or ())),
+        churn=churn.with_params(**dict(args.churn_param or ())),
+    )
+    print(f"running {spec.label()} (N={spec.n}, periods={spec.periods})")
+    result = run_experiment(spec, store=resolve_store(args.store))
+    print(format_series_table({spec.strategy.name: result.metric}, rows=15))
     print()
     print(result.summary())
     if args.audit:

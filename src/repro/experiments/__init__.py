@@ -1,6 +1,7 @@
 """Experiment harness: scenario assembly, sweeps, figures and reports.
 
-* :mod:`repro.experiments.config` — declarative experiment configuration
+* :mod:`repro.experiments.config` — ``ExperimentConfig``, the
+  flat-keyword constructor of :class:`~repro.scenarios.ScenarioSpec`
   with the paper's defaults (§4.1).
 * :mod:`repro.experiments.runner` — builds a configured simulation
   (overlay, nodes, churn, injectors, collectors) and runs it to the
@@ -19,7 +20,6 @@
 
 from repro.experiments.config import PAPER, ExperimentConfig
 from repro.experiments.runner import (
-    ConfigLike,
     Experiment,
     ExperimentResult,
     average_results,
@@ -34,13 +34,11 @@ from repro.experiments.suite import (
     SuiteExecutionError,
     SuiteResult,
     SuiteRunner,
-    run_configs,
     run_suite,
 )
 
 __all__ = [
     "CellResult",
-    "ConfigLike",
     "Experiment",
     "ExperimentConfig",
     "ExperimentResult",
@@ -54,7 +52,6 @@ __all__ = [
     "current_scale",
     "replicate_seeds",
     "run_averaged",
-    "run_configs",
     "run_experiment",
     "run_suite",
     "worker_count",

@@ -1,253 +1,134 @@
-"""Declarative experiment configuration with the paper's defaults (§4.1).
+"""The flat-keyword constructor of :class:`~repro.scenarios.ScenarioSpec`.
 
-An :class:`ExperimentConfig` fully determines a run: application,
-strategy, parameters A/C, network, timing, scenario and seed. Identical
-configs produce identical results.
+There is one configuration type, :class:`~repro.scenarios.ScenarioSpec`:
+the declarative app x strategy x overlay x churn x network composition
+that the runner, the backends, the suite runner, the result store and
+the exporters all take. :func:`ExperimentConfig` is a *function*, not a
+type: it takes the paper's knobs (§4.1) as flat keywords, routes each to
+the component that declares it, and returns the spec —
 
-This is the *flat* legacy surface: a single dataclass whose fields cover
-the common knobs of every built-in component. Internally it compiles
-into a :class:`~repro.scenarios.ScenarioSpec` (:meth:`ExperimentConfig.to_spec`)
-— the declarative app x strategy x overlay x churn x network composition
-the runner actually builds — and all validation is delegated to the
-component registries, so the accepted values for ``app``, ``strategy``,
-``overlay`` and ``scenario`` are exactly the registered ones.
+    ExperimentConfig(app="push-gossip", strategy="randomized",
+                     spend_rate=10, capacity=20, out_degree=5)
 
-The module constant :data:`PAPER` (re-exported from
-:mod:`repro.scenarios`) collects the published constants: Δ = 172.8 s
-(1,000 periods over two days), transfer time 1.728 s (Δ/100), 20-out
-overlay, Watts–Strogatz (4, 0.01) for chaotic iteration, one update
-injection per 17.28 s for push gossip, zero initial tokens.
+is ``ScenarioSpec(app=ComponentRef.of("push-gossip", ...),
+strategy=ComponentRef.of("randomized", spend_rate=10, capacity=20),
+overlay=ComponentRef.of("kout", k=5), ...)``. It hides the keyword →
+component routing and nothing else; all validation is the spec's own,
+so the accepted values for ``app``, ``strategy``, ``overlay`` and
+``scenario`` are exactly the registered ones.
+
+:data:`PAPER` (re-exported from :mod:`repro.scenarios`) collects the
+published constants the keyword defaults come from.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
-from repro.core.strategies import Strategy, make_strategy
-from repro.registry import applications, overlays, strategies
+from repro.registry import applications, strategies
 from repro.scenarios import (
     PAPER,
-    SCENARIOS,
     ComponentRef,
     NetworkSpec,
-    PaperConstants,
     ScenarioSpec,
     scenario_preset,
 )
 
-__all__ = [
-    "APPLICATIONS",
-    "PAPER",
-    "PaperConstants",
-    "SCENARIOS",
-    "ExperimentConfig",
-]
-
-#: applications known to the runner — derived from the registry
-APPLICATIONS = applications.names()
-
-#: legacy config fields feeding each overlay's parameters
-_OVERLAY_LEGACY_PARAMS = {
-    "kout": {"k": "out_degree"},
-    "watts-strogatz": {"degree": "ws_degree", "rewire": "ws_rewire"},
-}
-
-#: legacy config fields forwarded as application parameters (same name
-#: on both sides; filtered per app by the parameters the registered
-#: plugin actually declares)
-_APP_LEGACY_FIELDS = (
-    "grading_scale",
-    "pull_on_rejoin",
-    "inject_interval",
-    "reactive_injection",
-    "target_replication",
-    "objects_per_node",
-    "fail_fraction",
-    "fail_window",
-    "detection_delay",
-)
+__all__ = ["PAPER", "ExperimentConfig"]
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything needed to reproduce one simulation run.
+def ExperimentConfig(
+    app: str,
+    strategy: str,
+    spend_rate: Optional[int] = None,  # A
+    capacity: Optional[int] = None,  # C
+    n: int = PAPER.n_small,
+    periods: int = PAPER.periods,
+    period: float = PAPER.period,
+    transfer_time: float = PAPER.transfer_time,
+    scenario: str = "failure-free",  # churn preset name
+    seed: int = 1,
+    overlay: Optional[str] = None,  # None = the app's default (§4.1)
+    out_degree: int = PAPER.out_degree,  # k-out overlay: k
+    ws_degree: int = PAPER.ws_degree,  # Watts–Strogatz: degree
+    ws_rewire: float = PAPER.ws_rewire,  # Watts–Strogatz: rewire
+    inject_interval: float = PAPER.inject_interval,
+    initial_tokens: int = PAPER.initial_tokens,
+    sample_interval: Optional[float] = None,  # None = Δ/2
+    collect_tokens: bool = False,
+    audit_sends: bool = False,
+    pull_on_rejoin: bool = True,
+    reactive_injection: bool = False,
+    reactive_fanout: int = 1,  # strategy "reactive" only: fanout
+    loss_rate: float = 0.0,
+    transfer_jitter: float = 0.0,
+    period_spread: float = 0.0,
+    grading_scale: Optional[float] = None,
+    target_replication: int = 3,
+    objects_per_node: float = 1.0,
+    fail_fraction: float = 0.2,
+    fail_window: tuple = (0.25, 0.35),
+    detection_delay: Optional[float] = None,
+    backend: str = "event",
+) -> ScenarioSpec:
+    """Build the :class:`ScenarioSpec` of one cell from flat keywords.
 
-    Parameters mirror the paper: ``strategy`` is one of ``proactive`` /
-    ``simple`` / ``generalized`` / ``randomized`` (plus the ``reactive``
-    reference and the graded extensions), ``spend_rate`` is A,
-    ``capacity`` is C. ``repro list`` enumerates every registered
-    component with its parameter schema.
+    ``strategy`` is one of ``proactive`` / ``simple`` / ``generalized`` /
+    ``randomized`` (plus the ``reactive`` reference and the graded
+    extensions), ``spend_rate`` is A, ``capacity`` is C; ``repro list``
+    enumerates every registered component with its parameter schema.
+    Each keyword lands on the one component that declares it: strategy
+    keywords the strategy does not take are dropped (``spend_rate`` for
+    ``simple``), application keywords go to the selected app only, the
+    overlay keywords to the overlay they are named for, ``scenario`` to
+    its churn preset and the transport keywords to the
+    :class:`NetworkSpec`; the rest are spec fields of the same name.
     """
-
-    app: str
-    strategy: str
-    spend_rate: Optional[int] = None
-    capacity: Optional[int] = None
-    n: int = PAPER.n_small
-    periods: int = PAPER.periods
-    period: float = PAPER.period
-    transfer_time: float = PAPER.transfer_time
-    scenario: str = "failure-free"
-    seed: int = 1
-    #: overlay registry name; ``None`` uses the app's default (§4.1:
-    #: k-out for gossip, Watts–Strogatz for chaotic iteration)
-    overlay: Optional[str] = None
-    out_degree: int = PAPER.out_degree
-    ws_degree: int = PAPER.ws_degree
-    ws_rewire: float = PAPER.ws_rewire
-    inject_interval: float = PAPER.inject_interval
-    initial_tokens: int = PAPER.initial_tokens
-    #: metric sampling interval; defaults to Δ/2
-    sample_interval: Optional[float] = None
-    #: collect the average token balance series (Figure 5)
-    collect_tokens: bool = False
-    #: record per-node send timestamps for burst auditing
-    audit_sends: bool = False
-    #: §4.1.2 pull request on rejoin (churn scenarios, push gossip)
-    pull_on_rejoin: bool = True
-    #: ablation: route injected updates through the reactive path
-    reactive_injection: bool = False
-    #: purely reactive reference fanout (strategy == "reactive" only)
-    reactive_fanout: int = 1
-    #: i.i.d. in-transit message drop probability (fault injection; the
-    #: paper's default is reliable transfer, i.e. 0.0)
-    loss_rate: float = 0.0
-    #: relative uniform jitter on the per-message transfer time (0.0
-    #: keeps the paper's deterministic latency)
-    transfer_jitter: float = 0.0
-    #: heterogeneous proactive periods: each node's period is drawn
-    #: uniformly from ``period * (1 ± period_spread)``
-    period_spread: float = 0.0
-    #: graded usefulness scale (§3.1 future work); None keeps the
-    #: paper's boolean usefulness
-    grading_scale: Optional[float] = None
-    #: replication-repair (§5 extension): replicas per object
-    target_replication: int = 3
-    #: replication-repair: objects placed per node
-    objects_per_node: float = 1.0
-    #: replication-repair: fraction of nodes failing permanently
-    fail_fraction: float = 0.2
-    #: replication-repair: failure window as fractions of the horizon
-    #: (narrow window = correlated failure burst)
-    fail_window: tuple = (0.25, 0.35)
-    #: replication-repair: failure detection delay; None = one period
-    detection_delay: Optional[float] = None
-    #: simulation backend registry name (``"event"`` = the exact
-    #: discrete-event reference, ``"vectorized"`` = the bulk-synchronous
-    #: NumPy engine for large N; see :mod:`repro.backends`)
-    backend: str = "event"
-
-    def __post_init__(self) -> None:
-        # Compiling to a spec runs the full registry validation chain:
-        # unknown components, parameter schemas, strategy/plugin value
-        # checks and churn compatibility all fail fast here.
-        self.to_spec()
-
-    # ------------------------------------------------------------------
-    @property
-    def horizon(self) -> float:
-        """Total simulated time in seconds."""
-        return self.periods * self.period
-
-    @property
-    def effective_sample_interval(self) -> float:
-        return self.sample_interval if self.sample_interval else self.period / 2
-
-    # ------------------------------------------------------------------
-    def to_spec(self) -> ScenarioSpec:
-        """Compile into the declarative :class:`ScenarioSpec`.
-
-        Legacy flat fields are routed to the component that declares
-        them: ``out_degree`` feeds the k-out overlay, ``grading_scale``
-        whichever app is selected, and so on. The reverse mapping does
-        not exist — specs are the richer surface.
-
-        The compiled spec is memoized (both dataclasses are frozen, so
-        it can never go stale): ``__post_init__`` validation and the
-        runner share one compilation instead of re-validating the whole
-        registry chain per call.
-        """
-        cached = self.__dict__.get("_compiled_spec")
-        if cached is not None:
-            return cached
-        preset = scenario_preset(self.scenario)
-        app_registration = applications.get(self.app)
-        app_params = {
-            name: getattr(self, name)
-            for name in _APP_LEGACY_FIELDS
-            if name in app_registration.param_names
-        }
-
-        strategy_params = strategies.get(self.strategy).filter_params(
-            {
-                "spend_rate": self.spend_rate,
-                "capacity": self.capacity,
-                "fanout": self.reactive_fanout,
-            }
-        )
-
-        overlay_name = (
-            self.overlay
-            if self.overlay is not None
-            else app_registration.factory.default_overlay
-        )
-        overlay_registration = overlays.get(overlay_name)
-        overlay_params = {
-            param: getattr(self, field)
-            for param, field in _OVERLAY_LEGACY_PARAMS.get(overlay_name, {}).items()
-            if param in overlay_registration.param_names
-        }
-
-        spec = ScenarioSpec(
-            app=ComponentRef.of(self.app, **app_params),
-            strategy=ComponentRef.of(self.strategy, **strategy_params),
-            overlay=ComponentRef.of(overlay_name, **overlay_params),
-            churn=preset.churn,
-            network=NetworkSpec(
-                transfer_time=self.transfer_time,
-                loss_rate=self.loss_rate,
-                transfer_jitter=self.transfer_jitter,
-            ),
-            n=self.n,
-            periods=self.periods,
-            period=self.period,
-            period_spread=self.period_spread,
-            seed=self.seed,
-            initial_tokens=self.initial_tokens,
-            sample_interval=self.sample_interval,
-            collect_tokens=self.collect_tokens,
-            audit_sends=self.audit_sends,
-            backend=self.backend,
-        )
-        # Frozen dataclass: cache via __dict__, not setattr.
-        object.__setattr__(self, "_compiled_spec", spec)
-        return spec
-
-    def make_strategy(self) -> Strategy:
-        """Instantiate the configured strategy."""
-        return make_strategy(
-            self.strategy,
-            spend_rate=self.spend_rate,
-            capacity=self.capacity,
-            fanout=self.reactive_fanout,
-        )
-
-    def label(self) -> str:
-        """Short human-readable label for reports and plots."""
-        return f"{self.app}/{self.make_strategy().describe()}/{self.scenario}"
-
-    def with_overrides(self, **overrides) -> "ExperimentConfig":
-        """A copy with the given fields replaced."""
-        return replace(self, **overrides)
-
-    def canonical_dict(self) -> dict:
-        """A canonical, JSON-ready identity dict for content hashing.
-
-        Mirrors :meth:`repro.scenarios.ScenarioSpec.canonical_dict`: the
-        result store keys flat legacy configs by their own fields (not
-        by the compiled spec), so the two surfaces never share cache
-        entries — a hit always returns a result whose ``config`` field
-        is bit-identical to the one requested.
-        """
-        return {"kind": type(self).__name__, "fields": asdict(self)}
+    churn = scenario_preset(scenario).churn
+    app_registration = applications.get(app)
+    app_keywords = {
+        "grading_scale": grading_scale,
+        "pull_on_rejoin": pull_on_rejoin,
+        "inject_interval": inject_interval,
+        "reactive_injection": reactive_injection,
+        "target_replication": target_replication,
+        "objects_per_node": objects_per_node,
+        "fail_fraction": fail_fraction,
+        "fail_window": fail_window,
+        "detection_delay": detection_delay,
+    }
+    app_params = {
+        name: value
+        for name, value in app_keywords.items()
+        if name in app_registration.param_names
+    }
+    strategy_params = strategies.get(strategy).filter_params(
+        {"spend_rate": spend_rate, "capacity": capacity, "fanout": reactive_fanout}
+    )
+    if overlay is None:
+        overlay = app_registration.factory.default_overlay
+    overlay_params = {
+        "kout": {"k": out_degree},
+        "watts-strogatz": {"degree": ws_degree, "rewire": ws_rewire},
+    }.get(overlay, {})
+    return ScenarioSpec(
+        app=ComponentRef.of(app, **app_params),
+        strategy=ComponentRef.of(strategy, **strategy_params),
+        overlay=ComponentRef.of(overlay, **overlay_params),
+        churn=churn,
+        network=NetworkSpec(
+            transfer_time=transfer_time,
+            loss_rate=loss_rate,
+            transfer_jitter=transfer_jitter,
+        ),
+        n=n,
+        periods=periods,
+        period=period,
+        period_spread=period_spread,
+        seed=seed,
+        initial_tokens=initial_tokens,
+        sample_interval=sample_interval,
+        collect_tokens=collect_tokens,
+        audit_sends=audit_sends,
+        backend=backend,
+    )

@@ -6,9 +6,10 @@ stack. Two formats:
 * **CSV** — one row per sample; figure data is written wide (one column
   per labeled series, empty cells where a series has no sample at that
   time).
-* **JSON** — a self-describing document including the configuration, the
-  series, and the accounting; round-trips through
-  :func:`load_result_json`.
+* **JSON** — a self-describing document including the configuration
+  (the nested :class:`~repro.scenarios.ScenarioSpec` shape, marked
+  ``"config_format": "scenario-spec-v1"``), the series, and the
+  accounting; round-trips through :func:`load_result_json`.
 
 Used by the CLI (``--save out.json`` / ``--save out.csv``) and directly::
 
@@ -28,7 +29,6 @@ from repro.experiments.figures import FigureData
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.suite import SuiteResult
 from repro.metrics.series import TimeSeries
-from repro.scenarios import ScenarioSpec
 
 PathLike = Union[str, Path]
 
@@ -39,27 +39,15 @@ PathLike = Union[str, Path]
 def result_to_dict(result: ExperimentResult) -> dict:
     """A JSON-serializable view of an experiment result.
 
-    ``config`` is the flat :class:`ExperimentConfig` shape for legacy
-    runs; results built from a :class:`~repro.scenarios.ScenarioSpec`
-    embed the nested spec shape instead and mark it with
-    ``"config_format": "scenario-spec-v1"`` so schema-aware consumers
-    can branch (the flat shape carries no marker).
+    ``config`` is the nested :class:`~repro.scenarios.ScenarioSpec`
+    shape (component refs as ``{"name", "params"}``), marked
+    ``"config_format": "scenario-spec-v1"``.
     """
-    config = dataclasses.asdict(result.config)
-    # Tuples are not JSON round-trippable; normalize.
-    config = {
-        key: list(value) if isinstance(value, tuple) else value
-        for key, value in config.items()
-    }
     document = {
         "format": "repro-result-v1",
         "label": result.label,
-        "config": config,
-        **(
-            {"config_format": "scenario-spec-v1"}
-            if isinstance(result.config, ScenarioSpec)
-            else {}
-        ),
+        "config": dataclasses.asdict(result.config),
+        "config_format": "scenario-spec-v1",
         "metric": {
             "times": list(result.metric.times),
             "values": list(result.metric.values),

@@ -1,9 +1,9 @@
 """Build and run configured experiments over the component registries.
 
 :func:`run_experiment` is the one-call entry point used by tests,
-benches and examples. It accepts either the flat legacy
-:class:`~repro.experiments.config.ExperimentConfig` or a declarative
-:class:`~repro.scenarios.ScenarioSpec`::
+benches and examples. It takes a :class:`~repro.scenarios.ScenarioSpec`,
+built directly or through the flat-keyword constructor
+:func:`~repro.experiments.config.ExperimentConfig`::
 
     from repro.experiments import ExperimentConfig, run_experiment
 
@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import time as _wallclock
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from repro.churn.schedule import ChurnSchedule
 from repro.core.protocol import TokenAccountNode
 from repro.core.ratelimit import RateLimitAuditor
-from repro.experiments.config import ExperimentConfig
 from repro.metrics.collectors import MetricCollector, TokenBalanceCollector
 from repro.metrics.series import TimeSeries
 from repro.overlay.peer_sampling import PeerSampler
@@ -48,15 +47,12 @@ from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkStats
 from repro.sim.randomness import RandomStreams
 
-#: what the runner accepts: the flat veneer or the declarative spec
-ConfigLike = Union[ExperimentConfig, ScenarioSpec]
-
 
 @dataclass
 class ExperimentResult:
     """Time series and accounting from one finished run."""
 
-    config: ConfigLike
+    config: ScenarioSpec
     label: str
     #: the application's performance metric over time
     metric: TimeSeries
@@ -108,9 +104,7 @@ class Experiment:
     ``None`` so callers can probe them uniformly.
     """
 
-    def __init__(self, config: ConfigLike):
-        self.config = config
-        spec = config.to_spec() if isinstance(config, ExperimentConfig) else config
+    def __init__(self, spec: ScenarioSpec):
         self.spec = spec
         streams = RandomStreams(spec.seed)
         self.streams = streams
@@ -270,8 +264,8 @@ class Experiment:
             violations = self.auditor.check(audit_period, self.strategy.token_capacity)
         extras = self.plugin.result_extras(self._context, self._metric_obj)
         return ExperimentResult(
-            config=self.config,
-            label=self.config.label(),
+            config=spec,
+            label=spec.label(),
             metric=self.collector.series,
             tokens=(self.token_collector.series if self.token_collector else None),
             network=self.network.stats,
@@ -285,8 +279,8 @@ class Experiment:
         )
 
 
-def execute_backend(config: ConfigLike) -> ExperimentResult:
-    """Dispatch one configuration to its simulation backend.
+def execute_backend(spec: ScenarioSpec) -> ExperimentResult:
+    """Dispatch one spec to its simulation backend.
 
     The spec's ``backend`` field names a :data:`repro.registry.backends`
     entry (``"event"`` = the exact discrete-event reference built by
@@ -297,11 +291,10 @@ def execute_backend(config: ConfigLike) -> ExperimentResult:
     """
     from repro.registry import backends
 
-    spec = config.to_spec() if isinstance(config, ExperimentConfig) else config
-    return backends.create(spec.backend).run(config)
+    return backends.create(spec.backend).run(spec)
 
 
-def run_experiment(config: ConfigLike, store=None) -> ExperimentResult:
+def run_experiment(config: ScenarioSpec, store=None) -> ExperimentResult:
     """Build and run one experiment (the main library entry point).
 
     With a :class:`~repro.store.ResultStore` passed as ``store``, the
@@ -324,7 +317,7 @@ def run_experiment(config: ConfigLike, store=None) -> ExperimentResult:
 REPEAT_SEED_OFFSET = 1000
 
 
-def replicate_seeds(config: ConfigLike, repeats: int) -> List[ConfigLike]:
+def replicate_seeds(config: ScenarioSpec, repeats: int) -> List[ScenarioSpec]:
     """The ``repeats`` seed variants behind an averaged run.
 
     Every repetition is the same configuration under an independent root
@@ -341,7 +334,7 @@ def replicate_seeds(config: ConfigLike, repeats: int) -> List[ConfigLike]:
     ]
 
 
-def run_averaged(config: ConfigLike, repeats: int) -> ExperimentResult:
+def run_averaged(config: ScenarioSpec, repeats: int) -> ExperimentResult:
     """Average the metric over ``repeats`` independent seeds (§4.2 runs 10).
 
     Series are averaged pointwise; all runs share the sampling grid, so

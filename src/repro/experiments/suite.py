@@ -3,8 +3,8 @@
 The paper's evaluation is a large fan of *independent* simulation runs:
 a 63-cell (A, C) grid per strategy and application (§4.2), ten-seed
 repetition fans behind every figure curve, and five figures. Each cell
-is a self-contained :class:`~repro.experiments.config.ExperimentConfig`
-whose seed fully determines its outcome — an embarrassingly parallel
+is a self-contained :class:`~repro.scenarios.ScenarioSpec` whose seed
+fully determines its outcome — an embarrassingly parallel
 workload. This module turns such fans into first-class objects:
 
 * :class:`ExperimentSuite` — a named, ordered bundle of configs with
@@ -45,19 +45,14 @@ from typing import (
     Tuple,
 )
 
-from repro.experiments.runner import (
-    ConfigLike,
-    ExperimentResult,
-    replicate_seeds,
-    run_experiment,
-)
+from repro.experiments.runner import replicate_seeds, run_experiment
 from repro.experiments.scale import worker_count
+from repro.scenarios import ScenarioSpec
 from repro.store import ResultStore, StoreMissError
 
 #: signature of a cell task: one config in, one (picklable) result out.
-#: Cells are :class:`ExperimentConfig` or :class:`ScenarioSpec` — both
-#: frozen, picklable and seed-complete — and may be mixed in one suite.
-CellTask = Callable[[ConfigLike], Any]
+#: Cells are :class:`ScenarioSpec` — frozen, picklable and seed-complete.
+CellTask = Callable[[ScenarioSpec], Any]
 
 #: cells submitted to the pool per worker at once: a bounded queue keeps
 #: memory flat on huge suites and still overlaps scheduling with execution
@@ -77,7 +72,7 @@ class ExperimentSuite:
     """
 
     name: str
-    configs: Tuple[ConfigLike, ...]
+    configs: Tuple[ScenarioSpec, ...]
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -87,7 +82,7 @@ class ExperimentSuite:
     def __len__(self) -> int:
         return len(self.configs)
 
-    def __iter__(self) -> Iterator[ConfigLike]:
+    def __iter__(self) -> Iterator[ScenarioSpec]:
         return iter(self.configs)
 
     # ------------------------------------------------------------------
@@ -95,7 +90,7 @@ class ExperimentSuite:
     def from_configs(
         cls,
         name: str,
-        configs: Iterable[ConfigLike],
+        configs: Iterable[ScenarioSpec],
         description: str = "",
     ) -> "ExperimentSuite":
         """Bundle an explicit config sequence into a named suite."""
@@ -105,14 +100,15 @@ class ExperimentSuite:
     def from_grid(
         cls,
         name: str,
-        base: ConfigLike,
+        base: ScenarioSpec,
         description: str = "",
         **axes: Sequence[Any],
     ) -> "ExperimentSuite":
         """Cartesian product of config-field axes over a base config.
 
-        ``axes`` maps config (or spec) field names to value
-        sequences; the grid is enumerated in row-major order with the
+        ``axes`` maps spec field names — or parameter names of the base's
+        components, routed by :meth:`ScenarioSpec.with_overrides` — to
+        value sequences; the grid is enumerated in row-major order with the
         *last* keyword varying fastest (like nested loops)::
 
             suite = ExperimentSuite.from_grid(
@@ -159,7 +155,7 @@ class CellResult:
     """One executed cell: its config, payload, and worker-side timing."""
 
     index: int
-    config: ConfigLike
+    config: ScenarioSpec
     #: whatever the task returned; :class:`ExperimentResult` by default
     result: Any
     #: wall-clock seconds the cell took inside its worker (0.0 when the
@@ -255,7 +251,7 @@ class SuiteExecutionError(RuntimeError):
     callers handle worker failures the same way on every platform.
     """
 
-    def __init__(self, index: int, config: ConfigLike, cause: BaseException):
+    def __init__(self, index: int, config: ScenarioSpec, cause: BaseException):
         super().__init__(
             f"suite cell {index} ({config.label()}, seed={config.seed}) "
             f"failed: {cause!r}"
@@ -302,7 +298,7 @@ def print_progress(progress: SuiteProgress) -> None:
 # Execution
 # ----------------------------------------------------------------------
 def _execute_cell(
-    task: CellTask, index: int, config: ConfigLike
+    task: CellTask, index: int, config: ScenarioSpec
 ) -> Tuple[int, Any, float]:
     """Worker-side wrapper: run one cell and time it."""
     started = time.perf_counter()
@@ -409,10 +405,10 @@ class SuiteRunner:
     # ------------------------------------------------------------------
     def _partition(
         self, suite: ExperimentSuite
-    ) -> Tuple[Dict[int, CellResult], List[Tuple[int, ConfigLike]]]:
+    ) -> Tuple[Dict[int, CellResult], List[Tuple[int, ScenarioSpec]]]:
         """Split the suite into store hits and cells that must execute."""
         cached: Dict[int, CellResult] = {}
-        pending: List[Tuple[int, ConfigLike]] = []
+        pending: List[Tuple[int, ScenarioSpec]] = []
         if self.store is None:
             return cached, list(enumerate(suite))
         for index, config in enumerate(suite):
@@ -429,7 +425,7 @@ class SuiteRunner:
                 pending.append((index, config))
         return cached, pending
 
-    def _persist(self, config: ConfigLike, result: Any) -> None:
+    def _persist(self, config: ScenarioSpec, result: Any) -> None:
         """Write one finished cell to the store (when one is attached)."""
         if self.store is not None:
             self.store.put(config, result, task=self.task)
@@ -450,7 +446,7 @@ class SuiteRunner:
     def _run_serial(
         self,
         suite: ExperimentSuite,
-        pending: List[Tuple[int, ConfigLike]],
+        pending: List[Tuple[int, ScenarioSpec]],
         base_done: int,
     ) -> Dict[int, CellResult]:
         t0 = time.perf_counter()
@@ -470,7 +466,7 @@ class SuiteRunner:
     def _run_pooled(
         self,
         suite: ExperimentSuite,
-        pending: List[Tuple[int, ConfigLike]],
+        pending: List[Tuple[int, ScenarioSpec]],
         base_done: int,
         workers: int,
     ) -> Dict[int, CellResult]:
@@ -520,7 +516,7 @@ class SuiteRunner:
 
 
 # ----------------------------------------------------------------------
-# Convenience entry points
+# Convenience entry point
 # ----------------------------------------------------------------------
 def run_suite(
     suite: ExperimentSuite,
@@ -533,19 +529,3 @@ def run_suite(
     return SuiteRunner(
         workers=workers, progress=progress, store=store, offline=offline
     ).run(suite)
-
-
-def run_configs(
-    name: str,
-    configs: Iterable[ConfigLike],
-    workers: Optional[int] = None,
-    progress: Optional[Callable[[SuiteProgress], None]] = None,
-    store: Optional[ResultStore] = None,
-) -> List[ExperimentResult]:
-    """Run a bag of configs and return their results in input order.
-
-    The minimal bridge for call sites that used to loop over
-    :func:`run_experiment`: same inputs, same outputs, parallel inside.
-    """
-    suite = ExperimentSuite.from_configs(name, configs)
-    return run_suite(suite, workers=workers, progress=progress, store=store).results()

@@ -24,6 +24,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.scale import ScalePreset, current_scale
 from repro.experiments.suite import ExperimentSuite, run_suite
 from repro.registry import strategies
+from repro.scenarios import ScenarioSpec
 
 #: the paper's grid (§4.2)
 PAPER_A_VALUES: Tuple[int, ...] = (1, 2, 5, 10, 15, 20, 40)
@@ -104,7 +105,7 @@ def sweep_suite(
         c_minus_a = PAPER_C_MINUS_A if scale.name == "paper" else QUICK_C_MINUS_A
     takes_spend_rate = _takes_spend_rate(strategy)
     coordinates: List[Tuple[int, int]] = []
-    configs: List[ExperimentConfig] = []
+    configs: List[ScenarioSpec] = []
     for spend_rate, capacity in parameter_grid(a_values, c_minus_a):
         if not takes_spend_rate and spend_rate != a_values[0]:
             continue  # strategies without an A parameter sweep C only

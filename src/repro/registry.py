@@ -116,10 +116,10 @@ class Registration:
     def filter_params(self, candidates: Mapping[str, Any]) -> Dict[str, Any]:
         """Keep the candidates this component declares, dropping ``None``.
 
-        The bridge from flat legacy surfaces (``make_strategy``'s unified
-        signature, ``ExperimentConfig``'s shared fields) to the strict
-        per-component schema: one filter, used by every such surface, so
-        they cannot drift apart.
+        The bridge from flat keyword surfaces (``make_strategy``'s unified
+        signature, the ``ExperimentConfig(...)`` constructor's strategy
+        keywords) to the strict per-component schema: one filter, used by
+        every such surface, so they cannot drift apart.
         """
         declared = set(self.param_names)
         return {

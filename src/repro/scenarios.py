@@ -26,15 +26,17 @@ harness could not express (chaotic iteration under the trace, lossy
 small-world push gossip, a flash-crowd churn schedule).
 
 Specs are frozen, picklable and fully determine a run together with
-their ``seed`` — the same determinism contract as
-:class:`~repro.experiments.config.ExperimentConfig`, which remains as
-the flat legacy veneer and compiles into a spec via
-``ExperimentConfig.to_spec()``.
+their ``seed``. The spec is the only configuration type: the flat
+keywords callers know (``capacity=``, ``out_degree=``, ``scenario=``)
+are :func:`repro.experiments.config.ExperimentConfig`, a function that
+routes each keyword to its component and returns a spec, and
+:meth:`ScenarioSpec.with_overrides` routes a component parameter name
+the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Dict, Optional, Tuple
 
 # ----------------------------------------------------------------------
@@ -241,7 +243,7 @@ SCENARIO_PRESETS: Dict[str, ScenarioPreset] = {
     ),
 }
 
-#: scenario names accepted by ``ExperimentConfig.scenario`` and the CLI
+#: scenario names accepted by ``ExperimentConfig(scenario=...)`` and the CLI
 SCENARIOS: Tuple[str, ...] = tuple(SCENARIO_PRESETS)
 
 
@@ -313,6 +315,10 @@ class ScenarioSpec:
             raise ValueError(
                 f"period_spread must be in [0, 1), got {self.period_spread}"
             )
+        if self.sample_interval is not None and self.sample_interval <= 0:
+            raise ValueError(
+                f"sample_interval must be positive, got {self.sample_interval}"
+            )
         backends.get(self.backend)  # unknown backend names fail fast
         app_registration = applications.get(self.app.name)
         app_registration.validate(self.app.kwargs)
@@ -355,7 +361,9 @@ class ScenarioSpec:
     @property
     def effective_sample_interval(self) -> float:
         """The metric sampling interval (default: half a period)."""
-        return self.sample_interval if self.sample_interval else self.period / 2
+        if self.sample_interval is None:
+            return self.period / 2
+        return self.sample_interval
 
     @property
     def scenario_name(self) -> str:
@@ -394,8 +402,55 @@ class ScenarioSpec:
         )
 
     def with_overrides(self, **overrides: Any) -> "ScenarioSpec":
-        """A copy with the given top-level fields replaced."""
-        return replace(self, **overrides)
+        """A copy with the given fields or component parameters replaced.
+
+        A name that is a spec field replaces that field. Any other name
+        goes to the one component of *this* spec — strategy, app,
+        resolved overlay, churn or network — whose registered schema
+        declares it (``spend_rate=5`` on a ``randomized`` spec re-keys
+        its strategy ref; ``loss_rate=0.1`` the network), which is what
+        lets :meth:`ExperimentSuite.from_grid` sweep ``capacity`` and
+        ``seed`` alike. A name that no component declares, or more than
+        one does, raises ``TypeError``.
+        """
+        spec_fields = {field.name for field in fields(self)}
+        changes = {k: v for k, v in overrides.items() if k in spec_fields}
+        routed = [name for name in overrides if name not in spec_fields]
+        declared = self._declared_params() if routed else {}
+        for name in routed:
+            owners = [axis for axis, names in declared.items() if name in names]
+            if len(owners) != 1:
+                raise TypeError(
+                    f"with_overrides() got {name!r}: not a spec field, and "
+                    + (
+                        f"declared by more than one component ({', '.join(owners)})"
+                        if owners
+                        else f"no component of {self.label()} declares it"
+                    )
+                )
+            (axis,) = owners
+            component = changes.get(axis, getattr(self, axis))
+            if component is None:
+                component = self.resolved_overlay()
+            update = {name: overrides[name]}
+            changes[axis] = (
+                replace(component, **update)
+                if axis == "network"
+                else component.with_params(**update)
+            )
+        return replace(self, **changes)
+
+    def _declared_params(self) -> Dict[str, Tuple[str, ...]]:
+        """The parameter names each component axis of this spec declares."""
+        from repro.registry import applications, churn_models, overlays, strategies
+
+        return {
+            "strategy": strategies.get(self.strategy.name).param_names,
+            "app": applications.get(self.app.name).param_names,
+            "overlay": overlays.get(self.resolved_overlay().name).param_names,
+            "churn": churn_models.get(self.churn.name).param_names,
+            "network": tuple(field.name for field in fields(NetworkSpec)),
+        }
 
     def canonical_dict(self) -> Dict[str, Any]:
         """A canonical, JSON-ready identity dict for content hashing.
@@ -403,8 +458,7 @@ class ScenarioSpec:
         The result-store key (:func:`repro.store.cell_key`) is derived
         from this dict: it must cover every field that can influence a
         run, and nothing else. ``dataclasses.asdict`` does exactly that
-        for a frozen spec — the ``kind`` tag keeps spec-built cells
-        distinct from :class:`~repro.experiments.config.ExperimentConfig`
-        cells whose compiled spec happens to coincide.
+        for a frozen spec; the ``kind`` tag keeps specs apart from any
+        other configuration object a custom task may key by.
         """
         return {"kind": type(self).__name__, "fields": asdict(self)}

@@ -1,9 +1,8 @@
 """Canonical content hashing for experiment cells.
 
 A cell's result is a pure function of three things: the configuration
-(an :class:`~repro.experiments.config.ExperimentConfig` or a
-:class:`~repro.scenarios.ScenarioSpec`, both of which embed the seed),
-the per-cell task that turns the configuration into a result, and the
+(a :class:`~repro.scenarios.ScenarioSpec`, which embeds the seed), the
+per-cell task that turns the configuration into a result, and the
 version of the code that computes it. :func:`cell_key` hashes exactly
 those three into a hex digest used as the store address.
 
@@ -11,8 +10,9 @@ Canonicalisation rules:
 
 * configurations serialize through ``dataclasses.asdict`` (or their own
   ``canonical_dict`` hook when they define one), tagged with the class
-  name so the flat legacy surface and the declarative spec never
-  collide even when they compile to the same simulation;
+  name. There is one built-in configuration type, so a cell built by
+  the flat-keyword ``ExperimentConfig(...)`` constructor and the equal
+  hand-built spec share one key;
 * the dict is rendered as minified JSON with sorted keys — tuples
   become arrays, floats use ``repr``-exact encoding, so equal
   configurations always produce byte-identical documents;
@@ -32,9 +32,9 @@ from typing import Any, Callable, Optional
 
 #: Version of the stored-result schema. Part of every cell key: bumping
 #: it invalidates all previously stored entries at once. Bump when the
-#: fields of ``ExperimentResult`` / ``ExperimentConfig`` /
-#: ``ScenarioSpec`` change shape or meaning, or when a simulation change
-#: intentionally alters results for identical configurations.
+#: fields of ``ExperimentResult`` / ``ScenarioSpec`` change shape or
+#: meaning, or when a simulation change intentionally alters results for
+#: identical configurations.
 #:
 #: History:
 #:
@@ -66,10 +66,11 @@ def task_identity(task: Optional[Callable[..., Any]]) -> str:
 def config_fingerprint(config: Any) -> dict:
     """A JSON-ready canonical dict identifying one configuration.
 
-    Dataclass configurations (the two built-in surfaces) are expanded
-    recursively; anything else must provide a ``canonical_dict()``
-    method. The class name is embedded so distinct surfaces with
-    identical field values stay distinct.
+    Dataclass configurations (:class:`~repro.scenarios.ScenarioSpec`,
+    or whatever a custom task is keyed by) are expanded recursively;
+    anything else must provide a ``canonical_dict()`` method. The class
+    name is embedded so distinct types with identical field values stay
+    distinct.
     """
     hook = getattr(config, "canonical_dict", None)
     if callable(hook):

@@ -73,7 +73,6 @@ class StoreEntry:
     task: str
     label: str
     seed: int
-    config_kind: str
     created_at: str
     path: Path
     #: light derived numbers for listings/diffs (final metric, sizes)
@@ -159,7 +158,6 @@ class ResultStore:
             "task": task_identity(task),
             "label": self._label_of(config),
             "seed": getattr(config, "seed", 0),
-            "config_kind": type(config).__name__,
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
             "result": result,
         }
@@ -278,7 +276,6 @@ class ResultStore:
             task=payload.get("task", ""),
             label=payload.get("label", ""),
             seed=payload.get("seed", 0),
-            config_kind=payload.get("config_kind", ""),
             created_at=payload.get("created_at", ""),
             path=path,
             summary=summary,

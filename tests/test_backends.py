@@ -56,8 +56,8 @@ def test_spec_rejects_unknown_backend():
 
 
 def test_config_backend_flows_into_spec():
-    assert vec_config().to_spec().backend == "vectorized"
-    assert vec_config(backend="event").to_spec().backend == "event"
+    assert vec_config().backend == "vectorized"
+    assert vec_config(backend="event").backend == "event"
 
 
 def test_cli_lists_backends(capsys):
@@ -206,7 +206,7 @@ def test_spec_validates_initial_tokens_for_every_backend():
     cfg = vec_config(
         strategy="reactive", spend_rate=None, capacity=None, initial_tokens=-1
     )
-    assert cfg.to_spec().initial_tokens == -1
+    assert cfg.initial_tokens == -1
 
 
 def test_vectorized_tolerates_zero_degree_sink_node():

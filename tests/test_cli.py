@@ -129,7 +129,7 @@ def test_run_save_json(tmp_path, capsys):
     from repro.experiments.export import load_result_json
 
     document = load_result_json(out_file)
-    assert document["config"]["capacity"] == 5
+    assert dict(document["config"]["strategy"]["params"])["capacity"] == 5
 
 
 def test_list_command(capsys):

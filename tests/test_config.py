@@ -1,8 +1,13 @@
-"""Tests for experiment configuration."""
+"""The contract of ``ExperimentConfig``: a flat-keyword ScenarioSpec constructor."""
+
+import inspect
 
 import pytest
 
 from repro.experiments.config import PAPER, ExperimentConfig
+from repro.registry import applications
+from repro.scenarios import ComponentRef, NetworkSpec, ScenarioSpec
+from repro.store import cell_key
 
 
 def test_paper_constants_match_section_4_1():
@@ -20,6 +25,53 @@ def test_paper_constants_match_section_4_1():
     assert PAPER.periods == 1000
     # Two days of 1000 periods:
     assert PAPER.periods * PAPER.period == pytest.approx(172_800.0)
+
+
+def test_constructor_returns_the_one_config_type():
+    config = ExperimentConfig(app="push-gossip", strategy="proactive")
+    assert type(config) is ScenarioSpec
+    assert len(inspect.signature(ExperimentConfig).parameters) == 32
+
+
+#: the explicit parameters a flat call hands each registered app
+PUSH_PARAMS = dict(
+    grading_scale=None,
+    inject_interval=17.28,
+    pull_on_rejoin=True,
+    reactive_injection=False,
+)
+APP_PARAMS = {
+    "chaotic-iteration": dict(grading_scale=None),
+    "gossip-learning": dict(grading_scale=None),
+    "push-gossip": PUSH_PARAMS,
+    "push-pull-gossip": PUSH_PARAMS,
+    "replication-repair": dict(
+        target_replication=3,
+        objects_per_node=1.0,
+        fail_fraction=0.2,
+        fail_window=(0.25, 0.35),
+        detection_delay=None,
+    ),
+}
+
+
+@pytest.mark.parametrize("app", applications.names())
+def test_flat_call_equals_the_hand_built_spec(app):
+    flat = ExperimentConfig(
+        app=app, strategy="randomized", spend_rate=5, capacity=10, n=80, loss_rate=0.1
+    )
+    overlay = ComponentRef.of("kout", k=20)
+    if app == "chaotic-iteration":
+        overlay = ComponentRef.of("watts-strogatz", degree=4, rewire=0.01)
+    by_hand = ScenarioSpec(
+        app=ComponentRef.of(app, **APP_PARAMS[app]),
+        strategy=ComponentRef.of("randomized", spend_rate=5, capacity=10),
+        overlay=overlay,
+        network=NetworkSpec(loss_rate=0.1),
+        n=80,
+    )
+    assert flat == by_hand
+    assert cell_key(flat) == cell_key(by_hand)
 
 
 def test_default_config_uses_paper_values():
@@ -45,7 +97,7 @@ def test_chaotic_iteration_under_churn_now_composes():
     config = ExperimentConfig(
         app="chaotic-iteration", strategy="proactive", scenario="trace"
     )
-    assert config.to_spec().churn.name == "stunner-trace"
+    assert config.churn.name == "stunner-trace"
 
 
 def test_replication_under_churn_rejected():
@@ -63,16 +115,14 @@ def test_overlay_override_flows_into_spec():
         ws_degree=6,
         ws_rewire=0.1,
     )
-    overlay = config.to_spec().resolved_overlay()
-    assert overlay.name == "watts-strogatz"
-    assert overlay.kwargs == {"degree": 6, "rewire": 0.1}
+    assert config.overlay == ComponentRef.of("watts-strogatz", degree=6, rewire=0.1)
 
 
 def test_default_overlay_follows_the_app():
     kout = ExperimentConfig(app="push-gossip", strategy="proactive")
     ws = ExperimentConfig(app="chaotic-iteration", strategy="proactive")
-    assert kout.to_spec().resolved_overlay().name == "kout"
-    assert ws.to_spec().resolved_overlay().name == "watts-strogatz"
+    assert kout.overlay.name == "kout"
+    assert ws.overlay.name == "watts-strogatz"
 
 
 def test_invalid_strategy_parameters_fail_fast():
@@ -91,6 +141,18 @@ def test_tiny_network_rejected():
         ExperimentConfig(app="push-gossip", strategy="proactive", periods=0)
 
 
+@pytest.mark.parametrize("backend", ["event", "vectorized"])
+@pytest.mark.parametrize("interval", [-5.0, 0.0])
+def test_non_positive_sample_interval_rejected(backend, interval):
+    with pytest.raises(ValueError, match="sample_interval must be positive"):
+        ExperimentConfig(
+            app="push-gossip",
+            strategy="proactive",
+            backend=backend,
+            sample_interval=interval,
+        )
+
+
 def test_label_is_descriptive():
     config = ExperimentConfig(
         app="gossip-learning", strategy="randomized", spend_rate=10, capacity=20
@@ -107,10 +169,30 @@ def test_with_overrides():
     assert config.seed == 1  # original frozen
 
 
+def test_with_overrides_routes_component_parameters():
+    config = ExperimentConfig(
+        app="push-gossip", strategy="randomized", spend_rate=5, capacity=10
+    )
+    other = config.with_overrides(capacity=7, inject_interval=5.0, k=3, loss_rate=0.2)
+    assert other == ExperimentConfig(
+        app="push-gossip",
+        strategy="randomized",
+        spend_rate=5,
+        capacity=7,
+        inject_interval=5.0,
+        out_degree=3,
+        loss_rate=0.2,
+    )
+    with pytest.raises(TypeError, match="shininess"):
+        config.with_overrides(shininess=1)
+    simple = ExperimentConfig(app="push-gossip", strategy="simple", capacity=7)
+    with pytest.raises(TypeError, match="spend_rate"):
+        simple.with_overrides(spend_rate=5)
+
+
 def test_make_strategy_round_trip():
     config = ExperimentConfig(app="push-gossip", strategy="simple", capacity=7)
-    strategy = config.make_strategy()
-    assert strategy.describe() == "simple(C=7)"
+    assert config.build_strategy().describe() == "simple(C=7)"
 
 
 def test_custom_sample_interval():

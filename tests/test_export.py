@@ -37,7 +37,8 @@ def test_result_to_dict_is_json_serializable(result):
     document = result_to_dict(result)
     text = json.dumps(document)
     assert "repro-result-v1" in text
-    assert document["config"]["app"] == "push-gossip"
+    assert document["config_format"] == "scenario-spec-v1"
+    assert document["config"]["app"]["name"] == "push-gossip"
     assert len(document["metric"]["times"]) == len(result.metric)
     assert "tokens" in document
 

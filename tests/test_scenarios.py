@@ -104,7 +104,7 @@ def test_spec_label_and_overrides():
 
 
 def test_config_to_spec_round_trips_fields():
-    config = ExperimentConfig(
+    spec = ExperimentConfig(
         app="gossip-learning",
         strategy="generalized",
         spend_rate=5,
@@ -115,12 +115,11 @@ def test_config_to_spec_round_trips_fields():
         loss_rate=0.1,
         grading_scale=4.0,
     )
-    spec = config.to_spec()
     assert spec.app.kwargs["grading_scale"] == 4.0
     assert spec.strategy.kwargs == {"spend_rate": 5, "capacity": 10}
     assert spec.network.loss_rate == 0.1
     assert spec.n == 80 and spec.periods == 20 and spec.seed == 11
-    assert spec.horizon == config.horizon
+    assert spec.horizon == 20 * spec.period
 
 
 # ----------------------------------------------------------------------
@@ -210,15 +209,6 @@ def test_export_marks_spec_configs(tmp_path):
     document = load_result_json(spec_path)
     assert document["config_format"] == "scenario-spec-v1"
     assert document["config"]["app"]["name"] == "push-gossip"
-
-    flat_result = run_experiment(
-        ExperimentConfig(app="push-gossip", strategy="simple", capacity=5, **SMALL)
-    )
-    flat_path = tmp_path / "flat.json"
-    save_result(flat_result, flat_path)
-    document = load_result_json(flat_path)
-    assert "config_format" not in document
-    assert document["config"]["capacity"] == 5
 
 
 def test_transfer_jitter_changes_and_stays_deterministic():

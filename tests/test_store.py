@@ -15,6 +15,7 @@ Covers the PR 3 acceptance criteria at library level:
 from __future__ import annotations
 
 import pickle
+import sys
 
 import pytest
 
@@ -93,9 +94,20 @@ def test_cell_key_is_deterministic_and_seed_sensitive():
     assert cell_key(config) != cell_key(small_config(capacity=11))
 
 
-def test_cell_key_distinguishes_config_surface_from_spec():
-    config = small_config()
-    assert cell_key(config) != cell_key(config.to_spec())
+def test_cell_key_is_shared_by_flat_call_and_hand_built_spec():
+    by_hand = ScenarioSpec(
+        app=ComponentRef.of("gossip-learning", grading_scale=None),
+        strategy=ComponentRef.of("randomized", spend_rate=5, capacity=10),
+        overlay=ComponentRef.of("kout", k=20),
+        n=50,
+        periods=10,
+        seed=7,
+    )
+    # The literal is what the commit before ExperimentConfig became a
+    # function computed for this spec: spec entries stay hits across it.
+    assert cell_key(small_config()) == cell_key(by_hand) == (
+        "8dcb92f96542d256a51242affbe27eabba376ebab6370259564c644d424a2c25"
+    )
 
 
 def test_cell_key_distinguishes_task_and_schema_version():
@@ -217,7 +229,11 @@ def test_gc_sweeps_orphaned_temp_files(tmp_path):
     assert store.get(config) is not None
 
 
-def test_corrupt_entry_reads_as_miss_and_is_rewritten(tmp_path):
+class RetiredConfig:
+    """Stands in for a config class a later commit deleted."""
+
+
+def test_corrupt_entry_reads_as_miss_and_is_rewritten(tmp_path, monkeypatch):
     store = ResultStore(tmp_path / "store")
     config = small_config()
     store.put(config, run_experiment(config))
@@ -226,6 +242,13 @@ def test_corrupt_entry_reads_as_miss_and_is_rewritten(tmp_path):
     assert store.get(config) is None
     rerun = run_experiment(config, store=store)
     assert_results_identical(store.get(config), rerun)
+    # An entry whose pickle names a class that no longer resolves (every
+    # entry written while ExperimentConfig was a dataclass) is a miss
+    # too, and garbage to gc.
+    store.put(config, RetiredConfig())
+    monkeypatch.delattr(sys.modules[__name__], "RetiredConfig")
+    assert store.get(config) is None
+    assert store.gc() == (1, 0)
 
 
 # ----------------------------------------------------------------------
@@ -295,7 +318,6 @@ def test_entries_listing_carries_metadata(tmp_path):
     (entry,) = list(store.entries())
     assert entry.label == config.label()
     assert entry.seed == config.seed
-    assert entry.config_kind == "ExperimentConfig"
     assert entry.summary["n"] == config.n
     assert entry.summary["periods"] == config.periods
     assert "final_metric" in entry.summary

@@ -36,8 +36,8 @@ def test_backend_axis_changes_config_key():
 
 
 def test_backend_axis_changes_spec_key():
-    event_spec = config().to_spec()
-    vector_spec = config(backend="vectorized").to_spec()
+    event_spec = config()
+    vector_spec = config(backend="vectorized")
     assert event_spec.canonical_dict() != vector_spec.canonical_dict()
     assert cell_key(event_spec) != cell_key(vector_spec)
 

@@ -20,7 +20,6 @@ from repro.experiments.suite import (
     SuiteExecutionError,
     SuiteProgress,
     SuiteRunner,
-    run_configs,
     run_suite,
 )
 
@@ -66,7 +65,9 @@ def test_from_grid_row_major_order():
     suite = ExperimentSuite.from_grid(
         "grid", BASE, spend_rate=(1, 5), capacity=(10, 20)
     )
-    combos = [(c.spend_rate, c.capacity) for c in suite]
+    combos = [
+        (c.strategy.kwargs["spend_rate"], c.strategy.kwargs["capacity"]) for c in suite
+    ]
     assert combos == [(1, 10), (1, 20), (5, 10), (5, 20)]
 
 
@@ -115,9 +116,10 @@ def test_parallel_bit_identical_to_serial():
     assert [cell.index for cell in pooled.cells] == list(range(5))
 
 
-def test_run_configs_preserves_input_order():
+def test_run_suite_preserves_input_order():
     configs = [BASE.with_overrides(seed=s) for s in (31, 3, 17)]
-    results = run_configs("ordered", configs, workers=2)
+    suite = ExperimentSuite.from_configs("ordered", configs)
+    results = run_suite(suite, workers=2).results()
     assert [r.config.seed for r in results] == [31, 3, 17]
 
 

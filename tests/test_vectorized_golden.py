@@ -309,7 +309,7 @@ def fingerprint(cell: dict) -> tuple:
         _ring_with_sink
     )
     try:
-        sim = _PushGossipKernel(ExperimentConfig(**cell).to_spec())
+        sim = _PushGossipKernel(ExperimentConfig(**cell))
         sim.run()
     finally:
         # leave the catalog as tests asserting the built-in set expect it

@@ -53,7 +53,7 @@ def test_kernel_uniform_draw_picks_the_peers_the_csr_draw_picks(n):
         app="push-gossip", strategy="simple", capacity=10, n=n, periods=1,
         seed=11, backend="vectorized",
     )
-    sim = _PushGossipKernel(config.to_spec())
+    sim = _PushGossipKernel(config)
     assert sim.out_degree == 20
     senders = np.random.default_rng(3).integers(0, n, size=3 * n)
     state = sim.rng.bit_generator.state
