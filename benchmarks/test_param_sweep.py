@@ -14,7 +14,8 @@ are robust everywhere.
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
-from repro.experiments.sweep import format_sweep_table, run_sweep
+from repro.experiments.suite import run_suite
+from repro.experiments.sweep import format_sweep_table, sweep_suite
 
 
 def proactive_reference(app, scale):
@@ -26,13 +27,14 @@ def proactive_reference(app, scale):
 
 
 def test_sweep_gossip_learning_randomized(scale):
-    cells = run_sweep("gossip-learning", "randomized", scale=scale)
+    suite = sweep_suite("gossip-learning", ["randomized"], scale=scale)
+    cells = run_suite(suite).results()
     reference = proactive_reference("gossip-learning", scale)
     print("\ngossip learning, randomized token account — final metric (eq. 6):")
     print(format_sweep_table(cells, higher_is_better=True))
     print(f"proactive baseline: {reference.metric.final():.4g}")
 
-    better = [c for c in cells if c.final_metric > reference.metric.final()]
+    better = [c for c in cells if c.metric.final() > reference.metric.final()]
     # "all the parameter combinations result in a very significant
     # performance improvement" — allow a couple of cold-start stragglers
     # at reduced scale.
@@ -40,7 +42,8 @@ def test_sweep_gossip_learning_randomized(scale):
 
 
 def test_sweep_push_gossip_generalized(scale):
-    cells = run_sweep("push-gossip", "generalized", scale=scale)
+    suite = sweep_suite("push-gossip", ["generalized"], scale=scale)
+    cells = run_suite(suite).results()
     reference = proactive_reference("push-gossip", scale)
     start = reference.metric.times[-1] / 2
     reference_lag = reference.metric.mean(start=start)
@@ -48,7 +51,7 @@ def test_sweep_push_gossip_generalized(scale):
     print(format_sweep_table(cells, higher_is_better=False))
     print(f"proactive baseline steady lag: {reference_lag:.4g}")
 
-    improved = [c for c in cells if c.final_metric < reference_lag]
+    improved = [c for c in cells if c.metric.final() < reference_lag]
     assert len(improved) >= len(cells) * 2 // 3
 
 

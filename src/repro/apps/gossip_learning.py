@@ -191,6 +191,7 @@ class GossipLearningPlugin(ApplicationPlugin):
     name = "gossip-learning"
     default_overlay = "kout"
     supports_churn = True
+    higher_is_better = True  # eq. 6 is a relative speed
 
     def __init__(self, grading_scale: Optional[float] = None):
         self.grading_scale = grading_scale

@@ -6,9 +6,9 @@ Gives shell access to the main library entry points:
 * ``list`` — enumerate the registered strategies, applications, overlays
   and churn models with their parameter schemas;
 * ``figure`` — regenerate a paper figure (1–5) at a chosen scale;
-* ``sweep`` — the §4.2 parameter-space exploration;
-* ``suite`` — the full multi-strategy sweep as one parallel suite with
-  per-cell progress/ETA and a JSON artifact;
+* ``sweep`` — the §4.2 parameter-space exploration of one strategy;
+* ``suite`` — the same suite over several strategies, with per-cell
+  progress/ETA and a JSON artifact;
 * ``report`` — rebuild figures or suite tables purely from a result
   store, simulating nothing (``repro report figure 2 --store runs/``);
 * ``store`` — inspect (``ls``), prune (``gc``) or compare (``diff``)
@@ -55,6 +55,7 @@ from __future__ import annotations
 import argparse
 import ast
 import sys
+from collections import Counter
 from typing import Dict, List, Optional
 
 from repro.churn.stats import trace_summary
@@ -94,6 +95,26 @@ def _parse_component_param(text: str) -> tuple:
     return key, value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected at least 1, got {value}")
+    return value
+
+
+def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="worker processes (default: REPRO_WORKERS or the CPU count)",
+    )
+
+
+def _add_save_argument(parser: argparse.ArgumentParser, help_text: str) -> None:
+    parser.add_argument("--save", default=None, metavar="FILE", help=help_text)
+
+
 def _add_store_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--store",
@@ -113,7 +134,7 @@ def _add_figure_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--app", choices=applications.names(), default=None)
     parser.add_argument("--scale", choices=scale_names(), default=None)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--rows", type=int, default=12)
+    parser.add_argument("--rows", type=_positive_int, default=12)
     parser.add_argument(
         "--quick", action="store_true", help="thinned strategy selection"
     )
@@ -123,13 +144,7 @@ def _add_figure_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--log", action="store_true", help="log-scale the chart's value axis"
     )
-    parser.add_argument(
-        "--save",
-        type=str,
-        default=None,
-        metavar="FILE",
-        help="write the figure data to FILE (.json/.csv)",
-    )
+    _add_save_argument(parser, "write the figure data to FILE (.json/.csv)")
 
 
 def _add_suite_arguments(parser: argparse.ArgumentParser) -> None:
@@ -145,13 +160,7 @@ def _add_suite_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", choices=SCENARIOS, default="failure-free")
     parser.add_argument("--scale", choices=scale_names(), default=None)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--save",
-        type=str,
-        default=None,
-        metavar="FILE",
-        help="write the suite result document to FILE (.json)",
-    )
+    _add_save_argument(parser, "write the suite result document to FILE (.json)")
     _add_store_argument(parser)
 
 
@@ -221,13 +230,7 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="verify the §3.4 burst bound after the run",
     )
-    parser.add_argument(
-        "--save",
-        type=str,
-        default=None,
-        metavar="FILE",
-        help="write the result to FILE (.json or .csv)",
-    )
+    _add_save_argument(parser, "write the result to FILE (.json or .csv)")
 
 
 def _config_from_args(args: argparse.Namespace) -> ScenarioSpec:
@@ -309,47 +312,35 @@ def _resolve_scale(name: Optional[str]) -> ScalePreset:
 
 
 def _figure_data(args: argparse.Namespace, offline: bool = False):
-    """Compute (or, for reports, replay) one figure's data; None on usage error.
+    """Compute (or, for reports, replay) one figure's data.
 
     ``offline=True`` is the ``repro report`` path: every simulation cell
     must come from the store, otherwise :class:`StoreMissError` escapes
     to the caller.
     """
     from repro.experiments import figures
+    from repro.experiments.suite import SuiteRunner
 
     scale = _resolve_scale(args.scale)
-    store = resolve_store(args.store)
     number = args.number
     if number == 1:
         # Figure 1 is pure trace statistics — it has no simulation cells,
         # so it needs no store even in offline report mode.
         return figures.figure1(scale=scale, seed=args.seed)
+    store = resolve_store(args.store)
     if offline and store is None:
         raise ValueError("repro report needs --store (or REPRO_STORE) for figures 2-5")
+    runner = SuiteRunner(workers=args.workers, store=store, offline=offline)
     if number in (2, 3, 4):
         if args.app is None:
-            print("--app is required for figures 2-4", file=sys.stderr)
-            return None
+            raise ValueError("--app is required for figures 2-4")
         builder = {2: figures.figure2, 3: figures.figure3, 4: figures.figure4}[number]
         return builder(
-            args.app,
-            scale=scale,
-            seed=args.seed,
-            quick=args.quick,
-            workers=args.workers,
-            store=store,
-            offline=offline,
+            args.app, scale=scale, seed=args.seed, quick=args.quick, runner=runner
         )
     if number == 5:
-        return figures.figure5(
-            scale=scale,
-            seed=args.seed,
-            workers=args.workers,
-            store=store,
-            offline=offline,
-        )
-    print(f"unknown figure {number}; the paper has figures 1-5", file=sys.stderr)
-    return None
+        return figures.figure5(scale=scale, seed=args.seed, runner=runner)
+    raise ValueError(f"unknown figure {number}; the paper has figures 1-5")
 
 
 def _print_figure(data, args: argparse.Namespace) -> int:
@@ -386,85 +377,43 @@ def _print_figure(data, args: argparse.Namespace) -> int:
 
 
 def _command_figure(args: argparse.Namespace) -> int:
-    data = _figure_data(args)
-    if data is None:
-        return 2
-    return _print_figure(data, args)
+    return _print_figure(_figure_data(args), args)
+
+
+def _sweep_bundle(args: argparse.Namespace, strategy_names, scale: ScalePreset):
+    """The §4.2 suite behind ``sweep``, ``suite`` and ``report suite``."""
+    from repro.experiments.sweep import sweep_suite
+
+    return sweep_suite(
+        args.app, strategy_names, scale=scale, seed=args.seed, scenario=args.scenario
+    )
+
+
+def _print_sweep_tables(args: argparse.Namespace, suite_result, heading: str) -> None:
+    """One (A, C) table per strategy; every cell names its strategy itself."""
+    from repro.experiments.sweep import format_sweep_table
+
+    higher_is_better = applications.get(args.app).factory.higher_is_better
+    direction = "higher" if higher_is_better else "lower"
+    by_strategy: Dict[str, list] = {}
+    for result in suite_result.results():
+        by_strategy.setdefault(result.config.strategy.name, []).append(result)
+    for strategy, results in by_strategy.items():
+        print(heading.format(app=args.app, strategy=strategy, direction=direction))
+        print(format_sweep_table(results, higher_is_better=higher_is_better))
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.sweep import format_sweep_table, run_sweep
+    from repro.experiments.suite import SuiteRunner
 
-    scale = _resolve_scale(args.scale)
-    cells = run_sweep(
-        args.app,
-        args.strategy,
-        scale=scale,
-        seed=args.seed,
-        scenario=args.scenario,
-        workers=args.workers,
-        store=resolve_store(args.store),
+    bundle = _sweep_bundle(args, [args.strategy], _resolve_scale(args.scale))
+    runner = SuiteRunner(workers=args.workers, store=resolve_store(args.store))
+    _print_sweep_tables(
+        args,
+        runner.run(bundle),
+        "{app} / {strategy} over the (A, C) grid ({direction} is better):",
     )
-    higher_is_better = args.app == "gossip-learning"
-    print(
-        f"{args.app} / {args.strategy} over the (A, C) grid "
-        f"({'higher' if higher_is_better else 'lower'} is better):"
-    )
-    print(format_sweep_table(cells, higher_is_better=higher_is_better))
     return 0
-
-
-def _suite_bundle(args: argparse.Namespace, scale: ScalePreset):
-    """The multi-strategy suite bundle behind ``suite`` and ``report suite``.
-
-    Returns ``(bundle, strategies_chosen, coordinate_map, parts)`` where
-    ``coordinate_map`` maps each strategy to its (offset, coordinates)
-    slice of the bundle.
-    """
-    from repro.experiments.suite import ExperimentSuite
-    from repro.experiments.sweep import sweep_suite
-
-    strategies_chosen = args.strategies or ["simple", "generalized", "randomized"]
-    # Dedupe while preserving order: a repeated strategy would re-run its
-    # cells and corrupt the per-strategy result slices below.
-    strategies_chosen = list(dict.fromkeys(strategies_chosen))
-    parts = []
-    coordinate_map: Dict[str, tuple] = {}
-    offset = 0
-    all_configs = []
-    for strategy in strategies_chosen:
-        suite, coordinates = sweep_suite(
-            args.app, strategy, scale=scale, seed=args.seed, scenario=args.scenario
-        )
-        all_configs.extend(suite.configs)
-        coordinate_map[strategy] = (offset, coordinates)
-        offset += len(coordinates)
-        parts.append(f"{strategy}({len(coordinates)})")
-    bundle = ExperimentSuite.from_configs(
-        f"suite-{args.app}",
-        all_configs,
-        description=f"{args.app} / {args.scenario}: " + " + ".join(parts),
-    )
-    return bundle, strategies_chosen, coordinate_map, parts
-
-
-def _print_suite_tables(
-    args: argparse.Namespace, suite_result, strategies_chosen, coordinate_map
-) -> None:
-    """Per-strategy (A, C) tables plus the one-line suite digest."""
-    from repro.experiments.sweep import cells_from_results, format_sweep_table
-
-    higher_is_better = args.app == "gossip-learning"
-    for strategy in strategies_chosen:
-        start, coordinates = coordinate_map[strategy]
-        results = [
-            cell.result
-            for cell in suite_result.cells[start : start + len(coordinates)]
-        ]
-        cells = cells_from_results(strategy, coordinates, results)
-        print(f"\n{args.app} / {strategy}:")
-        print(format_sweep_table(cells, higher_is_better=higher_is_better))
-    print(f"\n{suite_result.summary()}")
 
 
 def _command_suite(args: argparse.Namespace, offline: bool = False) -> int:
@@ -480,8 +429,12 @@ def _command_suite(args: argparse.Namespace, offline: bool = False) -> int:
     if offline and store is None:
         raise ValueError("repro report needs --store (or REPRO_STORE)")
     scale = _resolve_scale(args.scale)
-    bundle, strategies_chosen, coordinate_map, parts = _suite_bundle(args, scale)
-    cells = f"{len(bundle)} cells [{', '.join(parts)}]"
+    bundle = _sweep_bundle(
+        args, args.strategies or ["simple", "generalized", "randomized"], scale
+    )
+    counts = Counter(spec.strategy.name for spec in bundle)
+    parts = ", ".join(f"{name}({count})" for name, count in counts.items())
+    cells = f"{len(bundle)} cells [{parts}]"
     if offline:
         suite_result = SuiteRunner(workers=1, store=store, offline=True).run(bundle)
         print(
@@ -512,7 +465,10 @@ def _command_suite(args: argparse.Namespace, offline: bool = False) -> int:
                 f"store: {suite_result.cache_hits} cache hit(s), "
                 f"{suite_result.simulated_cells} simulated"
             )
-    _print_suite_tables(args, suite_result, strategies_chosen, coordinate_map)
+    _print_sweep_tables(
+        args, suite_result, "\n{app} / {strategy} ({direction} is better):"
+    )
+    print(f"\n{suite_result.summary()}")
     if args.save:
         from repro.experiments.export import save_suite
 
@@ -527,8 +483,6 @@ def _command_report(args: argparse.Namespace) -> int:
         if args.target == "suite":
             return _command_suite(args, offline=True)
         data = _figure_data(args, offline=True)
-        if data is None:
-            return 2
         print("(report: rebuilt from the result store, zero cells simulated)")
         return _print_figure(data, args)
     except StoreMissError as error:
@@ -705,12 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     figure_parser = commands.add_parser("figure", help="regenerate a paper figure")
     _add_figure_arguments(figure_parser)
-    figure_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes (default: REPRO_WORKERS or the CPU count)",
-    )
+    _add_workers_argument(figure_parser)
     _add_store_argument(figure_parser)
     figure_parser.set_defaults(handler=_command_figure)
 
@@ -722,12 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--scenario", choices=SCENARIOS, default="failure-free")
     sweep_parser.add_argument("--scale", choices=scale_names(), default=None)
     sweep_parser.add_argument("--seed", type=int, default=1)
-    sweep_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes (default: REPRO_WORKERS or the CPU count)",
-    )
+    _add_workers_argument(sweep_parser)
     _add_store_argument(sweep_parser)
     sweep_parser.set_defaults(handler=_command_sweep)
 
@@ -736,12 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the multi-strategy (A, C) exploration as one parallel suite",
     )
     _add_suite_arguments(suite_parser)
-    suite_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes (default: REPRO_WORKERS or the CPU count)",
-    )
+    _add_workers_argument(suite_parser)
     suite_parser.add_argument(
         "--quiet", action="store_true", help="suppress per-cell progress/ETA lines"
     )
@@ -885,13 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="cap in-flight requests per connection (0 = unbounded)",
     )
-    loadgen_parser.add_argument(
-        "--save",
-        type=str,
-        default=None,
-        metavar="FILE",
-        help="write the report document to FILE (.json)",
-    )
+    _add_save_argument(loadgen_parser, "write the report document to FILE (.json)")
     loadgen_parser.set_defaults(handler=_command_loadgen)
 
     trace_parser = commands.add_parser(

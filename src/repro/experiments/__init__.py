@@ -1,4 +1,4 @@
-"""Experiment harness: scenario assembly, sweeps, figures and reports.
+"""Experiment harness: scenario assembly, suites, figures and reports.
 
 * :mod:`repro.experiments.config` — ``ExperimentConfig``, the
   flat-keyword constructor of :class:`~repro.scenarios.ScenarioSpec`
@@ -7,13 +7,13 @@
   (overlay, nodes, churn, injectors, collectors) and runs it to the
   horizon, returning time series and accounting.
 * :mod:`repro.experiments.suite` — declarative experiment suites and the
-  parallel :class:`~repro.experiments.suite.SuiteRunner` that fans their
-  cells across worker processes (``REPRO_WORKERS``).
+  :class:`~repro.experiments.suite.SuiteRunner` that owns workers
+  (``REPRO_WORKERS``), result store, offline replay and progress.
 * :mod:`repro.experiments.scale` — CI / medium / paper scale presets
   selected via the ``REPRO_SCALE`` environment variable.
 * :mod:`repro.experiments.figures` — the per-figure harnesses (Figures
-  1–5) that the benchmark suite calls.
-* :mod:`repro.experiments.sweep` — the §4.2 parameter-space exploration.
+  1–5) that the benchmark suite calls; each takes a ``runner=``.
+* :mod:`repro.experiments.sweep` — the §4.2 (A, C) grid and its table.
 * :mod:`repro.experiments.report` — ASCII rendering of series tables and
   the speedup-versus-proactive summaries.
 """

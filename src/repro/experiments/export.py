@@ -25,6 +25,7 @@ import json
 from pathlib import Path
 from typing import Dict, Union
 
+from repro.core.meanfield import MeanFieldTrajectory
 from repro.experiments.figures import FigureData
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.suite import SuiteResult
@@ -106,7 +107,18 @@ def load_result_json(path: PathLike) -> dict:
 # Figure data
 # ----------------------------------------------------------------------
 def figure_to_dict(data: FigureData) -> dict:
-    """A JSON-serializable view of a figure's series and metadata."""
+    """A JSON-serializable view of a figure's series and metadata.
+
+    Extras that ``json.dumps`` rejects, at any depth, are left out.
+    """
+    extras = {}
+    for key, value in data.extras.items():
+        value = _with_trajectory_curves(value)
+        try:
+            json.dumps(value)
+        except (TypeError, ValueError):
+            continue
+        extras[key] = value
     return {
         "format": "repro-figure-v1",
         "name": data.name,
@@ -117,12 +129,18 @@ def figure_to_dict(data: FigureData) -> dict:
             for label, series in data.series.items()
         },
         "message_rates": dict(data.message_rates),
-        "extras": {
-            key: value
-            for key, value in data.extras.items()
-            if isinstance(value, (int, float, str, dict, list))
-        },
+        "extras": extras,
     }
+
+
+def _with_trajectory_curves(value):
+    """Mean-field trajectories as ``{"times", "balances"}``, the prediction
+    curves Figure 5 exists to compare against; anything else as it is."""
+    if isinstance(value, MeanFieldTrajectory):
+        return {"times": list(value.times), "balances": list(value.balances)}
+    if isinstance(value, dict):
+        return {key: _with_trajectory_curves(item) for key, item in value.items()}
+    return value
 
 
 def save_figure(data: FigureData, path: PathLike) -> None:

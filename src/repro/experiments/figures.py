@@ -17,7 +17,7 @@ with C = 0).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.churn.stats import (
     ever_online_fraction,
@@ -29,9 +29,8 @@ from repro.churn.stunner import StunnerTraceConfig, generate_stunner_like_trace
 from repro.core.meanfield import MeanFieldModel, randomized_equilibrium
 from repro.core.strategies import RandomizedTokenAccount
 from repro.experiments.config import PAPER, ExperimentConfig
-from repro.experiments.runner import average_results
 from repro.experiments.scale import ScalePreset, current_scale
-from repro.experiments.suite import ExperimentSuite, run_suite
+from repro.experiments.suite import ExperimentSuite, SuiteRunner
 from repro.metrics.series import TimeSeries
 from repro.metrics.smoothing import window_average
 from repro.registry import applications
@@ -85,26 +84,38 @@ def _selection_label(strategy: str, a: Optional[int], c: Optional[int]) -> str:
     return f"{strategy[:4]}. A={a} C={c}"
 
 
-def _run_selection(
+def _selection_figure(
+    number: int,
     app: str,
-    scenario: str,
-    n: int,
-    periods: int,
-    repeats: int,
-    selection: Sequence[Tuple[str, Optional[int], Optional[int]]],
+    scale: Optional[ScalePreset],
     seed: int,
-    smooth: Optional[float] = None,
-    workers: Optional[int] = None,
-    store=None,
-    offline: bool = False,
-) -> tuple[Dict[str, TimeSeries], Dict[str, float]]:
-    """Run one app/scenario over a parameter selection.
+    quick: bool,
+    runner: Optional[SuiteRunner],
+) -> FigureData:
+    """Figures 2-4: one app/scenario over the representative selection.
 
-    The (selection x repeats) fan executes as one parallel suite; the
+    The (selection x repeats) fan runs as one suite on ``runner``; the
     repetition groups are averaged exactly like the serial
     :func:`~repro.experiments.runner.run_averaged` path (same seeds, same
     pointwise merge), so results do not depend on the worker count.
     """
+    applications.get(app)  # fail fast with the registered choices
+    scale = scale or current_scale()
+    # per figure: scenario, N, repeats, picks beyond the selection, description
+    scenario, n, repeats, extra_picks, setting = {
+        2: ("failure-free", scale.n, scale.repeats, (), "in the failure-free scenario"),
+        3: ("trace", scale.n, scale.repeats, (), "over the smartphone trace"),
+        # Figure 4 is specifically about the A=1 variants; always include them.
+        4: (
+            "failure-free",
+            scale.n_large,
+            max(1, scale.repeats // 2),
+            (("generalized", 1, 5), ("generalized", 1, 10)),
+            "failure-free at large scale",
+        ),
+    }[number]
+    selection = list(QUICK_SELECTION if quick else REPRESENTATIVE_SELECTION)
+    selection += [pick for pick in extra_picks if pick not in selection]
     if app == "chaotic-iteration":
         # Chaotic iteration is by far the noisiest application (single
         # runs wobble around the mean curve); always average at least
@@ -119,7 +130,7 @@ def _run_selection(
                 spend_rate=a,
                 capacity=c,
                 n=n,
-                periods=periods,
+                periods=scale.periods,
                 scenario=scenario,
                 seed=seed,
             )
@@ -127,18 +138,23 @@ def _run_selection(
         ],
         description=f"{app} / {scenario}: {len(selection)} curves x {repeats} seeds",
     ).repeated(repeats)
-    results = run_suite(suite, workers=workers, store=store, offline=offline).results()
+    averaged = (runner or SuiteRunner()).run(suite).averaged(repeats)
     series: Dict[str, TimeSeries] = {}
     rates: Dict[str, float] = {}
-    for group, (strategy, a, c) in enumerate(selection):
-        merged = average_results(results[group * repeats : (group + 1) * repeats])
-        label = _selection_label(strategy, a, c)
+    for pick, merged in zip(selection, averaged):
+        label = _selection_label(*pick)
         curve = merged.metric
-        if smooth is not None:
-            curve = window_average(curve, smooth)
+        if app == "push-gossip":
+            curve = window_average(curve, PAPER.smoothing_window)
         series[label] = curve
         rates[label] = merged.messages_per_node_per_period
-    return series, rates
+    return FigureData(
+        name=f"figure{number}-{app}",
+        description=f"{app} {setting} (N={n})",
+        series=series,
+        message_rates=rates,
+        scale_label=scale.label,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -181,103 +197,45 @@ def figure1(scale: Optional[ScalePreset] = None, seed: int = 1) -> FigureData:
 
 
 # ----------------------------------------------------------------------
-# Figure 2 — failure-free scenario, three applications
+# Figures 2-4 — the representative selection: failure-free, trace, large N
 # ----------------------------------------------------------------------
 def figure2(
     app: str,
     scale: Optional[ScalePreset] = None,
     seed: int = 1,
     quick: bool = False,
-    workers: Optional[int] = None,
-    store=None,
-    offline: bool = False,
+    runner: Optional[SuiteRunner] = None,
 ) -> FigureData:
     """Figure 2: token account strategies, failure-free, N = 5,000.
 
     ``app`` picks the row: gossip learning (top), push gossip (middle),
     chaotic iteration (bottom).
     """
-    applications.get(app)  # fail fast with the registered choices
-    scale = scale or current_scale()
-    selection = QUICK_SELECTION if quick else REPRESENTATIVE_SELECTION
-    smooth = PAPER.smoothing_window if app == "push-gossip" else None
-    series, rates = _run_selection(
-        app,
-        "failure-free",
-        scale.n,
-        scale.periods,
-        scale.repeats,
-        selection,
-        seed,
-        smooth=smooth,
-        workers=workers,
-        store=store,
-        offline=offline,
-    )
-    return FigureData(
-        name=f"figure2-{app}",
-        description=f"{app} in the failure-free scenario (N={scale.n})",
-        series=series,
-        message_rates=rates,
-        scale_label=scale.label,
-    )
+    return _selection_figure(2, app, scale, seed, quick, runner)
 
 
-# ----------------------------------------------------------------------
-# Figure 3 — smartphone trace scenario
-# ----------------------------------------------------------------------
 def figure3(
     app: str,
     scale: Optional[ScalePreset] = None,
     seed: int = 1,
     quick: bool = False,
-    workers: Optional[int] = None,
-    store=None,
-    offline: bool = False,
+    runner: Optional[SuiteRunner] = None,
 ) -> FigureData:
     """Figure 3: strategies over the smartphone trace (gossip learning and
     push gossip only; the paper's Figure 3 excludes chaotic iteration —
     run the trace-driven chaotic combination through ``repro run`` /
     :class:`~repro.scenarios.ScenarioSpec` instead)."""
-    applications.get(app)
     if app == "chaotic-iteration":
         raise ValueError("Figure 3 does not include chaotic iteration (§4.2)")
-    scale = scale or current_scale()
-    selection = QUICK_SELECTION if quick else REPRESENTATIVE_SELECTION
-    smooth = PAPER.smoothing_window if app == "push-gossip" else None
-    series, rates = _run_selection(
-        app,
-        "trace",
-        scale.n,
-        scale.periods,
-        scale.repeats,
-        selection,
-        seed,
-        smooth=smooth,
-        workers=workers,
-        store=store,
-        offline=offline,
-    )
-    return FigureData(
-        name=f"figure3-{app}",
-        description=f"{app} over the smartphone trace (N={scale.n})",
-        series=series,
-        message_rates=rates,
-        scale_label=scale.label,
-    )
+    return _selection_figure(3, app, scale, seed, quick, runner)
 
 
-# ----------------------------------------------------------------------
-# Figure 4 — large-scale failure-free scenario
-# ----------------------------------------------------------------------
 def figure4(
     app: str,
     scale: Optional[ScalePreset] = None,
     seed: int = 1,
     quick: bool = False,
-    workers: Optional[int] = None,
-    store=None,
-    offline: bool = False,
+    runner: Optional[SuiteRunner] = None,
 ) -> FigureData:
     """Figure 4: scalability run at the large network size.
 
@@ -285,37 +243,9 @@ def figure4(
     variants (A=1) are among the worst at small N but among the best at
     large N for gossip learning (§4.2).
     """
-    applications.get(app)
     if app == "chaotic-iteration":
         raise ValueError("Figure 4 covers gossip learning and push gossip only")
-    scale = scale or current_scale()
-    selection = QUICK_SELECTION if quick else REPRESENTATIVE_SELECTION
-    # Figure 4 is specifically about the A=1 variants; always include them.
-    augmented = list(selection)
-    for pick in (("generalized", 1, 5), ("generalized", 1, 10)):
-        if pick not in augmented:
-            augmented.append(pick)
-    smooth = PAPER.smoothing_window if app == "push-gossip" else None
-    series, rates = _run_selection(
-        app,
-        "failure-free",
-        scale.n_large,
-        scale.periods,
-        max(1, scale.repeats // 2),
-        augmented,
-        seed,
-        smooth=smooth,
-        workers=workers,
-        store=store,
-        offline=offline,
-    )
-    return FigureData(
-        name=f"figure4-{app}",
-        description=f"{app} failure-free at large scale (N={scale.n_large})",
-        series=series,
-        message_rates=rates,
-        scale_label=scale.label,
-    )
+    return _selection_figure(4, app, scale, seed, quick, runner)
 
 
 # ----------------------------------------------------------------------
@@ -325,9 +255,7 @@ def figure5(
     scale: Optional[ScalePreset] = None,
     seed: int = 1,
     settings: Sequence[Tuple[int, int]] = ((1, 2), (5, 10), (10, 20), (20, 40)),
-    workers: Optional[int] = None,
-    store=None,
-    offline: bool = False,
+    runner: Optional[SuiteRunner] = None,
 ) -> FigureData:
     """Figure 5: average token count (gossip learning, randomized strategy).
 
@@ -355,12 +283,11 @@ def figure5(
         ],
         description=f"token balance fan: {len(settings)} settings x {repeats} seeds",
     ).repeated(repeats)
-    results = run_suite(suite, workers=workers, store=store, offline=offline).results()
+    averaged = (runner or SuiteRunner()).run(suite).averaged(repeats)
     series: Dict[str, TimeSeries] = {}
     predictions: Dict[str, float] = {}
     trajectories: Dict[str, object] = {}
-    for group, (spend_rate, capacity) in enumerate(settings):
-        result = average_results(results[group * repeats : (group + 1) * repeats])
+    for (spend_rate, capacity), result in zip(settings, averaged):
         label = f"A={spend_rate} C={capacity}"
         assert result.tokens is not None
         series[label] = result.tokens

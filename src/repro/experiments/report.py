@@ -55,6 +55,8 @@ def format_series_table(
 def _even_indices(length: int, rows: int) -> List[int]:
     if length <= rows:
         return list(range(length))
+    if rows == 1:
+        return [length - 1]
     step = (length - 1) / (rows - 1)
     return sorted({round(i * step) for i in range(rows)})
 

@@ -45,7 +45,7 @@ from typing import (
     Tuple,
 )
 
-from repro.experiments.runner import replicate_seeds, run_experiment
+from repro.experiments.runner import average_results, replicate_seeds, run_experiment
 from repro.experiments.scale import worker_count
 from repro.scenarios import ScenarioSpec
 from repro.store import ResultStore, StoreMissError
@@ -67,8 +67,8 @@ class ExperimentSuite:
     """A named, ordered bundle of experiment configurations.
 
     The order of ``configs`` is the order of the cells in the
-    :class:`SuiteResult`; builders and callers rely on it to map cells
-    back to grid coordinates or repetition groups by index arithmetic.
+    :class:`SuiteResult`; :meth:`repeated` and :meth:`SuiteResult.averaged`
+    rely on it to keep the seed variants of one cell consecutive.
     """
 
     name: str
@@ -186,6 +186,18 @@ class SuiteResult:
     def results(self) -> List[Any]:
         """The per-cell payloads, in suite order."""
         return [cell.result for cell in self.cells]
+
+    def averaged(self, repeats: int) -> List[Any]:
+        """Merge each run of ``repeats`` consecutive cells into one result.
+
+        The inverse of :meth:`ExperimentSuite.repeated`: one averaged
+        :class:`ExperimentResult` per cell of the original suite.
+        """
+        results = self.results()
+        return [
+            average_results(results[start : start + repeats])
+            for start in range(0, len(results), repeats)
+        ]
 
     # ------------------------------------------------------------------
     # Throughput accounting

@@ -1,30 +1,28 @@
-"""Parameter-space exploration (§4.2).
+"""Parameter-space exploration (§4.2): the grid and its table.
 
 "The parameter space included all the combinations defined by
 A = 1, 2, 5, 10, 15, 20, 40 and C − A = 0, 1, 2, 5, 10, 15, 20, 40, 80
 (note that we have to have A ≤ C)."
 
-:func:`parameter_grid` reproduces that grid; :func:`run_sweep` evaluates
-a figure-of-merit for every cell so that the bench can print the sweep
-table the paper's exploration is based on. At CI scale a thinned grid is
-used (the full grid is 63 cells × three strategies).
-
-Cells are independent simulations, so :func:`run_sweep` builds an
-:class:`~repro.experiments.suite.ExperimentSuite` and fans them across
-worker processes (``REPRO_WORKERS`` / ``workers=``); results are
-identical to the serial loop for any worker count.
+:func:`parameter_grid` reproduces that grid, :func:`sweep_suite` lays it
+out as one :class:`~repro.experiments.suite.ExperimentSuite` over any
+number of strategies, and :func:`format_sweep_table` renders one
+strategy's results as the A x C matrix the paper's exploration is based
+on. At CI scale a thinned grid is used (the full grid is 63 cells ×
+three strategies). Running the suite is a
+:class:`~repro.experiments.suite.SuiteRunner`'s job; every result
+carries the spec it ran from, so its strategy, A and C are read off it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import ExperimentResult
 from repro.experiments.scale import ScalePreset, current_scale
-from repro.experiments.suite import ExperimentSuite, run_suite
+from repro.experiments.suite import ExperimentSuite
 from repro.registry import strategies
-from repro.scenarios import ScenarioSpec
 
 #: the paper's grid (§4.2)
 PAPER_A_VALUES: Tuple[int, ...] = (1, 2, 5, 10, 15, 20, 40)
@@ -46,10 +44,6 @@ def sweepable_strategies() -> Tuple[str, ...]:
     )
 
 
-def _takes_spend_rate(strategy: str) -> bool:
-    return "spend_rate" in strategies.get(strategy).param_names
-
-
 #: thinned grid used at CI scale
 QUICK_A_VALUES: Tuple[int, ...] = (1, 5, 10, 20)
 QUICK_C_MINUS_A: Tuple[int, ...] = (0, 5, 10)
@@ -67,141 +61,82 @@ def parameter_grid(
     return grid
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    """One grid cell's outcome."""
-
-    strategy: str
-    spend_rate: int
-    capacity: int
-    #: the application metric at the end of the run
-    final_metric: float
-    #: data messages per node per period (rate-limit sanity)
-    message_rate: float
-
-    @property
-    def label(self) -> str:
-        return f"{self.strategy}(A={self.spend_rate}, C={self.capacity})"
-
-
 def sweep_suite(
     app: str,
-    strategy: str,
+    strategy_names: Sequence[str],
     scale: Optional[ScalePreset] = None,
     seed: int = 1,
     a_values: Optional[Sequence[int]] = None,
     c_minus_a: Optional[Sequence[int]] = None,
     scenario: str = "failure-free",
-) -> Tuple[ExperimentSuite, List[Tuple[int, int]]]:
-    """The declarative suite behind :func:`run_sweep`.
+) -> ExperimentSuite:
+    """The (A, C) grid of every named strategy as one strategy-major suite.
 
-    Returns the suite plus the (A, C) coordinates of each cell, in cell
-    order, so callers can map results back to grid positions.
+    A strategy without an A parameter sweeps C only: it keeps the grid's
+    first row, and its specs carry no ``spend_rate``. A name given twice
+    contributes its cells once.
     """
     scale = scale or current_scale()
     if a_values is None:
         a_values = PAPER_A_VALUES if scale.name == "paper" else QUICK_A_VALUES
     if c_minus_a is None:
         c_minus_a = PAPER_C_MINUS_A if scale.name == "paper" else QUICK_C_MINUS_A
-    takes_spend_rate = _takes_spend_rate(strategy)
-    coordinates: List[Tuple[int, int]] = []
-    configs: List[ScenarioSpec] = []
-    for spend_rate, capacity in parameter_grid(a_values, c_minus_a):
-        if not takes_spend_rate and spend_rate != a_values[0]:
-            continue  # strategies without an A parameter sweep C only
-        coordinates.append((spend_rate, capacity))
-        configs.append(
+    grid = parameter_grid(a_values, c_minus_a)
+    configs = []
+    for strategy in dict.fromkeys(strategy_names):
+        cells = grid
+        if "spend_rate" not in strategies.get(strategy).param_names:
+            cells = [(a, c) for a, c in grid if a == a_values[0]]
+        configs += [
             ExperimentConfig(
                 app=app,
                 strategy=strategy,
-                spend_rate=spend_rate if takes_spend_rate else None,
+                spend_rate=spend_rate,
                 capacity=capacity,
                 n=scale.n,
                 periods=scale.periods,
                 scenario=scenario,
                 seed=seed,
             )
-        )
-    suite = ExperimentSuite.from_configs(
-        f"sweep-{app}-{strategy}",
+            for spend_rate, capacity in cells
+        ]
+    return ExperimentSuite.from_configs(
+        f"suite-{app}",
         configs,
-        description=f"§4.2 (A, C) exploration: {app} / {strategy} / {scenario}",
+        description=f"§4.2 (A, C) exploration: {app} / {scenario}",
     )
-    return suite, coordinates
 
 
-def run_sweep(
-    app: str,
-    strategy: str,
-    scale: Optional[ScalePreset] = None,
-    seed: int = 1,
-    a_values: Optional[Sequence[int]] = None,
-    c_minus_a: Optional[Sequence[int]] = None,
-    scenario: str = "failure-free",
-    workers: Optional[int] = None,
-    store=None,
-    offline: bool = False,
-) -> List[SweepCell]:
-    """Evaluate one strategy over the (A, C) grid for one application.
+def format_sweep_table(
+    results: Sequence[ExperimentResult], higher_is_better: bool
+) -> str:
+    """Render one strategy's results as an A x C matrix, best cell marked.
 
-    The figure of merit is the final value of the application's metric
-    (relative speed for gossip learning — higher is better; lag for push
-    gossip and angle for chaotic iteration — lower is better). Cells run
-    in parallel (``workers`` / ``REPRO_WORKERS``); the returned list is
-    in grid order regardless of worker scheduling.
+    The figure of merit is the final value of the application's metric;
+    a strategy without an A parameter gets the single row ``-``.
     """
-    suite, coordinates = sweep_suite(
-        app, strategy, scale, seed, a_values, c_minus_a, scenario
-    )
-    results = run_suite(suite, workers=workers, store=store, offline=offline).results()
-    return cells_from_results(strategy, coordinates, results)
-
-
-def cells_from_results(
-    strategy: str,
-    coordinates: Sequence[Tuple[int, int]],
-    results: Sequence,
-) -> List[SweepCell]:
-    """Zip grid coordinates with experiment results into sweep cells.
-
-    The single place that defines the sweep's figure of merit (the final
-    metric value) — shared by :func:`run_sweep` and the CLI's ``suite``
-    command so both always report the same numbers for the same grid.
-    """
-    return [
-        SweepCell(
-            strategy=strategy,
-            spend_rate=spend_rate,
-            capacity=capacity,
-            final_metric=result.metric.final(),
-            message_rate=result.messages_per_node_per_period,
-        )
-        for (spend_rate, capacity), result in zip(coordinates, results)
-    ]
-
-
-def format_sweep_table(cells: Sequence[SweepCell], higher_is_better: bool) -> str:
-    """Render sweep cells as an A x C matrix with the best cell marked."""
-    if not cells:
+    if not results:
         return "(empty sweep)"
-    a_values = sorted({cell.spend_rate for cell in cells})
-    c_values = sorted({cell.capacity for cell in cells})
-    lookup: Dict[Tuple[int, int], SweepCell] = {
-        (cell.spend_rate, cell.capacity): cell for cell in cells
-    }
-    best = (max if higher_is_better else min)(cells, key=lambda cell: cell.final_metric)
+    lookup = {}
+    for result in results:
+        params = result.config.strategy.kwargs
+        lookup[params.get("spend_rate"), params["capacity"]] = result
+    a_values = sorted({a for a, _ in lookup}, key=lambda a: a or 0)
+    c_values = sorted({c for _, c in lookup})
+    best = (max if higher_is_better else min)(results, key=lambda r: r.metric.final())
     corner = "A \\ C"
     header = f"{corner:>8} " + " ".join(f"{c:>10}" for c in c_values)
     lines = [header, "-" * len(header)]
     for a in a_values:
-        row = [f"{a:>8} "]
+        row = [f"{'-' if a is None else a:>8} "]
         for c in c_values:
-            cell = lookup.get((a, c))
-            if cell is None:
+            result = lookup.get((a, c))
+            if result is None:
                 row.append(f"{'-':>10}")
             else:
-                marker = "*" if cell is best else " "
-                row.append(f"{cell.final_metric:>9.4g}{marker}")
+                marker = "*" if result is best else " "
+                row.append(f"{result.metric.final():>9.4g}{marker}")
         lines.append(" ".join(row))
-    lines.append(f"(* best: {best.label} -> {best.final_metric:.4g})")
+    strategy_label = best.config.build_strategy().describe()
+    lines.append(f"(* best: {strategy_label} -> {best.metric.final():.4g})")
     return "\n".join(lines)

@@ -338,6 +338,8 @@ class ApplicationPlugin(ABC):
     supports_churn: bool = True
     #: why churn is unsupported (shown in the rejection error)
     churn_note: str = ""
+    #: direction of the metric: which cell ``repro sweep`` / ``suite`` stars
+    higher_is_better: bool = False
 
     @abstractmethod
     def build_apps(self, ctx: BuildContext) -> List["Application"]:

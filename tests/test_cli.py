@@ -228,3 +228,81 @@ def test_figure_save_csv(tmp_path, capsys):
     assert out_file.exists()
     header = out_file.read_text().splitlines()[0]
     assert header.startswith("time,")
+
+
+SWEEP_ARGS = "--app push-gossip --scale smoke".split()
+
+
+def _strategy_tables(out: str) -> list:
+    """The A x C matrices of an output: header to "best" footer, per strategy."""
+    lines = out.splitlines()
+    starts = [i for i, line in enumerate(lines) if "A \\ C" in line]
+    ends = [i for i, line in enumerate(lines) if line.startswith("(* best:")]
+    return [lines[start : end + 1] for start, end in zip(starts, ends)]
+
+
+def test_sweep_prints_the_suite_table_of_its_strategy(capsys):
+    assert main(["sweep", *SWEEP_ARGS, "--strategy", "generalized"]) == 0
+    sweep_out = capsys.readouterr().out
+    suite_args = [*SWEEP_ARGS, "--strategies", "generalized", "--quiet"]
+    assert main(["suite", *suite_args]) == 0
+    suite_out = capsys.readouterr().out
+    assert sweep_out.startswith(
+        "push-gossip / generalized over the (A, C) grid (lower is better):\n"
+    )
+    assert "\npush-gossip / generalized (lower is better):\n" in suite_out
+    (table,) = _strategy_tables(sweep_out)
+    assert len(table) == 2 + 4 + 1  # header + rule, four A rows, footer
+    assert _strategy_tables(suite_out) == [table]
+
+
+def test_sweep_output_is_independent_of_worker_count(capsys):
+    outputs = []
+    for workers in ("1", "2"):
+        args = [*SWEEP_ARGS, "--strategy", "randomized", "--workers", workers]
+        assert main(["sweep", *args]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_sweep_fills_the_store_report_suite_replays(tmp_path, capsys, monkeypatch):
+    store = ["--store", str(tmp_path / "store")]
+    assert main(["sweep", *SWEEP_ARGS, "--strategy", "generalized", *store]) == 0
+    (table,) = _strategy_tables(capsys.readouterr().out)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a cell was simulated, expected pure cache hits")
+
+    monkeypatch.setattr("repro.experiments.suite._execute_cell", boom)
+    report = ["report", "suite", *SWEEP_ARGS, "--strategies", "generalized", *store]
+    assert main(report) == 0
+    out = capsys.readouterr().out
+    assert "zero cells simulated" in out
+    assert _strategy_tables(out) == [table]
+
+
+def test_suite_runs_a_repeated_strategy_once(capsys):
+    args = [*SWEEP_ARGS, "--strategies", "simple", "simple", "--workers", "1"]
+    assert main(["suite", *args, "--quiet"]) == 0
+    out = capsys.readouterr().out
+    assert "3 cells [simple(3)]" in out
+    assert len(_strategy_tables(out)) == 1
+
+
+def test_figure5_save_json_exports_the_meanfield_curves(tmp_path, capsys):
+    out_file = tmp_path / "f5.json"
+    args = ["figure", "5", "--scale", "smoke", "--workers", "1", "--save"]
+    assert main([*args, str(out_file)]) == 0
+    import json
+
+    document = json.loads(out_file.read_text())
+    assert set(document["extras"]["meanfield"]) == set(document["series"])
+    curve = document["extras"]["meanfield"]["A=5 C=10"]
+    assert len(curve["times"]) == len(curve["balances"]) > 1
+
+
+def test_figure_rows_must_be_positive(capsys):
+    assert main(["figure", "1", "--scale", "smoke", "--rows", "1"]) == 0
+    assert len(capsys.readouterr().out.split("\n\n")[1].splitlines()) == 3
+    with pytest.raises(SystemExit):
+        main(["figure", "1", "--rows", "0"])

@@ -72,7 +72,7 @@ def test_load_rejects_foreign_json(tmp_path):
         load_result_json(path)
 
 
-def make_figure():
+def make_figure(extras=None):
     return FigureData(
         name="test-figure",
         description="a test",
@@ -81,16 +81,20 @@ def make_figure():
             "b": TimeSeries([(5.0, 3.0)]),
         },
         message_rates={"a": 1.0, "b": 0.9},
-        extras={"note": "hi", "skipme": object()},
+        extras=extras or {"note": "hi", "skipme": object()},
         scale_label="test",
     )
 
 
 def test_figure_to_dict_skips_unserializable_extras():
-    document = figure_to_dict(make_figure())
-    json.dumps(document)  # must not raise
-    assert document["extras"] == {"note": "hi"}
-    assert set(document["series"]) == {"a", "b"}
+    for figure in (
+        make_figure(),
+        make_figure(extras={"note": "hi", "nested": {"x": object()}}),
+    ):
+        document = figure_to_dict(figure)
+        json.dumps(document)  # must not raise
+        assert document["extras"] == {"note": "hi"}
+        assert set(document["series"]) == {"a", "b"}
 
 
 def test_figure_json(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the per-figure harnesses (micro scale)."""
 
+import hashlib
+
 import pytest
 
 from repro.experiments.figures import (
@@ -98,3 +100,72 @@ def test_figure5_tokens_approach_prediction():
         assert tail.mean() == pytest.approx(predictions[label], rel=0.35)
     # The mean-field trajectories are included for plotting.
     assert set(data.extras["meanfield"]) == set(data.series)
+
+
+# ----------------------------------------------------------------------
+# The curves do not move: digests computed on the commit before figures
+# 2-4 became rows of one ``_selection_figure`` on a ``SuiteRunner``.
+# ----------------------------------------------------------------------
+QUICK_LABELS = [
+    "proactive",
+    "simple C=10",
+    "gene. A=5 C=10",
+    "gene. A=10 C=20",
+    "rand. A=5 C=10",
+    "rand. A=10 C=20",
+]
+
+FIGURE_PINS = {
+    "figure2-push-gossip": (
+        lambda: figure2("push-gossip", scale=MICRO, quick=True, seed=3),
+        QUICK_LABELS,
+        "9c32a45bd28d3b2af600550a04e0b10d5e62d4e6dceba75276f0316c592cc403",
+    ),
+    # chaotic iteration takes the max(2, repeats) path
+    "figure2-chaotic-iteration": (
+        lambda: figure2("chaotic-iteration", scale=MICRO, quick=True, seed=3),
+        QUICK_LABELS,
+        "7f0a0b331b0389e77ede4f55a1094b3704731d3de2025f2deaacae1251079170",
+    ),
+    "figure3-gossip-learning": (
+        lambda: figure3("gossip-learning", scale=MICRO, quick=True, seed=3),
+        QUICK_LABELS,
+        "a2fdb11d2f532fd3113190fdf4341ebaff1a82644380b30cf9f11cb3f2abbf86",
+    ),
+    # the appended A=1 picks and repeats // 2
+    "figure4-gossip-learning": (
+        lambda: figure4("gossip-learning", scale=MICRO, quick=True, seed=3),
+        QUICK_LABELS + ["gene. A=1 C=5", "gene. A=1 C=10"],
+        "96253479e96b5c2bd4a45bbe5f724af727ad94f9c094b9fd05f394a62fec87b6",
+    ),
+    "figure5": (
+        lambda: figure5(scale=MICRO, seed=3),
+        ["A=1 C=2", "A=5 C=10", "A=10 C=20", "A=20 C=40"],
+        "5433030abc74754537ee2b9041d3ac946192865a2ee4af3b3a40b6a6bd051ff9",
+    ),
+}
+
+
+def curve_digest(data) -> str:
+    curves = [
+        (label, list(series.times), list(series.values))
+        for label, series in data.series.items()
+    ]
+    return hashlib.sha256(repr((curves, data.message_rates)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", FIGURE_PINS)
+def test_figure_curves_match_parent_commit(name):
+    """Labels, every (times, values) pair and the message rates are pinned.
+
+    The literals were printed on the parent commit (6628eb8), with this
+    file copied over its ``tests/test_figures.py``, by::
+
+        cd tests && PYTHONPATH=../src python -c "from test_figures import *; \
+            [print(n, curve_digest(b())) for n, (b, _, _) in FIGURE_PINS.items()]"
+    """
+    build, labels, digest = FIGURE_PINS[name]
+    data = build()
+    assert data.name == name
+    assert list(data.series) == labels
+    assert curve_digest(data) == digest

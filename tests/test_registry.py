@@ -117,3 +117,6 @@ def test_plugin_contracts_declared():
         factory = registration.factory
         assert factory.default_overlay in overlays.names()
         assert isinstance(factory.supports_churn, bool)
+        # Only eq. 6 (gossip learning's relative speed) grows as runs improve;
+        # lag, angle and replication deficit shrink.
+        assert factory.higher_is_better == (registration.name == "gossip-learning")

@@ -79,11 +79,13 @@ def test_time_to_threshold_default_uses_baseline_final():
 
 
 def test_format_series_table_contains_all_columns(gossip_like):
-    table = format_series_table(gossip_like, rows=3)
-    assert "proactive" in table
-    assert "randomized" in table
-    lines = table.splitlines()
-    assert len(lines) == 2 + 3  # header + rule + rows
+    for rows in (3, 1):  # one row is the final sample, not a division by zero
+        table = format_series_table(gossip_like, rows=rows)
+        assert "proactive" in table
+        assert "randomized" in table
+        lines = table.splitlines()
+        assert len(lines) == 2 + rows  # header + rule + rows
+    assert lines[-1].split()[0] == "0.06"  # t = 200 s, in hours
 
 
 def test_format_series_table_empty():

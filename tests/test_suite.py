@@ -13,7 +13,7 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.export import save_suite, suite_to_dict
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import average_results, run_experiment
 from repro.experiments.scale import worker_count
 from repro.experiments.suite import (
     ExperimentSuite,
@@ -89,6 +89,18 @@ def test_repeated_identity_for_single_repeat():
 def test_repeated_groups_are_contiguous():
     suite = small_suite(2).repeated(2)
     assert [c.seed for c in suite] == [7, 1007, 8, 1008]
+
+
+def test_averaged_merges_each_repetition_group():
+    outcome = SuiteRunner(workers=1).run(small_suite(2).repeated(3))
+    results = outcome.results()
+    merged = outcome.averaged(3)
+    assert [result_fingerprint(result) for result in merged] == [
+        result_fingerprint(average_results(results[start : start + 3]))
+        for start in (0, 3)
+    ]
+    assert merged[0].metric.values != results[0].metric.values
+    assert outcome.averaged(1) == results
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,38 @@
-"""Tests for the §4.2 parameter sweep harness."""
+"""Tests for the §4.2 parameter grid, its suite and its table."""
 
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import ExperimentResult
 from repro.experiments.scale import ScalePreset
+from repro.experiments.suite import run_suite
 from repro.experiments.sweep import (
     PAPER_A_VALUES,
     PAPER_C_MINUS_A,
-    SweepCell,
     format_sweep_table,
     parameter_grid,
-    run_sweep,
+    sweep_suite,
 )
+from repro.metrics.series import TimeSeries
+from repro.sim.network import NetworkStats
 
 MICRO = ScalePreset(
     name="micro", n=80, n_large=160, periods=30, repeats=1, trace_users=100
 )
+
+
+def result_at(strategy, spend_rate, capacity, final_metric) -> ExperimentResult:
+    """A hand-built result: only its spec and final metric matter here."""
+    config = ExperimentConfig(
+        app="push-gossip", strategy=strategy, spend_rate=spend_rate, capacity=capacity
+    )
+    return ExperimentResult(
+        config=config,
+        label=config.label(),
+        metric=TimeSeries([(0.0, 1.0), (10.0, final_metric)]),
+        tokens=None,
+        network=NetworkStats(),
+        data_messages=0,
+        messages_per_node_per_period=1.0,
+    )
 
 
 def test_paper_grid_definition():
@@ -30,60 +50,67 @@ def test_custom_grid():
     assert grid == [(1, 1), (1, 4), (2, 2), (2, 5)]
 
 
-def test_run_sweep_micro_scale():
-    cells = run_sweep(
+def test_sweep_suite_is_strategy_major():
+    suite = sweep_suite(
         "gossip-learning",
-        "randomized",
+        ["randomized", "generalized"],
         scale=MICRO,
+        seed=4,
         a_values=(1, 5),
         c_minus_a=(0, 5),
+        scenario="trace",
     )
-    assert len(cells) == 4
-    for cell in cells:
-        assert cell.strategy == "randomized"
-        assert cell.final_metric > 0
-        assert cell.message_rate <= 1.05
+    grid = [(1, 1), (1, 6), (5, 5), (5, 10)]
+    assert [spec.strategy.name for spec in suite] == (
+        ["randomized"] * 4 + ["generalized"] * 4
+    )
+    assert [
+        (spec.strategy.kwargs["spend_rate"], spec.strategy.kwargs["capacity"])
+        for spec in suite
+    ] == grid + grid
+    for spec in suite:
+        assert (spec.app.name, spec.n, spec.periods) == ("gossip-learning", 80, 30)
+        assert (spec.seed, spec.churn.name) == (4, "stunner-trace")
+    for result in run_suite(suite, workers=1).results():
+        assert result.metric.final() > 0
+        assert result.messages_per_node_per_period <= 1.05
 
 
-def test_run_sweep_simple_collapses_a_dimension():
-    cells = run_sweep(
-        "push-gossip",
-        "simple",
-        scale=MICRO,
-        a_values=(1, 5),
-        c_minus_a=(0, 5),
+def test_sweep_suite_simple_collapses_a_dimension():
+    suite = sweep_suite(
+        "push-gossip", ["simple"], scale=MICRO, a_values=(1, 5), c_minus_a=(0, 5)
     )
-    # The simple strategy has no A: only the first A value is used.
-    assert len(cells) == 2
-    assert {cell.capacity for cell in cells} == {1, 6}
+    # The simple strategy has no A: only the first A value's row is kept.
+    assert [spec.strategy.kwargs for spec in suite] == [
+        {"capacity": 1},
+        {"capacity": 6},
+    ]
 
 
 def test_format_sweep_table():
-    cells = [
-        SweepCell("randomized", 1, 1, 0.5, 1.0),
-        SweepCell("randomized", 1, 6, 0.8, 1.0),
-        SweepCell("randomized", 5, 5, 0.3, 1.0),
+    results = [
+        result_at("randomized", 1, 1, 0.5),
+        result_at("randomized", 1, 6, 0.3),
+        result_at("randomized", 5, 10, 0.8),
     ]
-    table = format_sweep_table(cells, higher_is_better=True)
-    assert "A \\ C" in table
-    assert "*" in table
-    assert "best" in table
-    assert "0.8" in table
+    table = format_sweep_table(results, higher_is_better=True)
+    header, rule, row_1, row_5, footer = table.splitlines()
+    assert header.split() == ["A", "\\", "C", "1", "6", "10"]
+    assert row_1.split() == ["1", "0.5", "0.3", "-"]  # no (A=1, C=10) cell
+    assert row_5.split() == ["5", "-", "-", "0.8*"]
+    assert footer == "(* best: randomized(A=5, C=10) -> 0.8)"
 
 
 def test_format_sweep_table_lower_is_better():
-    cells = [
-        SweepCell("generalized", 1, 1, 30.0, 1.0),
-        SweepCell("generalized", 1, 6, 10.0, 1.0),
+    results = [
+        result_at("simple", None, 1, 30.0),
+        result_at("simple", None, 11, 10.0),
     ]
-    table = format_sweep_table(cells, higher_is_better=False)
-    assert "C=6" in table.replace(" ", "").replace("(A=1,", "(A=1,") or "10" in table
+    table = format_sweep_table(results, higher_is_better=False)
+    # A strategy without A has one row, labelled "-", and a C-only footer.
+    assert table.splitlines()[2].split() == ["-", "30", "10*"]
+    assert table.endswith("(* best: simple(C=11) -> 10)")
 
 
 def test_format_empty_sweep():
     assert "empty" in format_sweep_table([], higher_is_better=True)
-
-
-def test_sweep_cell_label():
-    cell = SweepCell("randomized", 5, 10, 0.5, 1.0)
-    assert cell.label == "randomized(A=5, C=10)"
