@@ -65,26 +65,6 @@ class LatencyRecorder:
         else:
             self.rejected += 1
 
-    def record_many(self, samples) -> None:
-        """Record a batch of ``(latency, admitted, at)`` tuples at once.
-
-        The pipelined binary client parses a whole burst of responses
-        per socket read; one bulk call keeps the recorder off its hot
-        path. Equivalent to :meth:`record` per sample.
-        """
-        latencies = self.latencies
-        buckets = self._buckets
-        bucket = self.bucket
-        admitted_count = 0
-        for latency, admitted, at in samples:
-            latencies.append(latency)
-            if admitted:
-                admitted_count += 1
-                index = int(at / bucket)
-                buckets[index] = buckets.get(index, 0) + 1
-        self.admitted += admitted_count
-        self.rejected += len(samples) - admitted_count
-
     def record_arrays(self, latencies, admitted, ats) -> None:
         """Columnar :meth:`record`: three aligned numpy arrays.
 

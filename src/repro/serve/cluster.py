@@ -94,6 +94,8 @@ from repro.serve.connection import (
     FramedConnection,
     FramedLink,
     FramedListener,
+    HelloError,
+    fetch_stats,
 )
 from repro.serve.limiter import Decision
 from repro.serve.ring import HashRing
@@ -115,10 +117,8 @@ _LINK_BUFFER = (_RECV_BUFFER // 5) * wire.RUN_FRAME_SIZE + wire.MAX_FRAME + 2
 #: permutes whole frames; assigning them field by field is ~6x slower)
 _DECISION_RECORD = np.dtype((np.void, wire.DECISION_FRAME_SIZE))
 
-#: the constant head of every RUN / DECISION frame: u16 length, status
-_HEAD = struct.Struct("<HB")
-_RUN_HEAD = _HEAD.pack(wire.RUN_FRAME_SIZE - 2, wire.STATUS_RUN)
-_DECISION_HEAD = _HEAD.pack(wire.DECISION_FRAME_SIZE - 2, wire.STATUS_DECISION)
+#: the constant head of every RUN frame: u16 length, status
+_RUN_HEAD = struct.pack("<HB", wire.RUN_FRAME_SIZE - 2, wire.STATUS_RUN)
 
 _U16 = struct.Struct("<H")
 _BULK_OP = bytes((wire.OP_ACQUIRE_BULK,))
@@ -197,22 +197,6 @@ class _WorkerLink(FramedLink):
     def __init__(self) -> None:
         super().__init__(_LINK_BUFFER)
         self.dead = False
-
-    async def decisions(self, count: int) -> np.ndarray:
-        """The DECISION records answering ``count`` forwarded frames, as opaque
-        rows; refused as soon as the bytes present cannot begin that."""
-        size = wire.DECISION_FRAME_SIZE
-        status = wire.STATUS_DECISION
-        while True:
-            start = self._start
-            whole = min((self._end - start) // size, count)
-            records = np.frombuffer(self._buffer, wire.DECISION_DTYPE, whole, start)
-            if ((records["len"] != size - 2) | (records["status"] != status)).any():
-                raise ConnectionError("worker answered an ACQUIRE without a DECISION")
-            if whole == count:
-                self._consume(count * size)
-                return records.view(_DECISION_RECORD)
-            await self._fill(start + whole * size, _DECISION_HEAD)
 
     async def runs(self, owed: int) -> np.ndarray:
         """The RUN records that answer the next ``owed`` decisions.
@@ -294,22 +278,15 @@ class _RouterConnection(FramedConnection):
 
     async def _setup(self) -> None:
         """Open this connection's private link to every live worker."""
-        loop = asyncio.get_running_loop()
         for name, (host, port) in list(self.router._workers.items()):
             try:
-                _, link = await loop.create_connection(_WorkerLink, host, port)
-                link.transport.write(wire.MAGIC)
-                if await link.take(len(wire.MAGIC)) != wire.MAGIC:
-                    link.close()
-                    raise ConnectionError("bad worker hello")
-            except (ConnectionError, OSError):
+                self._links[name] = await _WorkerLink.connect(host, port)
+            except (HelloError, OSError):
                 self.router.worker_failed(name)
-                continue
-            self._links[name] = link
         if self.transport is None:  # client left during setup
             self._close_links()
             return
-        self._responder = loop.create_task(self._respond())
+        self._responder = asyncio.get_running_loop().create_task(self._respond())
         self.begin()  # hello ack, then the frames that arrived meanwhile
 
     # ------------------------------------------------------------------
@@ -540,7 +517,8 @@ class _RouterConnection(FramedConnection):
             if link is not None and not link.dead:
                 try:
                     if lone:
-                        frames = await link.decisions(len(positions))
+                        records = await link.decisions(len(positions))
+                        frames = records.view(_DECISION_RECORD)
                     else:
                         runs = await link.runs(len(positions))
                         frames = _expand_runs(runs).view(_DECISION_RECORD)
@@ -793,8 +771,6 @@ async def _final_stats(
     router: ClusterRouter, handles: List[WorkerHandle]
 ) -> Dict[str, int]:
     """Aggregate worker counters for the shutdown summary line."""
-    from repro.serve.loadgen import fetch_stats
-
     totals = {"admitted": 0, "rejected": 0, "keys": 0, "evictions": 0}
     for handle in handles:
         if not handle.alive():

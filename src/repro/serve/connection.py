@@ -1,22 +1,22 @@
-"""The framed-connection core shared by the server and the cluster router.
+"""The framed-connection core: every endpoint of the wire protocol.
 
-Everything a listening endpoint of the wire protocol
-(:mod:`repro.serve.wire`) needs besides deciding what a frame means:
+What its three users — the server (listens), the cluster router (both
+halves) and the load generator (connects) — need of the wire protocol
+(:mod:`repro.serve.wire`) besides deciding what a frame means:
 
 * :class:`ReceiveBuffer` — bytes land by ``recv_into``
   (:class:`asyncio.BufferedProtocol`) in a preallocated buffer and are
   parsed in place.
-* :class:`FramedLink` — the connecting side on that buffer, read by
-  ``await`` (the router's links to its workers).
-* :class:`FramedConnection` — one client connection on that buffer: the
-  hello is checked (a
-  connection's first bytes are :data:`~repro.serve.wire.MAGIC` or it
-  gets one ``!`` line and a close), and the socket's read side is held
-  whenever requests must not be accepted: the peer is not draining
-  replies, the subclass is not ready to drain yet, or the endpoint is
-  shutting down. A subclass supplies :meth:`~FramedConnection.drain`
-  (walk the complete frames between ``_start`` and ``_end``) and may
-  defer :meth:`~FramedConnection.begin` (the hello ack) until it can.
+* :class:`FramedLink` — the one client (router→worker links, ``repro
+  loadgen``, :func:`fetch_stats`): :meth:`~FramedLink.connect` does the
+  hello, frames and DECISION records are read by ``await`` in that buffer.
+* :class:`FramedConnection` — one accepted connection on that buffer: its
+  first bytes are :data:`~repro.serve.wire.MAGIC` or it gets one ``!``
+  line and a close, and the socket's read side is held whenever requests
+  must not be accepted: the peer is not draining replies, the subclass is
+  not ready to drain yet, or the endpoint is shutting down. A subclass
+  supplies :meth:`~FramedConnection.drain` (walk the complete frames) and
+  may defer :meth:`~FramedConnection.begin` (the hello ack) until it can.
 * :class:`FramedListener` — the listening half: bind, read back port 0,
   and a close that lets every owed reply reach its socket first.
 """
@@ -24,7 +24,11 @@ Everything a listening endpoint of the wire protocol
 from __future__ import annotations
 
 import asyncio
-from typing import Optional, Set
+import json
+import struct
+from typing import Dict, Optional, Set
+
+import numpy as np
 
 from repro.serve import wire
 
@@ -34,6 +38,13 @@ _RECV_BUFFER = 2**16
 
 #: what a connection that does not open with the hello is told
 _REFUSAL = b"! unsupported protocol: expected the binary wire v1 hello\n"
+
+#: the constant head of every DECISION frame: u16 length, status
+_DECISION_HEAD = struct.pack("<HB", wire.DECISION_FRAME_SIZE - 2, wire.STATUS_DECISION)
+
+
+class HelloError(ValueError):
+    """The peer did not echo the hello (no :class:`OSError`: the host was reached)."""
 
 
 class ReceiveBuffer(asyncio.BufferedProtocol):
@@ -80,6 +91,23 @@ class FramedLink(ReceiveBuffer):
         self.transport: Optional[asyncio.Transport] = None
         self._eof = False  # the peer closed the link: nothing more comes
         self._arrived = asyncio.Event()
+        self._writable = asyncio.Event()  # clear while the transport is backed up
+        self._writable.set()
+
+    @classmethod
+    async def connect(cls, host: str, port: int, *args) -> "FramedLink":
+        """A ``cls(*args)`` link to ``host:port`` with the hello done — or closed
+        again and :class:`HelloError`: the peer hung up or sent something else."""
+        loop = asyncio.get_running_loop()
+        _, link = await loop.create_connection(lambda: cls(*args), host, port)
+        link.transport.write(wire.MAGIC)
+        try:
+            if await link.take(len(wire.MAGIC)) == wire.MAGIC:
+                return link
+        except ConnectionError:
+            pass
+        link.close()
+        raise HelloError(f"{host}:{port} did not echo the binary wire v1 hello")
 
     def connection_made(self, transport) -> None:
         self.transport = transport
@@ -87,6 +115,19 @@ class FramedLink(ReceiveBuffer):
     def connection_lost(self, exc) -> None:
         self._eof = True
         self._arrived.set()
+        self._writable.set()
+
+    def pause_writing(self) -> None:
+        self._writable.clear()
+
+    def resume_writing(self) -> None:
+        self._writable.set()
+
+    async def drain(self) -> None:
+        """Wait while the transport is above its high-water mark (``pause_writing``)."""
+        await self._writable.wait()
+        if self._eof:
+            raise ConnectionError("the peer closed the link")
 
     def buffer_updated(self, nbytes: int) -> None:
         self._end += nbytes
@@ -126,6 +167,39 @@ class FramedLink(ReceiveBuffer):
     async def frame(self) -> bytes:
         """The next length-prefixed frame's payload."""
         return await self.take(int.from_bytes(await self.take(2), "little"))
+
+    async def decisions(self, count: int, partial: bool = False) -> np.ndarray:
+        """The next ``count`` DECISION records, viewed in place (good until the
+        caller's next ``await``) — or, if ``partial``, as many of them as have
+        arrived whole, at least one: what a wake-up brought. Refused as soon
+        as the bytes present cannot begin that."""
+        size = wire.DECISION_FRAME_SIZE
+        status = wire.STATUS_DECISION
+        while True:
+            start = self._start
+            whole = min((self._end - start) // size, count)
+            records = np.frombuffer(self._buffer, wire.DECISION_DTYPE, whole, start)
+            if ((records["len"] != size - 2) | (records["status"] != status)).any():
+                raise ConnectionError("an ACQUIRE was answered without a DECISION")
+            if whole == count or (partial and whole):
+                self._consume(whole * size)
+                return records
+            await self._fill(start + whole * size, _DECISION_HEAD)
+
+
+async def fetch_stats(host: str, port: int) -> Dict[str, object]:
+    """A server's or router's STATS document; ``ValueError`` on a protocol mismatch."""
+    link = await FramedLink.connect(host, port, _RECV_BUFFER)
+    try:
+        link.transport.write(wire.encode_command_binary(wire.OP_STATS))
+        status, value = wire.decode_response_binary(await link.frame())
+    except ConnectionError as error:
+        raise ValueError("server closed mid-response") from error
+    finally:
+        link.close()
+    if status != wire.STATUS_STATS:
+        raise ValueError(f"expected a STATS response, got status {status}")
+    return json.loads(value)
 
 
 class FramedConnection(ReceiveBuffer):
@@ -188,11 +262,8 @@ class FramedConnection(ReceiveBuffer):
                 self.transport.resume_reading()
 
     def pause_writing(self) -> None:
-        """Tie the read side to the write side (asyncio callback).
-
-        When the client stops draining responses, stop accepting more
-        requests instead of buffering unboundedly.
-        """
+        """The client stopped draining responses: stop accepting requests
+        rather than buffer replies without bound (asyncio callback)."""
         self.hold("peer-not-reading")
 
     def resume_writing(self) -> None:
@@ -272,14 +343,13 @@ class FramedListener:
     async def close(self, drain_timeout: float = 5.0) -> None:
         """Stop accepting, drain in-flight responses, close every transport.
 
-        A pipelined client can have kilobytes of DECISION frames sitting
-        in a transport's write buffer when the endpoint shuts down;
-        ``transport.close()`` alone schedules an asynchronous flush that
-        dies with the event loop (``asyncio.run`` tears the loop down
-        immediately after the coroutine returns), silently truncating
-        the final response batch. So: stop reading (no new decisions),
-        then wait — up to ``drain_timeout`` seconds — for every
-        connection to be :meth:`~FramedConnection.idle`, then close.
+        A pipelined client can have kilobytes of DECISION frames in a
+        transport's write buffer at shutdown; ``transport.close()`` alone
+        schedules a flush that dies with the event loop (``asyncio.run``
+        tears it down as the coroutine returns), truncating the final
+        batch. So: stop reading (no new decisions), wait up to
+        ``drain_timeout`` seconds for every connection to be
+        :meth:`~FramedConnection.idle`, then close.
         """
         if self._server is not None:
             self._server.close()

@@ -7,13 +7,14 @@ request send times are fixed before the run, so offered load does not
 slow down when the server pushes back — the regime that distinguishes
 admission control from polite clients.
 
-Requests fan out round-robin over ``connections`` persistent TCP
-connections and ``keys`` distinct account keys. Each connection
-pipelines: a writer coroutine flushes every request that is due (one
-``write`` per due batch), while a reader coroutine matches responses
-FIFO to their send deadlines — the wire protocol
-(:mod:`repro.serve.wire`) answers strictly in order, so no per-request
-ids are needed. Latency is measured from the *scheduled* arrival time
+Requests fan out round-robin over ``connections`` persistent
+:class:`~repro.serve.connection.FramedLink` connections — the client
+the cluster router reaches its workers with — and ``keys`` distinct
+account keys. Each connection pipelines: a writer coroutine flushes
+every request that is due (one ``write`` per due batch), while a reader
+coroutine matches responses FIFO to their send deadlines — the wire
+protocol (:mod:`repro.serve.wire`) answers strictly in order, so no
+per-request ids are needed. Latency is measured from the *scheduled* arrival time
 to the response, so scheduler lag and server backpressure both count,
 as they would for a real client.
 
@@ -22,12 +23,14 @@ as they would for a real client.
 bounding how deep any one connection's response queue can grow.
 
 The reader exploits the fixed 17-byte ``DECISION`` frame: a pipelined
-ACQUIRE-only stream is a homogeneous array of records, so each socket
-read is parsed with **one** :func:`numpy.frombuffer` over a packed
-structured dtype (:data:`repro.serve.wire.DECISION_DTYPE`) instead of a
-Python loop — the client-side half of the zero-copy wire path. Any
-non-DECISION frame (stats, error) drops the connection back to the
-generic frame-by-frame parser.
+ACQUIRE-only stream is answered by a homogeneous array of records, so
+each wake-up's whole records are one
+:data:`~repro.serve.wire.DECISION_DTYPE` view of the link's preallocated
+receive buffer (``FramedLink.decisions``), timestamped once — no
+allocation per read, no Python loop per reply. A record that is not a
+DECISION (an ``ERROR`` frame, a stream out of step) fails the link as it
+does on a router's worker link: the connection is closed and everything
+not yet answered counts in ``errors``, like a mid-run disconnect.
 
 Results aggregate into :class:`repro.metrics.latency.LatencyRecorder`:
 admitted/rejected counts, p50/p95/p99 latency, and an
@@ -38,7 +41,6 @@ through a flash-crowd burst.
 from __future__ import annotations
 
 import asyncio
-import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List
@@ -49,7 +51,15 @@ from repro.metrics.latency import LatencyRecorder
 from repro.scenarios import ArrivalSpec
 from repro.serve import wire
 from repro.serve.arrivals import arrival_times
+from repro.serve.connection import FramedLink, HelloError, fetch_stats
 from repro.sim.randomness import RandomStreams
+
+__all__ = ["LoadgenReport", "fetch_stats", "run_loadgen"]
+
+#: a connection's receive buffer. The reader takes whatever whole records
+#: a wake-up brought, so it must fit one DECISION record; it is sized to
+#: take a deep pipeline's replies (~7 700 records) in one read
+_LINK_BUFFER = 2**17
 
 
 @dataclass
@@ -111,37 +121,6 @@ class LoadgenReport:
         }
 
 
-async def fetch_stats(host: str, port: int) -> Dict[str, object]:
-    """Fetch one STATS document from a server.
-
-    Works against a single-process server and the cluster router alike
-    (the router answers with the aggregated cluster document). Raises
-    ``ValueError`` on a protocol mismatch and propagates ``OSError``
-    when the server is unreachable.
-    """
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(wire.MAGIC + wire.encode_command_binary(wire.OP_STATS))
-        ack = await reader.readexactly(len(wire.MAGIC))
-        if ack != wire.MAGIC:
-            raise ValueError("server did not echo the binary hello")
-        header = await reader.readexactly(2)
-        length = header[0] | (header[1] << 8)
-        payload = await reader.readexactly(length)
-        status, value = wire.decode_response_binary(payload)
-        if status != wire.STATUS_STATS:
-            raise ValueError(f"expected a STATS response, got status {status}")
-        return json.loads(value)
-    except asyncio.IncompleteReadError as error:
-        raise ValueError("server closed mid-response") from error
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-
-
 async def _connection_worker(
     host: str,
     port: int,
@@ -154,9 +133,13 @@ async def _connection_worker(
     """Drive one pipelined connection through its slice of the schedule."""
     if not schedule:
         return
-    reader, writer = await asyncio.open_connection(host, port)
-    loop = asyncio.get_running_loop()
     total = len(schedule)
+    try:
+        link = await FramedLink.connect(host, port, _LINK_BUFFER)
+    except HelloError:
+        report.errors += total
+        return
+    loop = asyncio.get_running_loop()
     # The server answers strictly in order and the writer sends
     # in schedule order, so response N belongs to send deadline N: a
     # cursor into the due-times array replaces per-request bookkeeping.
@@ -166,106 +149,30 @@ async def _connection_worker(
     due_list = dues.tolist()
     sent = 0
     completed = 0
-    consumer_done = asyncio.Event()
     #: set by the reader whenever responses complete (or it exits), so
     #: a pipeline-capped writer can wait for in-flight slots to free up
     progress = asyncio.Event()
 
     async def read_responses() -> None:
         nonlocal completed
-        buffer = bytearray()
-        stride = wire.DECISION_FRAME_SIZE
-        body_length = stride - 2  # u16 length prefix excludes itself
-        decode = wire.decode_response_binary
-        generic = False
         try:
-            while True:
-                chunk = await reader.read(2**17)
-                if not chunk:
-                    return
-                if buffer:
-                    buffer += chunk
-                    data = buffer
-                else:
-                    data = chunk  # parse straight out of the socket read
-                if not generic:
-                    usable = len(data) - len(data) % stride
-                    if not usable:
-                        if data is not buffer:
-                            buffer += data
-                        continue
-                    view = memoryview(data)[:usable]
-                    frames = np.frombuffer(view, dtype=wire.DECISION_DTYPE)
-                    homogeneous = bool(
-                        (frames["status"] == wire.STATUS_DECISION).all()
-                    ) and bool((frames["len"] == body_length).all())
-                    if homogeneous:
-                        count = usable // stride
-                        admitted = frames["admitted"] != 0
-                        del frames
-                        view.release()
-                        # One timestamp for the burst: every response in
-                        # it arrived in the same socket read.
-                        ats = dues[completed : completed + count]
-                        latencies = (loop.time() - start) - ats
-                        completed += count
-                        recorder.record_arrays(latencies, admitted, ats)
-                        if data is buffer:
-                            del buffer[:usable]
-                        elif usable < len(data):
-                            buffer += data[usable:]
-                        progress.set()
-                        if completed >= total and consumer_done.is_set():
-                            return
-                        continue
-                    # A stats/error/short frame broke the stride: fall
-                    # back to frame-by-frame parsing for good.
-                    del frames
-                    view.release()
-                    generic = True
-                    if data is not buffer:
-                        buffer += data
-                payloads, consumed = wire.split_frames(buffer)
-                if consumed:
-                    del buffer[:consumed]
-                if not payloads:
-                    continue
-                now = loop.time()
-                samples = []
-                for payload in payloads:
-                    due = due_list[completed]
-                    completed += 1
-                    admitted = False
-                    try:
-                        status, value = decode(payload)
-                        if status == wire.STATUS_DECISION:
-                            admitted = value.admitted
-                        else:
-                            report.errors += 1
-                    except ValueError:
-                        report.errors += 1
-                    samples.append((now - (start + due), admitted, due))
-                recorder.record_many(samples)
+            while completed < total:
+                # The server answers only what was sent, so "everything
+                # still unanswered" caps the read at what is outstanding.
+                records = await link.decisions(total - completed, partial=True)
+                # One timestamp for the burst: every response in it
+                # arrived in the same wake-up.
+                now = loop.time() - start
+                admitted = records["admitted"] != 0
+                ats = dues[completed : completed + len(records)]
+                completed += len(records)
+                recorder.record_arrays(now - ats, admitted, ats)
                 progress.set()
-                if completed >= total and consumer_done.is_set():
-                    return
+        except ConnectionError:
+            link.close()  # EOF, or a record that is no DECISION: trust no more
         finally:
             progress.set()
 
-    writer.write(wire.MAGIC)
-    await writer.drain()
-    try:
-        ack = await reader.readexactly(len(wire.MAGIC))
-    except asyncio.IncompleteReadError:
-        ack = b""
-    if ack != wire.MAGIC:
-        report.errors += total
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        return
     # Requests repeat over few keys: encode each key once up front, then
     # pre-join the whole connection's request stream into ONE contiguous
     # bytes object with per-request byte offsets. The send hot loop is
@@ -299,34 +206,21 @@ async def _connection_worker(
                 await progress.wait()
             # Flush everything that is due by now as one batch write
             # (bounded by the remaining pipeline room, if capped).
-            stop = sent + pipeline - (sent - completed) if pipeline else total
-            if stop > total:
-                stop = total
+            stop = min(completed + pipeline, total) if pipeline else total
             cutoff = loop.time() - start
             index = bisect_right(due_list, cutoff, sent, stop)
             if index > sent:
-                writer.write(stream[offset_list[sent] : offset_list[index]])
+                link.transport.write(stream[offset_list[sent] : offset_list[index]])
                 sent = index
-                await writer.drain()
-        consumer_done.set()
-        if completed < sent:
-            await reader_task  # drains until every response arrived, or EOF
-        else:
-            reader_task.cancel()
+                await link.drain()
+        await reader_task  # until every response arrived, or the link failed
     except OSError:
-        # The server went away mid-run: keep everything already
-        # measured and report the unsent remainder as errors.
-        report.errors += total - sent
+        pass  # the server went away mid-run: keep everything already measured
     finally:
-        # Requests written but never answered (server EOF mid-batch).
-        report.errors += sent - completed
-        if not reader_task.done():
-            reader_task.cancel()
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+        # Never sent, or written but never answered (server EOF mid-batch).
+        report.errors += total - completed
+        reader_task.cancel()
+        link.close()
 
 
 async def run_loadgen(

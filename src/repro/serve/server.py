@@ -130,53 +130,34 @@ class _AdmissionProtocol(FramedConnection):
             self.transport.write(b"".join(out) if len(out) > 1 else out[0])
 
     def _flush_acquires(
-        self,
-        keys: List[str],
-        flags: List[bool],
-        out: List[bytes],
-        now: Optional[float] = None,
+        self, keys: List[str], flags: List[bool], out: List[bytes]
     ) -> None:
         """Decide a pending ``ACQUIRE`` run: the limiter packs the reply."""
         if not keys:
             return
         useful = True if all(flags) else flags
-        out.append(self.limiter.try_acquire_frames(keys, useful, now))
+        out.append(self.limiter.try_acquire_frames(keys, useful))
         keys.clear()
         flags.clear()
 
     def _respond_bulk(self, payload, out: List[bytes]) -> None:
         """Answer one ``ACQUIRE_BULK`` frame with ``RUN`` frames only.
 
-        Consecutive single-request groups are one pending ``ACQUIRE``
-        run: decided together by ``try_acquire_frames`` and flushed, in
-        group order, before any larger group — which gets one
-        closed-form ``RUN`` frame when the strategy qualifies, or its
-        ``count`` decisions through the exact generic batch path
-        otherwise. Decisions made one by one are re-framed as
+        Every group, whatever its count, gets one closed-form ``RUN``
+        frame when the strategy qualifies, or its ``count`` decisions
+        through the exact generic batch path otherwise, re-framed as
         single-decision ``RUN`` frames, so the router reads one fixed
-        stride whatever the strategy. One clock read covers the whole
-        frame — the same single-timestamp semantics a run of plain
-        ``ACQUIRE`` frames gets from ``try_acquire_frames``.
+        stride whatever the strategy. A count-1 group is not special:
+        the router forwards those as plain ``ACQUIRE`` frames
+        (``cluster.py`` ``flush()``), so none is worth batching here.
+        One clock read covers the whole frame — the same
+        single-timestamp semantics a run of plain ``ACQUIRE`` frames
+        gets from ``try_acquire_frames``.
         """
-        groups = wire.parse_bulk_binary(payload)
         limiter = self.limiter
         now = limiter._clock()
         run = limiter.try_acquire_run
-        unit_runs = wire.runs_from_decision_frames
-        lone_keys: List[str] = []
-        lone_flags: List[bool] = []
-
-        def flush_lone() -> None:
-            if lone_keys:
-                self._flush_acquires(lone_keys, lone_flags, out, now)
-                out[-1] = unit_runs(out[-1])
-
-        for key, useful, count in groups:
-            if count == 1:
-                lone_keys.append(key)
-                lone_flags.append(useful)
-                continue
-            flush_lone()
+        for key, useful, count in wire.parse_bulk_binary(payload):
             result = run(key, count, useful, now=now)
             if result is not None:
                 admits, rejects, balance, reason, retry = result
@@ -185,8 +166,7 @@ class _AdmissionProtocol(FramedConnection):
                 )
             else:
                 frames = limiter.try_acquire_frames([key] * count, useful, now)
-                out.append(unit_runs(frames))
-        flush_lone()
+                out.append(wire.runs_from_decision_frames(frames))
 
     # ------------------------------------------------------------------
     def _stats_json(self) -> bytes:
