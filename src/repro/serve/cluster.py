@@ -40,7 +40,8 @@ receive buffer in place (:class:`_WorkerLink`: nothing is allocated per
 wake-up). The DECISION stride is scattered to its request positions as
 opaque records; the RUN stride is cut where its records' decision
 counts add up to what the batch owes that worker for repeats, expanded
-in one columnar pass (:func:`_expand_runs`) and scattered the same way.
+in one columnar pass (:func:`~repro.serve.wire.expand_runs`) and scattered
+the same way.
 What a link received beyond that — the next batch's replies, a STATS
 document — stays in its buffer for the next reader.
 
@@ -113,21 +114,16 @@ _RESUME_OUTSTANDING = 8192
 #: (5 bytes each), every one answered by its own RUN, plus a STATS frame
 _LINK_BUFFER = (_RECV_BUFFER // 5) * wire.RUN_FRAME_SIZE + wire.MAX_FRAME + 2
 
-#: a run of DECISION frames viewed as opaque 17-byte records (reordering
-#: permutes whole frames; assigning them field by field is ~6x slower)
-_DECISION_RECORD = np.dtype((np.void, wire.DECISION_FRAME_SIZE))
-
 #: the constant head of every RUN frame: u16 length, status
 _RUN_HEAD = struct.pack("<HB", wire.RUN_FRAME_SIZE - 2, wire.STATUS_RUN)
 
 _U16 = struct.Struct("<H")
 _BULK_OP = bytes((wire.OP_ACQUIRE_BULK,))
-_REASON_EXHAUSTED = wire.REASON_CODES["exhausted"]
 
 #: the reject record synthesized for requests lost to a dead worker
 _SYNTH_REJECT = np.frombuffer(
     wire.encode_decision_binary(Decision(False, "", "exhausted", 0, 0.0)),
-    dtype=_DECISION_RECORD,
+    dtype=wire.DECISION_RECORD,
 )[0]
 
 #: scrapes the port from a worker's (or the router's) announce line
@@ -153,35 +149,6 @@ def _pack_bulk_frames(records: List[bytes]) -> bytes:
         size += len(record)
     frames.append(_U16.pack(size) + _BULK_OP + b"".join(chunk))
     return b"".join(frames)
-
-
-def _expand_runs(records: np.ndarray) -> np.ndarray:
-    """Expand RUN records into the DECISION records the client expects.
-
-    Each run is an admit-prefix walk from a pre-spend ``balance``: the
-    first ``admits`` requests are admitted at balances ``balance-1`` …
-    ``balance-admits`` (retry 0), the remaining ``rejects`` are all
-    identical rejects at the leftover balance — exactly what the worker
-    would have answered to ``admits + rejects`` sequential ACQUIREs.
-    All runs are expanded at once, as columns: one output row per
-    decision, in run order.
-    """
-    admits = records["admits"].astype(np.intp)
-    counts = admits + records["rejects"]
-    starts = counts.cumsum() - counts
-    run = np.repeat(np.arange(len(records)), counts)  # each row's run
-    rank = np.arange(len(run)) - starts[run]  # its place in that run
-    admits = admits[run]
-    admitted = rank < admits
-    spent = np.minimum(rank + 1, admits)  # tokens the run had spent by then
-    frames = np.empty(len(run), dtype=wire.DECISION_DTYPE)
-    frames["len"] = wire.DECISION_FRAME_SIZE - 2
-    frames["status"] = wire.STATUS_DECISION
-    frames["admitted"] = admitted
-    frames["reason"] = np.where(admitted, records["reason"][run], _REASON_EXHAUSTED)
-    frames["balance"] = records["balance"][run] - spent
-    frames["retry"] = np.where(admitted, 0.0, records["retry"][run])
-    return frames
 
 
 class _WorkerLink(FramedLink):
@@ -510,7 +477,7 @@ class _RouterConnection(FramedConnection):
         the batch becomes synthesized REJECT frames, keeping the
         client's stream complete and ordered.
         """
-        merged = np.empty(total, dtype=_DECISION_RECORD)
+        merged = np.empty(total, dtype=wire.DECISION_RECORD)
         for name, positions, lone in plan:
             link = self._links.get(name) if name is not None else None
             frames = _SYNTH_REJECT
@@ -518,10 +485,10 @@ class _RouterConnection(FramedConnection):
                 try:
                     if lone:
                         records = await link.decisions(len(positions))
-                        frames = records.view(_DECISION_RECORD)
+                        frames = records.view(wire.DECISION_RECORD)
                     else:
                         runs = await link.runs(len(positions))
-                        frames = _expand_runs(runs).view(_DECISION_RECORD)
+                        frames = wire.expand_runs(runs).view(wire.DECISION_RECORD)
                 except (ConnectionError, OSError):
                     self._worker_lost(name, link)
             merged[positions] = frames  # a view of the link: before the next await
@@ -540,6 +507,7 @@ class _RouterConnection(FramedConnection):
             "rejected": 0,
             "keys": 0,
             "evictions": 0,
+            "grouped": 0,
             "worker_connections": 0,
         }
         meta: Dict[str, object] = {}
@@ -555,7 +523,7 @@ class _RouterConnection(FramedConnection):
             if not payload or payload[0] != wire.STATUS_STATS:
                 continue  # defensive; a worker only ever answers STATS here
             document = json.loads(payload[1:])
-            for field in ("admitted", "rejected", "keys", "evictions"):
+            for field in ("admitted", "rejected", "keys", "evictions", "grouped"):
                 totals[field] += int(document.get(field, 0))
             totals["worker_connections"] += int(document.get("connections", 0))
             meta.setdefault("strategy", document.get("strategy"))

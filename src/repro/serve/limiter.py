@@ -33,6 +33,10 @@ bound :class:`repro.core.ratelimit.RateLimitAuditor` checks, and the
 property tests drive the limiter with a synthetic clock to prove it for
 every registered strategy.
 
+Every decision ends in one account step (``_account_pass``), which
+emits a :class:`Decision`, a packed ``DECISION`` record or, for
+``try_acquire_runs``, ``RUN`` records per key.
+
 Two deliberate divergences from the simulation defaults, both standard
 for rate limiters and both inside the bound:
 
@@ -48,8 +52,8 @@ from __future__ import annotations
 import random
 import struct
 import threading
-from collections import defaultdict
 from dataclasses import dataclass
+from itertools import repeat
 from operator import length_hint
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -206,12 +210,14 @@ class TokenAccountLimiter:
         self._np_rng_lock = threading.Lock()
         #: uniforms owed to batches that could not read them (``_decide_batch``)
         self._np_rng_skipped = 0
+        #: decisions a server answered from grouped frames (``server.py``)
+        self.grouped = 0
         kernel = self._kernel
         # No decision reads a uniform: a deterministic kernel whose balances
         # never leave its tables (no overdraft, a declared capacity). Graded
         # (non-bool) usefulness still draws — it bypasses the tables.
         self._drawless = kernel.deterministic and not kernel.clip_index
-        # Whether try_acquire_run applies: n back-to-back requests at one
+        # Whether the runs apply: n back-to-back requests at one
         # timestamp are then an admit prefix walking down the balance and
         # a reject tail — a plain bounded bucket (never admits from empty).
         self._run_closed_form = bool(
@@ -327,64 +333,78 @@ class TokenAccountLimiter:
         frames = bytearray(len(keys) * DECISION_FRAME_SIZE)
         return self._acquire_batch(keys, useful, now, frames)
 
+    @staticmethod
+    def _plain_flags(useful, count: int) -> bool:
+        """Whether ``useful`` — one flag or ``count`` of them — is all bools."""
+        if useful is True or useful is False:
+            return True
+        if len(useful) != count:
+            raise ValueError(f"{len(useful)} useful flags for {count} keys")
+        return set(map(type, useful)) <= {bool}
+
     def _acquire_batch(self, keys, useful, now, out):
         """Decide ``keys`` into ``out``, one lock hold per shard; returns ``out``."""
         count = len(keys)
-        plain_flags = useful is True or useful is False
-        if not plain_flags:
-            if len(useful) != count:
-                raise ValueError(f"{len(useful)} useful flags for {count} keys")
-            plain_flags = set(map(type, useful)) <= {bool}
+        plain_flags = self._plain_flags(useful, count)
         if not count:
             return out
         if now is None:
             now = self._clock()
         drawless = self._drawless and plain_flags
-        table = self._table
-        shards = table.shards
-        if table._mask == 0:
-            groups: Dict[int, List[int]] = {0: list(range(count))}
-        else:
-            # Group input positions by owning shard (same stable-hash
-            # routing as shard_for; the table's route memo makes the
-            # common repeated-key case a dict hit).
-            shard_index = table.shard_index
-            route_cache = table._route_cache
-            groups = defaultdict(list)
-            for position, key in enumerate(keys):
-                index = route_cache.get(key)
-                if index is None:
-                    index = shard_index(key)
-                groups[index].append(position)
-        for index, positions in groups.items():
+        shards = self._table.shards
+        for index, positions in self._table.positions_by_shard(keys).items():
             shard = shards[index]
             with shard.lock:
                 self._decide_batch(shard, keys, useful, positions, now, out, drawless)
         return out
 
-    def try_acquire_run(
+    def try_acquire_runs(
         self,
-        key: str,
-        count: int,
-        useful: bool = True,
+        keys: Sequence[str],
+        counts: Sequence[int],
+        useful: Union[bool, Sequence[bool]] = True,
         now: Optional[float] = None,
-    ) -> Optional[tuple]:
-        """``count`` back-to-back decisions for one key, as one aggregate.
+    ) -> Optional[List[list]]:
+        """``counts[i]`` back-to-back decisions for ``keys[i]``, as RUN records.
 
-        The bulk seam the cluster's ``ACQUIRE_BULK`` opcode rides on:
-        :meth:`_account_pass` for one state and ``count`` positions with
-        nothing emitted per request. For deterministic strategies (see
-        ``_run_closed_form``) the outcome at one ``now`` is an admit
-        prefix followed by rejections, so the walk stops at the first
-        reject. Returns ``(admits, rejects, balance, reason,
-        retry_after)`` — ``balance`` is the pre-spend balance (admitted
-        requests observed ``balance-1 … balance-admits``, rejected ones
-        ``balance-admits``) — or ``None`` when that shape does not apply
-        (randomized kernels, graded usefulness, overdraft or capacity-0
-        strategies, or a run that mixes admit reasons, which is taken
-        back); the caller then falls back to :meth:`try_acquire_many`,
-        which is exact for every strategy. Counters, LRU touch and tick
-        accounting match the generic path exactly.
+        Where ``_run_closed_form`` holds: ``[reason, admits, rejects,
+        pre-spend balance, retry]`` per group, plus one wherever its admit
+        reason changes; groups decided in order, one :meth:`_account_pass`
+        per shard — what ``try_acquire_frames([key] * count)`` per group
+        leaves behind. ``useful``: one flag or one per group. ``None``,
+        nothing changed, where the closed form does not apply.
+        """
+        if min(counts, default=1) < 1 or max(counts, default=1) > 0xFFFF:
+            raise ValueError(f"counts must be 1 … 65535, got {counts}")
+        if not (self._plain_flags(useful, len(keys)) and self._run_closed_form):
+            return None
+        if useful is not True and useful is not False and len(set(useful)) == 1:
+            useful = useful[0]  # one flag: the account pass reads its tables directly
+        if now is None:
+            now = self._clock()
+        with self._np_rng_lock:
+            self._np_rng_skipped += 2 * sum(counts)
+        records: List[list] = [[] for _ in keys]
+        every = range(len(keys))
+        table, new = self._table, self._new_account
+        for index, groups in table.positions_by_shard(keys).items():
+            shard = table.shards[index]
+            get = shard.get_or_create
+            with shard.lock:
+                runs = [(get(keys[g], new, now), repeat(g, counts[g])) for g in groups]
+                self._account_pass(shard, runs, None, useful, every, now, records, None)
+        return [run for group in records for run in group]
+
+    def try_acquire_run(
+        self, key: str, count: int, useful: bool = True, now: Optional[float] = None
+    ) -> Optional[tuple]:
+        """One group of :meth:`try_acquire_runs`, unpacked.
+
+        Returns ``(admits, rejects, balance, reason, retry_after)`` —
+        ``balance`` is the pre-spend balance — or ``None``, nothing
+        changed, where the closed form does not apply and for a walk that
+        mixes admit reasons (two records there), whose spend is taken
+        back; the caller then falls back to :meth:`try_acquire_many`.
         """
         if count < 1:
             raise ValueError(f"count must be positive, got {count}")
@@ -392,24 +412,23 @@ class TokenAccountLimiter:
             return None
         if now is None:
             now = self._clock()
-        ranks = range(count)
+        records: List[list] = [[]]
         shard = self._table.shard_for(key)
         with shard.lock:
             state = shard.get_or_create(key, self._new_account, now)
-            admits, rejects, reasons, retry = self._account_pass(
-                shard, ((state, ranks),), None, useful, ranks, now, None, None
-            )
-            account = state.account
-            if reasons == 3:
-                # reactive and proactive admits both: undo the spend (the
-                # clamp and tick credit are a no-op on the fallback's retry)
-                account.balance += admits
-                account.spent -= admits
-                shard.admitted -= admits
-                shard.rejected -= rejects
+            runs = ((state, repeat(0, count)),)
+            self._account_pass(shard, runs, None, useful, _FIRST, now, records, None)
+            (reason, admits, rejects, balance, retry), *mixed = records[0]
+            if mixed:  # undo the spend (the clamp and tick credit stay: a no-op)
+                spent = count - mixed[-1][2]
+                state.account.balance += spent
+                state.account.spent -= spent
+                shard.admitted -= spent
+                shard.rejected -= count - spent
                 return None
-            balance = account.balance + admits
-            return admits, rejects, balance, REASON_NAMES[reasons] or "exhausted", retry
+        with self._np_rng_lock:
+            self._np_rng_skipped += 2 * count
+        return admits, rejects, balance, REASON_NAMES[reason], retry
 
     def _decide_batch(
         self,
@@ -493,26 +512,29 @@ class TokenAccountLimiter:
         wall-clock form of "one proactive send per round"; anything else
         is ``exhausted`` with a retry hint (the slot's for capacity 0,
         where ticks grant nothing, else the tick grid's). With one flag
-        for the pass and no uniforms a reject is final — balance, verdict
-        and hint cannot change — so the rest of the state's ranks get
-        the same answer without being decided.
+        for the state's ranks and no uniforms a reject is final — balance,
+        verdict and hint cannot change — so the rest of them get the same
+        answer without being decided.
 
         Emission: a :class:`Decision` into a list ``out`` at
-        ``positions[rank]``, the packed record into a ``bytearray``, or
-        for ``None`` (a run) nothing but the admit reason codes, or-ed
-        together. Returns ``(admits, rejects, those codes, last retry hint)``.
+        ``positions[rank]``, the packed record into a ``bytearray``, or —
+        for ``keys=None``, the runs, whose ranks are ``repeat(group,
+        count)`` — ``[reason, admits, rejects, pre-spend balance, retry]``
+        records appended to ``out[group]``, a new one wherever the admit
+        reason changes.
         """
         period, slot_gap, cap, overdraft, in_table = self._step_constants
         int_lut, frac_lut, pro_lut, span, lut_max = self._step_tables
         flag = useful  # one flag for the pass, else rebound per rank
         one_flag = useful is True or useful is False
         tabled = one_flag and in_table
-        final_reject = one_flag and uniforms is None
+        grouping = keys is None  # one group, so one flag, per state
+        final_reject = (one_flag or grouping) and uniforms is None
         packed = type(out) is bytearray
         pack = DECISION_STRUCT.pack_into
         size, status = DECISION_FRAME_SIZE, STATUS_DECISION
         body = size - 2
-        admits = rejects = reasons = 0
+        admits = rejects = 0
         retry = 0.0
         u_round = u_coin = 1.0  # never read when ``uniforms`` is None
         try:
@@ -536,6 +558,8 @@ class TokenAccountLimiter:
                         account.balance = balance = balance + ticks
                         account.granted += ticks
                 walk = iter(ranks)
+                run_code = run_admits = run_rejects = 0  # the open RUN record
+                run_balance = balance
                 for rank in walk:
                     position = positions[rank]
                     if not one_flag:
@@ -593,7 +617,15 @@ class TokenAccountLimiter:
                     if packed:
                         at = position * size
                         pack(out, at, body, status, admitted, code, balance, retry)
-                    elif out is not None:
+                    elif grouping:
+                        if admitted and code != run_code:
+                            if run_admits:  # the admit reason changed
+                                run = [run_code, run_admits, 0, run_balance, 0.0]
+                                out[position].append(run)
+                                run_balance -= run_admits
+                            run_code, run_admits = code, 0
+                        run_admits += admitted
+                    else:
                         # skips the frozen constructor's overhead (an admission's
                         # retry_after falls back to the class default, None)
                         decision = _new_object(Decision)
@@ -605,22 +637,25 @@ class TokenAccountLimiter:
                         if not admitted:
                             fields["retry_after"] = retry
                         out[position] = decision
-                    elif admitted:
-                        reasons |= code
                     if final_reject and not admitted:
-                        rejects += length_hint(walk)
+                        rest = length_hint(walk)
+                        rejects += rest
                         if packed:
                             record = bytes(out[at : at + size])
                             for rank in walk:
                                 _copy_record(out, positions[rank] * size, record)
-                        elif out is not None:
+                        elif grouping:
+                            run_rejects = 1 + rest
+                        else:
                             for rank in walk:  # frozen, so one object will do
                                 out[positions[rank]] = decision
                         break
+                if grouping:  # the last record carries the rejects
+                    run = [run_code or 3, run_admits, run_rejects, run_balance, retry]
+                    out[position].append(run)
         finally:
             shard.admitted += admits
             shard.rejected += rejects
-        return admits, rejects, reasons, retry
 
     # ------------------------------------------------------------------
     @property
@@ -652,4 +687,5 @@ class TokenAccountLimiter:
             "rejected": self.rejected,
             "keys": len(self._table),
             "evictions": self._table.evictions,
+            "grouped": self.grouped,
         }

@@ -12,14 +12,14 @@ the cluster router. This module supplies what a frame *means* here.
 
 The hot path is batch-oriented: the connection answers *every* complete
 request in the received chunk and flushes all responses with a single
-write. A run of consecutive ``ACQUIRE`` frames is decided by **one**
+write. Consecutive ``ACQUIRE`` frames become **one**
 :meth:`~repro.serve.limiter.TokenAccountLimiter.try_acquire_frames`
-call (a ``STATS``/``PING`` frame is the only flush barrier) whose batch
-core packs the ``DECISION`` records itself; the buffer it returns goes to
-``transport.write`` as is, no ``Decision`` object or encoder in between —
-so a pipelining client like :mod:`repro.serve.loadgen` amortizes syscall,
-parse *and* per-decision lock cost over its pipeline depth. Frames are
-parsed through ``memoryview`` slices of the receive buffer, zero-copy.
+call whose batch core packs the ``DECISION`` records, written as is —
+or, for a run of ``_ROWS_MIN`` same-size frames where that is byte for
+byte the same answer, NumPy rows decided once per key
+(:meth:`~repro.serve.limiter.TokenAccountLimiter.try_acquire_runs`, the
+*grouped road*; ARCHITECTURE.md, *Serving*). Any other frame is a flush
+barrier.
 """
 
 from __future__ import annotations
@@ -31,6 +31,11 @@ from typing import List, Optional
 from repro.serve import wire
 from repro.serve.connection import FramedConnection, FramedListener
 from repro.serve.limiter import TokenAccountLimiter
+
+#: rows of one size, and rows per group, below which the grouped road
+#: loses to the frame road (measured in ARCHITECTURE.md, *Serving*)
+_ROWS_MIN = 128
+_ROWS_PER_GROUP = 4
 
 
 class _AdmissionProtocol(FramedConnection):
@@ -44,9 +49,10 @@ class _AdmissionProtocol(FramedConnection):
     def drain(self) -> None:
         """Answer every complete frame in the buffer with one write.
 
-        Consecutive ``ACQUIRE`` frames become one
-        ``try_acquire_frames`` batch answered by one packed response run;
-        ``STATS``/``PING``/malformed frames are the flush barriers.
+        Consecutive ``ACQUIRE`` frames become one ``try_acquire_frames``
+        batch — or grouped rows, where ``_ROWS_MIN`` of one size follow
+        (:meth:`_acquire_rows`); ``STATS``/``PING``/bulk/malformed frames
+        are the flush barriers.
         """
         assert self.transport is not None
         buffer = self._buffer
@@ -64,6 +70,8 @@ class _AdmissionProtocol(FramedConnection):
         bulk_op = wire.OP_ACQUIRE_BULK
         useful_flag = wire.FLAG_USEFUL
         key_limit = 2 + wire.MAX_KEY_LENGTH
+        rows_span = _ROWS_MIN - 1
+        stretch = 0  # the length of the ACQUIRE frames being read inline
         while end - start >= 2:
             length = buffer[start] | (buffer[start + 1] << 8)
             if length > wire.MAX_FRAME:
@@ -80,12 +88,27 @@ class _AdmissionProtocol(FramedConnection):
                 2 < length <= key_limit
                 and buffer[start + 2] == acquire_op
             ):
+                if length != stretch:
+                    # a stretch of one size starts here: rows if a frame with
+                    # this head is _ROWS_MIN - 1 frames on (the rest of the
+                    # stretch is unchecked: were it short, so are its tails)
+                    stretch = length
+                    last = start + rows_span * (2 + length)
+                    if (
+                        last + 2 + length <= end
+                        and buffer[last : last + 3] == buffer[start : start + 3]
+                    ):
+                        start = self._acquire_rows(
+                            start, length, run_keys, run_flags, out
+                        )
+                        continue
                 keys_append(str(view[start + 4 : frame_end], "utf-8", "replace"))
                 flags_append(bool(buffer[start + 3] & useful_flag))
                 start = frame_end
                 continue
             payload = view[start + 2 : frame_end]
             start = frame_end
+            stretch = 0
             try:
                 if length >= 7 and payload[0] == bulk_op:
                     # Cluster router bulk fan-in: a barrier like STATS (the
@@ -140,33 +163,57 @@ class _AdmissionProtocol(FramedConnection):
         keys.clear()
         flags.clear()
 
+    def _acquire_rows(
+        self, start: int, length: int, keys: List[str], flags: List[bool], out
+    ) -> int:
+        """Decide the same-size ``ACQUIRE`` frames at ``start``; returns their end.
+
+        The grouped road where it answers byte for byte what the pending
+        batch would — a closed-form strategy, at most one group per
+        ``_ROWS_PER_GROUP`` rows, distinct decoded keys, no eviction inside
+        the batch; else the frames join that batch, keys decoded as a block.
+        """
+        rows = wire.acquire_rows(self._buffer, start, self._end, length, _ROWS_MIN)
+        count = len(rows)
+        useful = (rows[:, 3] & wire.FLAG_USEFUL).astype(bool)
+        limiter = self.limiter
+        if limiter._run_closed_form and count >= _ROWS_MIN:
+            last, counts, places = wire.group_rows(rows)
+            if len(last) * _ROWS_PER_GROUP <= count:
+                # one key under two flags bytes, or two byte strings that
+                # decode to one key, would be two groups on one state
+                names = wire.decode_keys(rows[last, 4:])
+                self._flush_acquires(keys, flags, out)
+                if len(set(names)) == len(names) and limiter._table.fits(names):
+                    per_key = useful[last].tolist()
+                    runs = limiter.try_acquire_runs(names, counts.tolist(), per_key)
+                    out.append(wire.decisions_from_runs(runs, places))
+                    limiter.grouped += count
+                    return start + count * (2 + length)
+        keys += wire.decode_keys(rows[:, 4:])
+        flags += useful.tolist()
+        return start + count * (2 + length)
+
     def _respond_bulk(self, payload, out: List[bytes]) -> None:
         """Answer one ``ACQUIRE_BULK`` frame with ``RUN`` frames only.
 
-        Every group, whatever its count, gets one closed-form ``RUN``
-        frame when the strategy qualifies, or its ``count`` decisions
-        through the exact generic batch path otherwise, re-framed as
-        single-decision ``RUN`` frames, so the router reads one fixed
-        stride whatever the strategy. A count-1 group is not special:
-        the router forwards those as plain ``ACQUIRE`` frames
-        (``cluster.py`` ``flush()``), so none is worth batching here.
-        One clock read covers the whole frame — the same
-        single-timestamp semantics a run of plain ``ACQUIRE`` frames
-        gets from ``try_acquire_frames``.
+        One ``try_acquire_runs`` call for the whole frame; where the
+        strategy has no closed form, each group's ``count`` decisions
+        through ``try_acquire_frames``, re-framed as single-decision
+        ``RUN`` frames — so the router reads one fixed stride whatever
+        the strategy. One clock read covers the whole frame.
         """
+        groups = wire.parse_bulk_binary(payload)
+        keys, flags, counts = zip(*groups)
         limiter = self.limiter
+        runs = limiter.try_acquire_runs(keys, counts, flags)
+        if runs is not None:
+            out.append(wire.encode_runs_binary(runs))
+            return
         now = limiter._clock()
-        run = limiter.try_acquire_run
-        for key, useful, count in wire.parse_bulk_binary(payload):
-            result = run(key, count, useful, now=now)
-            if result is not None:
-                admits, rejects, balance, reason, retry = result
-                out.append(
-                    wire.encode_run_binary(reason, admits, rejects, balance, retry)
-                )
-            else:
-                frames = limiter.try_acquire_frames([key] * count, useful, now)
-                out.append(wire.runs_from_decision_frames(frames))
+        for key, useful, count in groups:
+            frames = limiter.try_acquire_frames([key] * count, useful, now)
+            out.append(wire.runs_from_decision_frames(frames))
 
     # ------------------------------------------------------------------
     def _stats_json(self) -> bytes:

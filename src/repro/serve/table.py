@@ -26,7 +26,7 @@ rate limiter ever sees twice — pays a dict hit.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.account import TokenAccount
@@ -140,6 +140,35 @@ class ShardedTable:
     def shard_for(self, key: str) -> Shard:
         """The shard owning ``key`` (stable across interpreter restarts)."""
         return self.shards[self.shard_index(key)]
+
+    def positions_by_shard(self, keys) -> Dict[int, List[int]]:
+        """The positions of ``keys``, grouped by owning shard (in order)."""
+        if not self._mask:
+            return {0: list(range(len(keys)))}
+        route_cache = self._route_cache
+        groups: Dict[int, List[int]] = defaultdict(list)
+        for position, key in enumerate(keys):
+            index = route_cache.get(key)
+            if index is None:
+                index = self.shard_index(key)
+            groups[index].append(position)
+        return groups
+
+    def fits(self, keys) -> bool:
+        """Whether creating every unseen one of ``keys`` (distinct) evicts nothing.
+
+        Read without the shard locks: a concurrent caller can make it
+        stale, which costs an eviction's exactness, never a wrong decision.
+        """
+        fresh = [0] * len(self.shards)
+        for key in keys:
+            index = self.shard_index(key)
+            if key not in self.shards[index].entries:
+                fresh[index] += 1
+        return all(
+            len(shard.entries) + count <= shard.max_keys
+            for shard, count in zip(self.shards, fresh)
+        )
 
     def __len__(self) -> int:
         return sum(len(shard.entries) for shard in self.shards)

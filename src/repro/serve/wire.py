@@ -39,16 +39,21 @@ as columns (:data:`RUN_DTYPE`). A ``RUN`` frame (struct
 ``i32`` pre-spend balance, ``f64`` retry-after) means "the first
 ``admits`` requests were admitted with balances ``balance-1 …
 balance-admits``, the rest rejected at ``balance-admits`` with that
-retry hint". A group is answered by one frame covering all ``count``
-requests when the limiter's strategy guarantees that admit-prefix shape
-(:meth:`~repro.serve.limiter.TokenAccountLimiter.try_acquire_run`), and
-by ``count`` frames of one decision each (``admits=1`` at the
-post-spend balance + 1, or ``rejects=1``) otherwise — randomized
-strategies, and every ``count == 1`` group, which the worker decides
-together through ``try_acquire_frames`` and re-frames as columns
-(:func:`runs_from_decision_frames`). Either way a group's frames
-cover exactly ``count`` decisions, which is how the router knows where
-one batch's reply ends. The router sends only groups of ``count`` > 1 —
+retry hint". When the limiter's strategy guarantees that admit-prefix
+shape, one :meth:`~repro.serve.limiter.TokenAccountLimiter.try_acquire_runs`
+call answers the whole bulk frame: one ``RUN`` per group, plus one
+wherever a group's admits change reason (:func:`encode_runs_binary`).
+Otherwise — randomized, overdraft and capacity-0 strategies — each
+group's decisions go through ``try_acquire_frames`` and come back as
+``count`` frames of one decision each (``admits=1`` at the post-spend
+balance + 1, or ``rejects=1``; :func:`runs_from_decision_frames`).
+Either way a group's frames cover exactly ``count`` decisions, which is
+how the router knows where one batch's reply ends, and
+:func:`expand_runs` turns them back into ``DECISION`` records — for the
+router's scatter and for a server's grouped road, which reads a run of
+same-size ``ACQUIRE`` frames as NumPy rows (:func:`acquire_rows`,
+:func:`group_rows`, :func:`decode_keys`) and answers each distinct
+frame with one run. The router sends only groups of ``count`` > 1 —
 a request that is alone in its batch travels as the plain ``ACQUIRE``
 frame the client sent and is answered by a ``DECISION`` — but a server
 still accepts ``count == 1`` groups. Plain clients never speak this
@@ -79,7 +84,7 @@ and the cluster router alike (:mod:`repro.serve.connection`).
 from __future__ import annotations
 
 import struct
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -130,6 +135,10 @@ DECISION_DTYPE = np.dtype(
     ]
 )
 assert DECISION_DTYPE.itemsize == DECISION_FRAME_SIZE
+
+#: the same frames as opaque records: reordering permutes whole frames,
+#: and assigning them field by field is ~6x slower
+DECISION_RECORD = np.dtype((np.void, DECISION_FRAME_SIZE))
 
 #: a decision frame's payload alone (what :func:`split_frames` yields)
 _DECISION_BODY = struct.Struct("<BBBid")
@@ -320,6 +329,12 @@ def encode_run_binary(
     )
 
 
+def encode_runs_binary(records) -> bytes:
+    """``RUN`` frames for ``try_acquire_runs`` records (worker side)."""
+    pack, body = RUN_STRUCT.pack, RUN_FRAME_SIZE - 2
+    return b"".join([pack(body, STATUS_RUN, *record) for record in records])
+
+
 def runs_from_decision_frames(frames) -> bytes:
     """Packed ``DECISION`` frames re-framed as one unit ``RUN`` frame each.
 
@@ -339,6 +354,116 @@ def runs_from_decision_frames(frames) -> bytes:
     runs["balance"] = decisions["balance"] + admitted
     runs["retry"] = decisions["retry"]
     return runs.tobytes()
+
+
+def expand_runs(records: np.ndarray) -> np.ndarray:
+    """Expand RUN records into the DECISION records they stand for.
+
+    Each run is an admit-prefix walk from a pre-spend ``balance``: the
+    first ``admits`` requests are admitted at balances ``balance-1`` …
+    ``balance-admits`` (retry 0), the remaining ``rejects`` are all
+    identical rejects at the leftover balance — exactly what the limiter
+    would have answered to ``admits + rejects`` sequential ACQUIREs.
+    All runs are expanded at once, as columns: one output row per
+    decision, in run order.
+    """
+    admits = records["admits"].astype(np.intp)
+    counts = admits + records["rejects"]
+    starts = counts.cumsum() - counts
+    run = np.repeat(np.arange(len(records)), counts)  # each row's run
+    rank = np.arange(len(run)) - starts[run]  # its place in that run
+    admits = admits[run]
+    admitted = rank < admits
+    spent = np.minimum(rank + 1, admits)  # tokens the run had spent by then
+    frames = np.empty(len(run), dtype=DECISION_DTYPE)
+    frames["len"] = DECISION_FRAME_SIZE - 2
+    frames["status"] = STATUS_DECISION
+    frames["admitted"] = admitted
+    frames["reason"] = np.where(
+        admitted, records["reason"][run], REASON_CODES["exhausted"]
+    )
+    frames["balance"] = records["balance"][run] - spent
+    frames["retry"] = np.where(admitted, 0.0, records["retry"][run])
+    return frames
+
+
+def decisions_from_runs(records, places: np.ndarray) -> bytes:
+    """``try_acquire_runs`` records as the ``DECISION`` frames they stand for.
+
+    Gathered into row order by :func:`group_rows`' ``places``.
+    """
+    runs = np.frombuffer(encode_runs_binary(records), RUN_DTYPE)
+    return expand_runs(runs).view(DECISION_RECORD)[places].tobytes()
+
+
+def acquire_rows(
+    buffer: bytearray, start: int, end: int, length: int, least: int
+) -> np.ndarray:
+    """The ``ACQUIRE`` frames of payload ``length`` back to back at ``start``.
+
+    A ``(count, 2 + length)`` uint8 view of ``buffer[start:end]``, no
+    copy: the longest run of whole frames whose length prefix and opcode
+    say so (the frame at ``start`` must be one). Rows past the first
+    ``least`` are checked only when all of those are such frames, so a
+    shorter run costs ``least`` rows at most. Column 3 is the flags byte,
+    columns 4 on the key.
+    """
+    stride = 2 + length
+    total = (end - start) // stride
+    rows = np.frombuffer(buffer, np.uint8, total * stride, start).reshape(total, stride)
+    checked = 0
+    for upto in (least, total):
+        block = rows[checked:upto]
+        other = np.flatnonzero(
+            (block[:, 0] != length & 0xFF)
+            | (block[:, 1] != length >> 8)
+            | (block[:, 2] != OP_ACQUIRE)
+        )
+        if len(other):
+            return rows[: checked + other[0]]
+        checked = upto
+    return rows
+
+
+def group_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group identical frames among :func:`acquire_rows` rows.
+
+    Returns ``(last, counts, places)``: per group — groups ordered by
+    their last occurrence — that occurrence's row and the group's row
+    count, and per row its place when the rows are laid out group by
+    group, in row order within a group (what :func:`expand_runs` of one
+    run per group yields, so ``expanded[places]`` is back in row order).
+    """
+    total = len(rows)
+    frames = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    by_bytes = np.argsort(frames, kind="stable")
+    ordered = frames[by_bytes]
+    change = np.ones(total, bool)  # the last of each group, in byte order
+    change[:-1] = ordered[1:] != ordered[:-1]
+    ends = np.flatnonzero(change)
+    counts = ends + 1
+    counts[1:] -= ends[:-1] + 1
+    by_last = np.argsort(by_bytes[ends])
+    ends, counts = ends[by_last], counts[by_last]
+    # row indices group by group: each group's sorted stretch, in turn
+    offsets = ends - counts.cumsum() + 1
+    places = np.empty(total, np.intp)
+    places[by_bytes[np.repeat(offsets, counts) + np.arange(total)]] = np.arange(total)
+    return by_bytes[ends], counts, places
+
+
+def decode_keys(block: np.ndarray) -> List[str]:
+    """Each row of a uint8 key block as a ``str``, like an ``ACQUIRE`` key.
+
+    UTF-8 with ``"replace"``; an ASCII block is decoded in one call.
+    """
+    data = block.tobytes()
+    width = block.shape[1]
+    cuts = range(0, len(data), width)
+    if data.isascii():
+        text = data.decode("ascii")
+        return [text[at : at + width] for at in cuts]
+    return [str(data[at : at + width], "utf-8", "replace") for at in cuts]
 
 
 def encode_status_binary(status: int, body: bytes = b"") -> bytes:

@@ -37,7 +37,7 @@ from hypothesis import strategies as st
 
 from repro.core.ratelimit import RateLimitAuditor
 from repro.serve import AdmissionServer, ManualClock, TokenAccountLimiter, wire
-from repro.serve.cluster import ClusterRouter, _expand_runs, _WorkerLink
+from repro.serve.cluster import ClusterRouter, _WorkerLink
 from repro.serve.connection import _RECV_BUFFER
 from repro.serve.limiter import Decision
 from tests.conftest import binary_client as binary_session
@@ -147,7 +147,7 @@ def test_expand_runs_matches_per_decision_encoding(runs):
     frames to what the worker would have sent, decision by decision."""
     records = np.frombuffer(run_stream(runs), dtype=wire.RUN_DTYPE)
     expected = b"".join(sequential_frames(*run) for run in runs)
-    assert _expand_runs(records).tobytes() == expected
+    assert wire.expand_runs(records).tobytes() == expected
 
 
 class FakeTransport:

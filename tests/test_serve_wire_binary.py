@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serve import ManualClock, wire
-from repro.serve.cluster import _expand_runs
 from repro.serve.limiter import Decision, TokenAccountLimiter
 from repro.serve.server import AdmissionServer
 from tests.conftest import binary_client, read_frames
@@ -460,7 +459,7 @@ def test_worker_bulk_mixed_groups_match_the_sequential_scalar_path():
     assert [d.admitted for d in sequential] == [False] + [True] * 3 + [False] * 3
     # one RUN per group, in group order, covering each group's count
     assert (runs["admits"] + runs["rejects"]).tolist() == [n for _, n in groups]
-    expanded = _expand_runs(runs).tobytes()
+    expanded = wire.expand_runs(runs).tobytes()
     assert expanded == wire.encode_decisions_binary(sequential)
     assert (limiter.admitted, limiter.rejected) == (
         reference.admitted,
