@@ -22,26 +22,37 @@ Data path
 Per client connection the router opens one binary connection to every
 worker, so each worker answers *this client's* requests strictly FIFO.
 A drained client chunk becomes one **batch**: validated ACQUIRE frames
-are grouped by verbatim frame bytes (= one group per key+flags),
-positions remembered, routing memoized frame-bytes → (worker,
-bulk-record prefix) in a bounded dict so the per-frame hot path is one
-dict hit. At the flush a group takes one of two roads, by its count
-alone. A frame seen **once** is forwarded to its owner verbatim — the
-copy made for the memo — and the worker's ordinary drain answers it
-with a 17-byte DECISION record. A frame seen ``count`` > 1 times
-collapses to one ~``5+len(key)``-byte ``ACQUIRE_BULK`` record, answered
-by 20-byte ``RUN`` frames and nothing else (*Bulk admission* in
-:mod:`repro.serve.wire`). A worker is sent its lone frames first, then
-its bulk frames, so its reply to a batch is two fixed strides.
+are grouped by verbatim frame bytes (= one group per key+flags), in the
+order they first occur, positions remembered. Two roads file a frame
+into the batch. The **frame road** takes one frame at a time: one bytes
+copy, one dict hit. The **row road** takes a stretch of same-size
+frames at once where the server's grouped road would (its trigger,
+:func:`~repro.serve.server.stretch_rows`, and ``_ROWS_MIN`` are shared):
+the stretch is viewed as NumPy rows (:func:`~repro.serve.wire.acquire_rows`)
+and identical rows are grouped in one pass
+(:func:`~repro.serve.wire.group_rows_first`). Both roads fill the same
+groups, so one send serves them (:meth:`_RouterConnection._send`) and
+the row road needs no threshold of its own: whatever the road, a worker
+receives the same bytes. Routing is memoized frame-bytes → (worker,
+bulk-record prefix) in a bounded dict, one lookup per distinct frame.
+At the flush a group takes one of two forms, by its count alone. A
+frame seen **once** is forwarded to its owner verbatim and the worker's
+ordinary drain answers it with a 17-byte DECISION record. A frame seen
+``count`` > 1 times collapses to one ~``5+len(key)``-byte
+``ACQUIRE_BULK`` record, answered by 20-byte ``RUN`` frames and nothing
+else (*Bulk admission* in :mod:`repro.serve.wire`). A worker is sent its
+lone frames first, then its bulk records, each in first-occurrence
+order, so its reply to a batch is two fixed strides.
 
 The reply side never works per group. A responder task reassembles
 client order **per worker per batch**, reading the link's preallocated
 receive buffer in place (:class:`_WorkerLink`: nothing is allocated per
 wake-up). The DECISION stride is scattered to its request positions as
 opaque records; the RUN stride is cut where its records' decision
-counts add up to what the batch owes that worker for repeats, expanded
-in one columnar pass (:func:`~repro.serve.wire.expand_runs`) and scattered
-the same way.
+counts add up to what the batch owes that worker for repeats and copied
+out of the link. Once every worker has answered, the batch's RUN
+records are expanded in one columnar pass
+(:func:`~repro.serve.wire.expand_runs`) and scattered the same way.
 What a link received beyond that — the next batch's replies, a STATS
 document — stays in its buffer for the next reader.
 
@@ -100,6 +111,7 @@ from repro.serve.connection import (
 )
 from repro.serve.limiter import Decision
 from repro.serve.ring import HashRing
+from repro.serve.server import _ROWS_MIN, stretch_rows
 
 #: route memo budget (frame bytes -> (worker, bulk-record prefix)),
 #: dropped whole when full or on any ring change
@@ -291,11 +303,13 @@ class _RouterConnection(FramedConnection):
         """Route every complete frame in the buffer (the request hot loop).
 
         Consecutive validated ACQUIRE frames form one batch, grouped by
-        verbatim frame bytes (= by key+flags, preserving per-key order);
-        a flush turns the groups into per-worker ``ACQUIRE_BULK``
-        frames and enqueues the scatter plan for the responder.
-        ``STATS``/``PING``/malformed frames are batch barriers,
-        enqueued in order behind the batches.
+        verbatim frame bytes (= by key+flags, preserving per-key order)
+        on one of two roads: the frame road files each frame in turn;
+        where a frame with the same head lies ``_ROWS_MIN - 1`` frames on,
+        the row road reads the stretch as NumPy rows and files it at once
+        (:meth:`_file_rows`). A flush hands the batch to :meth:`_send`.
+        ``STATS``/``PING``/malformed frames are batch barriers, enqueued
+        in order behind the batches.
         """
         assert self.transport is not None
         buffer = self._buffer
@@ -303,8 +317,7 @@ class _RouterConnection(FramedConnection):
         start = self._start
         end = self._end
         links = self._links
-        router = self.router
-        route = router._route_cache
+        route = self.router._route_cache
         queue_put = self._queue.put_nowait
         #: verbatim ACQUIRE frame -> this batch's positions, in order
         groups: Dict[bytes, List[int]] = {}
@@ -312,7 +325,9 @@ class _RouterConnection(FramedConnection):
         oversized = False
         acquire_op = wire.OP_ACQUIRE
         max_frame = wire.MAX_FRAME
-        pack_count = wire.BULK_GROUP_COUNT.pack
+        key_limit = 2 + wire.MAX_KEY_LENGTH
+        least = _ROWS_MIN
+        stretch = 0  # the length of the ACQUIRE frames being read
 
         def owe(item: tuple) -> None:
             # one reply frame outside a batch; callers flush() first
@@ -321,55 +336,10 @@ class _RouterConnection(FramedConnection):
 
         def flush() -> None:
             nonlocal groups, position
-            if not position:
-                return
-            #: worker name -> (lone frames, their positions, bulk records
-            #: of the repeated ones, their positions flat)
-            pending: Dict[str, Tuple[list, list, list, list]] = {}
-            orphans: List[int] = []
-            for frame, positions in groups.items():
-                entry = route.get(frame)
-                if entry is None:
-                    # the ring changed underneath this batch (a remap
-                    # drops the whole memo): re-route to a survivor
-                    try:
-                        entry = self._route_frame(frame)
-                    except ValueError:  # pragma: no cover - validated above
-                        entry = None
-                if entry is None:
-                    # every worker is gone; the responder synthesizes
-                    orphans.extend(positions)
-                    continue
-                name, prefix = entry
-                bucket = pending.get(name)
-                if bucket is None:
-                    pending[name] = bucket = ([], [], [], [])
-                if len(positions) == 1:
-                    bucket[0].append(frame)
-                    bucket[1].append(positions[0])
-                else:
-                    bucket[2].append(prefix + pack_count(len(positions)))
-                    bucket[3].extend(positions)
-            plan: List[Tuple[Optional[str], np.ndarray, bool]] = []
-            for name, (lone, singles, records, repeats) in pending.items():
-                link = links.get(name)
-                if link is not None and not link.dead:
-                    if records:
-                        lone.append(_pack_bulk_frames(records))
-                    link.transport.write(b"".join(lone))
-                if singles:
-                    plan.append((name, np.array(singles, dtype=np.intp), True))
-                if repeats:
-                    plan.append((name, np.array(repeats, dtype=np.intp), False))
-                router.forwarded += len(singles)
-            if orphans:
-                plan.append((None, np.array(orphans, dtype=np.intp), False))
-            router.groups += len(groups)
-            router.routed += position
-            self._outstanding += position
-            queue_put(("B", plan, position))
-            groups = {}
-            position = 0
+            if position:
+                self._send(groups, position)
+                groups = {}
+                position = 0
 
         while end - start >= 2:
             length = buffer[start] | (buffer[start + 1] << 8)
@@ -380,6 +350,15 @@ class _RouterConnection(FramedConnection):
             if frame_end > end:
                 break
             if length >= 3 and buffer[start + 2] == acquire_op:
+                if length != stretch:  # a stretch of one size starts here
+                    stretch = length
+                    if length <= key_limit:  # every such key is valid
+                        rows = stretch_rows(buffer, start, end, length, least)
+                        if rows is not None:
+                            groups = self._file_rows(rows, groups, position)
+                            position += len(rows)
+                            start += rows.size
+                            continue
                 frame = bytes(view[start:frame_end])
                 start = frame_end
                 group = groups.get(frame)
@@ -399,6 +378,7 @@ class _RouterConnection(FramedConnection):
                 continue
             payload = view[start + 2 : frame_end]
             start = frame_end
+            stretch = 0
             try:
                 command, _key, _useful = wire.parse_request_binary(payload)
             except ValueError as error:
@@ -428,6 +408,100 @@ class _RouterConnection(FramedConnection):
             return
         if self._outstanding >= _PAUSE_OUTSTANDING:
             self.hold("outstanding")
+
+    def _file_rows(
+        self, rows: np.ndarray, groups: Dict[bytes, List[int]], position: int
+    ) -> Dict[bytes, List[int]]:
+        """File a stretch of same-size ACQUIRE frames, read as ``rows`` from
+        batch ``position`` on, into the batch's ``groups``; returns them.
+
+        The row road, for ``_ROWS_MIN`` rows and more: identical rows are
+        grouped at once, in first-occurrence order, and an empty batch
+        is built from them in one call. A shorter stretch — one that
+        only looked long — is filed row by row, like the frame road. The
+        keys need no check: one of at most ``MAX_KEY_LENGTH`` bytes is
+        valid, and the route memo is consulted at the flush.
+        """
+        grouped = len(rows) >= _ROWS_MIN
+        if grouped:
+            first, counts, order = wire.group_rows_first(rows)
+            data = rows[first].tobytes()
+            order = (order + position).tolist()
+            ends = counts.cumsum().tolist()
+            spans = [order[end - n : end] for end, n in zip(ends, counts.tolist())]
+            self.router.rows += len(rows)
+        else:
+            data = rows.tobytes()
+            spans = [[at] for at in range(position, position + len(rows))]
+        stride = rows.shape[1]
+        frames = [data[at : at + stride] for at in range(0, len(data), stride)]
+        if grouped and not groups:
+            return dict(zip(frames, spans))
+        for frame, span in zip(frames, spans):
+            group = groups.get(frame)
+            if group is None:
+                groups[frame] = span
+            else:
+                group += span
+        return groups
+
+    def _send(self, groups: Dict[bytes, List[int]], total: int) -> None:
+        """Write one batch to its workers and queue its scatter plan.
+
+        ``groups`` maps the batch's distinct ACQUIRE frames, in the order
+        they first occur, to their positions. A frame is routed by one
+        memo lookup. A worker is written its lone frames (count 1)
+        verbatim, then one ``ACQUIRE_BULK`` record per repeated frame,
+        each kind in first-occurrence order, so its reply to the batch is
+        two fixed strides. The plan lists, per worker in order of first
+        appearance, the positions its DECISION and RUN strides answer,
+        then the positions of frames no worker owns (an empty ring).
+        """
+        router = self.router
+        route = router._route_cache
+        pack_count = wire.BULK_GROUP_COUNT.pack
+        #: worker name -> (lone frames, their positions, bulk records
+        #: of the repeated ones, their positions flat)
+        pending: Dict[str, Tuple[list, list, list, list]] = {}
+        orphans: List[int] = []
+        for frame, positions in groups.items():
+            entry = route.get(frame)
+            if entry is None:
+                # the ring changed underneath this batch (a remap drops
+                # the whole memo), or the row road never looked
+                entry = self._route_frame(frame)
+            if entry is None:
+                # every worker is gone; the responder synthesizes
+                orphans.extend(positions)
+                continue
+            name, prefix = entry
+            bucket = pending.get(name)
+            if bucket is None:
+                pending[name] = bucket = ([], [], [], [])
+            if len(positions) == 1:
+                bucket[0].append(frame)
+                bucket[1].append(positions[0])
+            else:
+                bucket[2].append(prefix + pack_count(len(positions)))
+                bucket[3].extend(positions)
+        plan: List[Tuple[Optional[str], np.ndarray, bool]] = []
+        for name, (lone, singles, records, repeats) in pending.items():
+            link = self._links.get(name)
+            if link is not None and not link.dead:
+                if records:
+                    lone.append(_pack_bulk_frames(records))
+                link.transport.write(b"".join(lone))
+            if singles:
+                plan.append((name, np.array(singles, dtype=np.intp), True))
+            if repeats:
+                plan.append((name, np.array(repeats, dtype=np.intp), False))
+            router.forwarded += len(singles)
+        if orphans:
+            plan.append((None, np.array(orphans, dtype=np.intp), False))
+        router.groups += len(groups)
+        router.routed += total
+        self._outstanding += total
+        self._queue.put_nowait(("B", plan, total))
 
     # ------------------------------------------------------------------
     async def _respond(self) -> None:
@@ -472,12 +546,16 @@ class _RouterConnection(FramedConnection):
 
         ``plan`` lists, per worker and stride (DECISION records for its
         lone frames, then RUNs for its bulk records), the request
-        positions answered, in the order asked. A read failure or
-        protocol surprise marks the worker lost and what it still owes
-        the batch becomes synthesized REJECT frames, keeping the
-        client's stream complete and ordered.
+        positions answered, in the order asked. DECISION records are
+        scattered as they are read; RUN records are copied out of their
+        link and the batch's are expanded together, once. A read failure
+        or protocol surprise marks the worker lost and what it still owes
+        the batch becomes synthesized REJECT frames, keeping the client's
+        stream complete and ordered.
         """
         merged = np.empty(total, dtype=wire.DECISION_RECORD)
+        runs: List[bytes] = []
+        places: List[np.ndarray] = []
         for name, positions, lone in plan:
             link = self._links.get(name) if name is not None else None
             frames = _SYNTH_REJECT
@@ -487,11 +565,15 @@ class _RouterConnection(FramedConnection):
                         records = await link.decisions(len(positions))
                         frames = records.view(wire.DECISION_RECORD)
                     else:
-                        runs = await link.runs(len(positions))
-                        frames = wire.expand_runs(runs).view(wire.DECISION_RECORD)
+                        runs.append((await link.runs(len(positions))).tobytes())
+                        places.append(positions)
+                        continue
                 except (ConnectionError, OSError):
                     self._worker_lost(name, link)
             merged[positions] = frames  # a view of the link: before the next await
+        if runs:
+            expanded = wire.expand_runs(np.frombuffer(b"".join(runs), wire.RUN_DTYPE))
+            merged[np.concatenate(places)] = expanded.view(wire.DECISION_RECORD)
         return merged.tobytes()
 
     def _worker_lost(self, name: str, link: _WorkerLink) -> None:
@@ -537,6 +619,7 @@ class _RouterConnection(FramedConnection):
         document["groups"] = router.groups
         document["routed"] = router.routed
         document["forwarded"] = router.forwarded
+        document["rows"] = router.rows
         return json.dumps(document, sort_keys=True).encode()
 
 
@@ -571,11 +654,13 @@ class ClusterRouter(FramedListener):
         #: ring membership changes from worker failures so far
         self.remaps = 0
         #: groups formed, the decisions they asked for (their ratio is
-        #: the coalescing factor) and how many of those travelled as
-        #: verbatim ACQUIRE frames, over every flushed batch
+        #: the coalescing factor), how many of those travelled as
+        #: verbatim ACQUIRE frames and how many were read as rows, over
+        #: every flushed batch
         self.groups = 0
         self.routed = 0
         self.forwarded = 0
+        self.rows = 0
 
     # ------------------------------------------------------------------
     @property

@@ -28,14 +28,36 @@ import asyncio
 import json
 from typing import List, Optional
 
+import numpy as np
+
 from repro.serve import wire
 from repro.serve.connection import FramedConnection, FramedListener
 from repro.serve.limiter import TokenAccountLimiter
 
 #: rows of one size, and rows per group, below which the grouped road
-#: loses to the frame road (measured in ARCHITECTURE.md, *Serving*)
+#: loses to the frame road (measured in ARCHITECTURE.md, *Serving*); the
+#: cluster router's row road starts at the same run length
 _ROWS_MIN = 128
 _ROWS_PER_GROUP = 4
+
+
+def stretch_rows(
+    buffer: bytearray, start: int, end: int, length: int, least: int
+) -> Optional[np.ndarray]:
+    """The rows of a stretch of same-size ``ACQUIRE`` frames, if it may be one.
+
+    Called at a stretch's first frame (at ``start``, payload ``length``):
+    the :func:`~repro.serve.wire.acquire_rows` view from ``start`` when a
+    frame with the same head — length prefix and opcode — lies
+    ``least - 1`` frames on, else ``None``. A stretch that only looks long
+    costs ``least`` rows at most: ``acquire_rows`` checks no more before it
+    gives up. Callers look once per stretch (were a stretch short, so are
+    its tails).
+    """
+    last = start + (least - 1) * (2 + length)
+    if last + 2 + length > end or buffer[last : last + 3] != buffer[start : start + 3]:
+        return None
+    return wire.acquire_rows(buffer, start, end, length, least)
 
 
 class _AdmissionProtocol(FramedConnection):
@@ -70,7 +92,6 @@ class _AdmissionProtocol(FramedConnection):
         bulk_op = wire.OP_ACQUIRE_BULK
         useful_flag = wire.FLAG_USEFUL
         key_limit = 2 + wire.MAX_KEY_LENGTH
-        rows_span = _ROWS_MIN - 1
         stretch = 0  # the length of the ACQUIRE frames being read inline
         while end - start >= 2:
             length = buffer[start] | (buffer[start + 1] << 8)
@@ -88,19 +109,12 @@ class _AdmissionProtocol(FramedConnection):
                 2 < length <= key_limit
                 and buffer[start + 2] == acquire_op
             ):
-                if length != stretch:
-                    # a stretch of one size starts here: rows if a frame with
-                    # this head is _ROWS_MIN - 1 frames on (the rest of the
-                    # stretch is unchecked: were it short, so are its tails)
+                if length != stretch:  # a stretch of one size starts here
                     stretch = length
-                    last = start + rows_span * (2 + length)
-                    if (
-                        last + 2 + length <= end
-                        and buffer[last : last + 3] == buffer[start : start + 3]
-                    ):
-                        start = self._acquire_rows(
-                            start, length, run_keys, run_flags, out
-                        )
+                    rows = stretch_rows(buffer, start, end, length, _ROWS_MIN)
+                    if rows is not None:
+                        self._acquire_rows(rows, run_keys, run_flags, out)
+                        start += rows.size
                         continue
                 keys_append(str(view[start + 4 : frame_end], "utf-8", "replace"))
                 flags_append(bool(buffer[start + 3] & useful_flag))
@@ -164,16 +178,15 @@ class _AdmissionProtocol(FramedConnection):
         flags.clear()
 
     def _acquire_rows(
-        self, start: int, length: int, keys: List[str], flags: List[bool], out
-    ) -> int:
-        """Decide the same-size ``ACQUIRE`` frames at ``start``; returns their end.
+        self, rows: np.ndarray, keys: List[str], flags: List[bool], out
+    ) -> None:
+        """Decide a stretch of same-size ``ACQUIRE`` frames read as ``rows``.
 
         The grouped road where it answers byte for byte what the pending
         batch would — a closed-form strategy, at most one group per
         ``_ROWS_PER_GROUP`` rows, distinct decoded keys, no eviction inside
         the batch; else the frames join that batch, keys decoded as a block.
         """
-        rows = wire.acquire_rows(self._buffer, start, self._end, length, _ROWS_MIN)
         count = len(rows)
         useful = (rows[:, 3] & wire.FLAG_USEFUL).astype(bool)
         limiter = self.limiter
@@ -189,10 +202,9 @@ class _AdmissionProtocol(FramedConnection):
                     runs = limiter.try_acquire_runs(names, counts.tolist(), per_key)
                     out.append(wire.decisions_from_runs(runs, places))
                     limiter.grouped += count
-                    return start + count * (2 + length)
+                    return
         keys += wire.decode_keys(rows[:, 4:])
         flags += useful.tolist()
-        return start + count * (2 + length)
 
     def _respond_bulk(self, payload, out: List[bytes]) -> None:
         """Answer one ``ACQUIRE_BULK`` frame with ``RUN`` frames only.

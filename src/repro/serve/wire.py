@@ -53,12 +53,14 @@ how the router knows where one batch's reply ends, and
 router's scatter and for a server's grouped road, which reads a run of
 same-size ``ACQUIRE`` frames as NumPy rows (:func:`acquire_rows`,
 :func:`group_rows`, :func:`decode_keys`) and answers each distinct
-frame with one run. The router sends only groups of ``count`` > 1 —
-a request that is alone in its batch travels as the plain ``ACQUIRE``
-frame the client sent and is answered by a ``DECISION`` — but a server
-still accepts ``count == 1`` groups. Plain clients never speak this
-opcode; it exists so a trusted aggregator can collapse per-request
-framing without changing any per-key admission outcome.
+frame with one run. The router reads such runs as rows too, and groups
+them in the order they first occur (:func:`group_rows_first`). The
+router sends only groups of ``count`` > 1 — a request that is alone in
+its batch travels as the plain ``ACQUIRE`` frame the client sent and is
+answered by a ``DECISION`` — but a server still accepts ``count == 1``
+groups. Plain clients never speak this opcode; it exists so a trusted
+aggregator can collapse per-request framing without changing any
+per-key admission outcome.
 
 Response payloads start with a status byte: ``DECISION`` responses are
 a fixed 15-byte payload (struct ``<BBBid``: status, admitted, reason
@@ -425,6 +427,31 @@ def acquire_rows(
     return rows
 
 
+def _row_groups(
+    rows: np.ndarray, last: bool
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Identical frames among ``rows``, groups ordered by their first or
+    ``last`` occurrence: ``(row, counts, order)`` — per group that
+    occurrence's row and the group's row count, and the row indices
+    group by group, in row order within a group."""
+    total = len(rows)
+    frames = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    by_bytes = np.argsort(frames, kind="stable")
+    ordered = frames[by_bytes]
+    change = np.ones(total + 1, bool)  # group bounds, in byte order
+    change[1:-1] = ordered[1:] != ordered[:-1]
+    bounds = np.flatnonzero(change)
+    begins = bounds[:-1]
+    counts = bounds[1:] - begins
+    row = by_bytes[begins + counts - 1 if last else begins]
+    by_row = np.argsort(row)
+    begins, counts = begins[by_row], counts[by_row]
+    # each group's sorted stretch, in turn
+    offsets = begins - counts.cumsum() + counts
+    order = by_bytes[np.repeat(offsets, counts) + np.arange(total)]
+    return row[by_row], counts, order
+
+
 def group_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group identical frames among :func:`acquire_rows` rows.
 
@@ -434,22 +461,21 @@ def group_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     group, in row order within a group (what :func:`expand_runs` of one
     run per group yields, so ``expanded[places]`` is back in row order).
     """
-    total = len(rows)
-    frames = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
-    by_bytes = np.argsort(frames, kind="stable")
-    ordered = frames[by_bytes]
-    change = np.ones(total, bool)  # the last of each group, in byte order
-    change[:-1] = ordered[1:] != ordered[:-1]
-    ends = np.flatnonzero(change)
-    counts = ends + 1
-    counts[1:] -= ends[:-1] + 1
-    by_last = np.argsort(by_bytes[ends])
-    ends, counts = ends[by_last], counts[by_last]
-    # row indices group by group: each group's sorted stretch, in turn
-    offsets = ends - counts.cumsum() + 1
-    places = np.empty(total, np.intp)
-    places[by_bytes[np.repeat(offsets, counts) + np.arange(total)]] = np.arange(total)
-    return by_bytes[ends], counts, places
+    last, counts, order = _row_groups(rows, last=True)
+    places = np.empty(len(rows), np.intp)
+    places[order] = np.arange(len(rows))
+    return last, counts, places
+
+
+def group_rows_first(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group identical frames among :func:`acquire_rows` rows, in the
+    order they first occur — how the cluster router files a batch.
+
+    Returns ``(first, counts, order)``: per group its first row and its
+    row count, and the row indices laid out group by group, in row order
+    within a group.
+    """
+    return _row_groups(rows, last=False)
 
 
 def decode_keys(block: np.ndarray) -> List[str]:
