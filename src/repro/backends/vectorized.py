@@ -58,7 +58,7 @@ and churn randomness use the *same* named streams as the event engine,
 so both backends simulate the identical topology and availability
 trace.
 
-Two invariants keep the slot loop fast *and* bit-identical to what
+Three invariants keep the slot loop fast *and* bit-identical to what
 every earlier commit computed (``tests/test_vectorized_golden.py`` pins
 results across commits, ``tests/test_vectorized_invariants.py`` the
 first point):
@@ -70,6 +70,12 @@ first point):
   ``indices[src * k + draw]`` with no degree or offset gather.
 * **No RNG call moves.** Every draw keeps its generator, order, bound
   and count, whatever is done to the array work between draws.
+* **A batch of unique nodes is written whole.** An arrival batch holds
+  each destination once, so adoption is ``update[batch] = max(held,
+  payload)`` and a reaction writes every balance back, zero spends
+  included, with no selected subsets; a kernel that cannot react adopts
+  a whole hop with one ``np.maximum.at``, since only a reaction can see
+  arrival order.
 
 Supported envelope: the push-gossip application (any registered
 strategy, overlay and churn model; loss, jitter, period spread,
@@ -229,7 +235,7 @@ class _PushGossipKernel:
         self.kernel: DecisionKernel = strategy.decision_kernel
         self.pro_lut = self.kernel.pro_lut
         #: strategies that never react (the purely proactive baseline)
-        #: skip the reaction machinery per delivery batch entirely
+        #: skip the arrival batches: a hop is one scatter-max
         self.can_react = self.kernel.can_react
         #: message-index claim buffer for one-arrival-per-dst selection
         #: (every entry is written before it is read, so never reset)
@@ -372,15 +378,15 @@ class _PushGossipKernel:
             # mask the result to -1.
             return np.where(degrees > 0, self.indices.take(gather, mode="clip"), -1)
         result = np.full(m, -1, dtype=np.int64)
-        pending = np.arange(m) if k else np.flatnonzero(self.degrees[src] > 0)
+        pending = np.arange(m) if k else (self.degrees[src] > 0).nonzero()[0]
         for _ in range(_REJECTION_ROUNDS):
             if not len(pending):
                 return result
             candidates = self._draw_neighbor(src.take(pending))
             hit = self.online.take(candidates)
-            accepted = np.flatnonzero(hit)
+            accepted = hit.nonzero()[0]
             result[pending.take(accepted)] = candidates.take(accepted)
-            pending = pending.take(np.flatnonzero(~hit))
+            pending = pending.take((~hit).nonzero()[0])
         # Exact fallback: only reached when a sender's neighborhood is
         # mostly offline; the loop body is tiny and the set is rare.
         indptr, indices, online = self.indptr, self.indices, self.online
@@ -509,32 +515,32 @@ class _PushGossipKernel:
     def _proactive_phase(self, slot: int):
         """Every online node's timer: send proactively or bank a token."""
         if self.tick_rate is None:
-            ticks = self.online.astype(np.int64)
+            rounds = [self._online_ids()]  # one tick each
         else:
             self.tick_credit += self.tick_rate
             ticks = np.floor(self.tick_credit).astype(np.int64)
             self.tick_credit -= ticks
             ticks *= self.online  # offline timers neither bank nor spend
+            rounds = [(ticks > done).nonzero()[0] for done in range(ticks.max())]
         self.events_processed += self.spec.n  # every node's timer fires, as in the engine
         src_parts: List[np.ndarray] = []
         dst_parts: List[np.ndarray] = []
-        for done in range(int(ticks.max())):
-            active = np.flatnonzero(ticks > done)
+        for active in rounds:
             balances = self.balance.take(active)
             coin = self.rng.random(len(active))
             sends = coin < self.pro_lut.take(self.kernel.lut_index(balances))
-            banking = np.flatnonzero(~sends)
+            banking = (~sends).nonzero()[0]
             self._bank(active.take(banking), balances.take(banking))
-            sending = np.flatnonzero(sends)
+            sending = sends.nonzero()[0]
             if len(sending):
                 senders = active.take(sending)
                 peers = self._select_peers(senders)
                 if self.may_lack_peer:
                     # No online neighbor: the send is impossible; bank
                     # the round's token instead (clamped at C).
-                    stuck = np.flatnonzero(peers < 0)
+                    stuck = (peers < 0).nonzero()[0]
                     self._bank(senders.take(stuck), balances.take(sending.take(stuck)))
-                    sent = np.flatnonzero(peers >= 0)
+                    sent = (peers >= 0).nonzero()[0]
                     senders, peers = senders.take(sent), peers.take(sent)
                 src_parts.append(senders)
                 dst_parts.append(peers)
@@ -543,7 +549,7 @@ class _PushGossipKernel:
         if slot == 0 and self.strategy.bootstrap_kick:
             starters = self._online_ids()
             peers = self._select_peers(starters)
-            sent = np.flatnonzero(peers >= 0)
+            sent = (peers >= 0).nonzero()[0]
             src_parts.append(starters.take(sent))
             dst_parts.append(peers.take(sent))
         src, dst = _joined(src_parts), _joined(dst_parts)
@@ -571,12 +577,17 @@ class _PushGossipKernel:
                 if self.has_churn:
                     online = self.online.take(dst)
                     alive = online if alive is None else alive & online
-                alive = np.flatnonzero(alive)
+                alive = alive.nonzero()[0]
                 dst, payload = dst.take(alive), payload.take(alive)
                 count = len(dst)
                 stats.lost_offline += kept - count
             stats.delivered += count
             self.events_processed += count
+            if not self.can_react:
+                # Nothing reacts, so arrival order cannot matter: one
+                # scatter-max adopts the whole hop and nothing is sent on.
+                np.maximum.at(update, dst, payload)
+                return dst[:0], payload[:0]
             # Multiple arrivals at one node within a hop are processed
             # sequentially (state update, reaction, then the next
             # arrival); first-arrival batches replay that order while
@@ -584,7 +595,7 @@ class _PushGossipKernel:
             # Reaction *sends* are order-independent once the spend
             # amounts are fixed, so peer selection is coalesced across
             # batches into a single draw.
-            spender_parts: List[np.ndarray] = []
+            node_parts: List[np.ndarray] = []
             amount_parts: List[np.ndarray] = []
             while count:
                 # One-arrival-per-destination selection in O(m): every
@@ -595,33 +606,30 @@ class _PushGossipKernel:
                 order = np.arange(count)
                 claim[dst] = order
                 chosen = claim.take(dst) == order
-                first = np.flatnonzero(chosen)
+                first = chosen.nonzero()[0]
                 if len(first) == count:
                     batch_dst, batch_payload = dst, payload
                     count = 0
                 else:
                     batch_dst, batch_payload = dst.take(first), payload.take(first)
-                    later = np.flatnonzero(~chosen)
+                    later = (~chosen).nonzero()[0]
                     dst, payload = dst.take(later), payload.take(later)
                     count = len(later)
-                useful = batch_payload > update.take(batch_dst)
-                adopting = np.flatnonzero(useful)
-                if len(adopting):
-                    update[batch_dst.take(adopting)] = batch_payload.take(adopting)
-                if self.can_react:
-                    reacted = self._react(batch_dst, useful)
-                    if reacted is not None:
-                        spender_parts.append(reacted[0])
-                        amount_parts.append(reacted[1])
-            dst, payload = self._emit_reactions(spender_parts, amount_parts)
+                # The batch's nodes are unique: write it whole.
+                held = update.take(batch_dst)
+                useful = batch_payload > held
+                update[batch_dst] = np.maximum(held, batch_payload)
+                node_parts.append(batch_dst)
+                amount_parts.append(self._react(batch_dst, useful))
+            dst, payload = self._emit_reactions(node_parts, amount_parts)
         return dst, payload
 
     def _react(self, nodes: np.ndarray, useful: np.ndarray):
         """ONMESSAGE's reactive half: spend tokens for one arrival batch.
 
-        Returns ``(spenders, amounts)`` — the message emission itself is
-        deferred to :meth:`_emit_reactions` so one peer draw covers the
-        whole hop.
+        Returns each node's spend, zeros included (``np.repeat`` drops
+        them): the message emission is deferred to :meth:`_emit_reactions`
+        so one peer draw covers the whole hop.
         """
         balances = self.balance.take(nodes)
         # randRound: integer part + Bernoulli(fraction), via the shared
@@ -630,25 +638,21 @@ class _PushGossipKernel:
         count = self.kernel.reaction_counts(balances, useful, self.rng)
         if not self.overdraft:
             np.minimum(count, balances, out=count)
-        spending = np.flatnonzero(count > 0)
-        if not len(spending):
-            return None
-        spenders, amounts = nodes.take(spending), count.take(spending)
-        self.balance[spenders] = balances.take(spending) - amounts  # unique nodes
-        return spenders, amounts
+        self.balance[nodes] = balances - count  # unique nodes
+        return count
 
-    def _emit_reactions(self, spender_parts, amount_parts):
+    def _emit_reactions(self, node_parts, amount_parts):
         """Turn the hop's token spends into next-hop messages."""
-        senders = np.repeat(_joined(spender_parts), _joined(amount_parts))
+        senders = np.repeat(_joined(node_parts), _joined(amount_parts))
         peers = self._select_peers(senders)
         if self.may_lack_peer:
-            unsent = senders.take(np.flatnonzero(peers < 0))
+            unsent = senders.take((peers < 0).nonzero()[0])
             if len(unsent):
                 # No online peer for some copies: refund those tokens.
                 np.add.at(self.balance, unsent, 1)
                 if self.capacity is not None:
                     np.minimum(self.balance, self.capacity, out=self.balance)
-            sent = np.flatnonzero(peers >= 0)
+            sent = (peers >= 0).nonzero()[0]
             senders, peers = senders.take(sent), peers.take(sent)
         self._record_data_sends(senders)
         return peers, self.update.take(senders)
@@ -680,15 +684,19 @@ class _PushGossipKernel:
 
     def _online_ids(self) -> np.ndarray:
         """Indices of the nodes online right now (everyone, without churn)."""
-        return np.flatnonzero(self.online) if self.has_churn else self._everyone
+        return self.online.nonzero()[0] if self.has_churn else self._everyone
 
     def _sample(self, now: float) -> None:
-        ids = self._online_ids()
-        if self.latest > 0 and len(ids):
-            lag = self.latest - float(self.update.take(ids).mean())
-            self.metric_series.append(now, lag)
-        if self.token_series is not None and len(ids):
-            self.token_series.append(now, float(self.balance.take(ids).mean()))
+        update, balance = self.update, self.balance
+        if self.has_churn:
+            ids = self.online.nonzero()[0]
+            if not len(ids):
+                return
+            update, balance = update.take(ids), balance.take(ids)
+        if self.latest > 0:
+            self.metric_series.append(now, self.latest - float(update.mean()))
+        if self.token_series is not None:
+            self.token_series.append(now, float(balance.mean()))
 
     # ------------------------------------------------------------------
     # §3.4 burst audit over slot windows
@@ -718,7 +726,7 @@ class _PushGossipKernel:
             sums[1:] -= cumulative[: -window_slots]
             worst_slot = np.argmax(sums, axis=0)
             worst = sums[worst_slot, np.arange(sums.shape[1])]
-            for node_id in np.flatnonzero(worst > bound):
+            for node_id in (worst > bound).nonzero()[0]:
                 violations.append(
                     RateLimitViolation(
                         node_id=int(node_id),

@@ -98,6 +98,7 @@ class DecisionKernel:
         "can_react",
         "clip_index",
         "deterministic",
+        "_has_fraction",
         "_pro_list",
         "_int_list",
         "_frac_list",
@@ -112,6 +113,7 @@ class DecisionKernel:
         fused = np.concatenate([useless, useful])
         self.react_int_lut = np.floor(fused).astype(np.int64)
         self.react_frac_lut = fused - np.floor(fused)
+        self._has_fraction = bool(self.react_frac_lut.any())
         self.lut_span = self.lut_max + 1
         #: strategies that never react (the purely proactive baseline)
         #: let callers skip the reaction machinery wholesale
@@ -126,7 +128,7 @@ class DecisionKernel:
         #: no randRound fraction anywhere and every proactive probability
         #: 0 or 1, so neither uniform of the RNG contract is ever read
         self.deterministic = bool(
-            not self.react_frac_lut.any() and np.isin(self.pro_lut, (0.0, 1.0)).all()
+            not self._has_fraction and np.isin(self.pro_lut, (0.0, 1.0)).all()
         )
         # Plain-list mirrors: scalar lookups on python ints are ~3x
         # faster than indexing 0-d numpy scalars out of the arrays.
@@ -220,9 +222,12 @@ class DecisionKernel:
         (its historical draw pattern — deliberately *not* the two-draw
         decision contract, so existing simulation seeds stay
         bit-identical). Counts are not yet clamped to the balance; the
-        caller owns the no-overspend clamp.
+        caller owns the no-overspend clamp. Where every fraction is zero
+        (``simple``, ``generalized``) the block is still drawn but never
+        read.
         """
         key = self.lut_index(balances) + useful * self.lut_span
-        return self.react_int_lut[key] + (
-            rng.random(len(key)) < self.react_frac_lut[key]
-        )
+        draws = rng.random(len(key))
+        if not self._has_fraction:
+            return self.react_int_lut.take(key)
+        return self.react_int_lut[key] + (draws < self.react_frac_lut[key])

@@ -213,3 +213,37 @@ def test_kernel_is_importable_standalone():
     kernel = DecisionKernel(strategy)
     rng = np.random.default_rng(3)
     assert kernel.decide_one(5, True, rng) == "reactive"
+
+
+# ----------------------------------------------------------------------
+# reaction_counts: the vectorized backend's one-uniform-per-entry draw
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("pending_half", [False, True])
+@pytest.mark.parametrize("name", all_registered_strategies())
+def test_reaction_counts_is_the_lut_formula_on_one_uniform_block(name, pending_half):
+    """Counts are ``int[key] + (u < frac[key])`` over one ``random(n)``
+    block, and the generator ends where that block leaves it — also when
+    an odd-length bounded ``integers`` call left PCG64 a pending 32-bit
+    half, which a skipped draw replaced by ``bit_generator.advance``
+    would clear."""
+    kernel = make_strategy(name).decision_kernel
+    setup = np.random.default_rng(11)
+    for n in (0, 1, 7, 512):
+        rng = np.random.default_rng(int(setup.integers(1 << 32)))
+        if pending_half:
+            rng.integers(0, 20, size=2 * n + 1)
+            assert rng.bit_generator.state["has_uint32"]
+        balances = balances_for(make_strategy(name), setup)[:n]
+        useful = setup.random(n) < 0.5
+        clone = np.random.Generator(np.random.PCG64())
+        clone.bit_generator.state = rng.bit_generator.state
+
+        counts = kernel.reaction_counts(balances, useful, rng)
+
+        key = kernel.lut_index(balances) + useful * kernel.lut_span
+        expected = kernel.react_int_lut[key] + (
+            clone.random(n) < kernel.react_frac_lut[key]
+        )
+        np.testing.assert_array_equal(counts, expected)
+        assert counts.dtype == expected.dtype
+        assert rng.bit_generator.state == clone.bit_generator.state

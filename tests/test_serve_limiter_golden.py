@@ -285,5 +285,6 @@ def test_every_cell_is_pinned_and_the_schedule_covers_what_it_says():
 
 
 if __name__ == "__main__":  # regenerate: PYTHONPATH=src python tests/test_serve_limiter_golden.py
-    for cell in CELLS:
-        print(f"    {cell!r}: {fingerprint(*cell)!r},")
+    from golden import regenerate
+
+    regenerate(CELLS, fingerprint)

@@ -122,5 +122,6 @@ def test_every_cell_is_pinned():
 
 
 if __name__ == "__main__":  # regenerate: PYTHONPATH=src python tests/test_sim_golden.py
-    for name, config in CELLS.items():
-        print(f'    "{name}": {fingerprint(config)!r},')
+    from golden import regenerate
+
+    regenerate(CELLS, fingerprint)

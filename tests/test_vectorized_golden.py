@@ -10,7 +10,10 @@ byte-identical metric and token series and byte-identical per-slot send
 counts on every path the slot loop has (uniform-degree and general CSR
 peer draws, rejection sampling with the exact fallback and the token
 refund, carry-over tails, loss, tick credits, the slot-0 kick, a node
-with no out-links).
+with no out-links). The two ``proactive-*`` cells at the end of
+``CELLS`` were added later and pinned on commit 5f9cb3a, the parent of
+the change that adopts a non-reacting kernel's hop with one scatter-max:
+they cover that road after loss and churn, and tick credits under churn.
 
 ``tests/test_sim_golden.py`` is the same pin for the event backend.
 """
@@ -93,6 +96,15 @@ CELLS = {
         strategy="simple",
         capacity=5,
         **{**SMALL, "n": 40},
+    ),
+    # a kernel that cannot react adopts each hop whole: after the loss
+    # filter, under churn (the offline filter runs) and the NumPy wiring
+    "proactive-flash-crowd-loss-large": dict(
+        scenario="flash-crowd", loss_rate=0.2, strategy="proactive", **LARGE
+    ),
+    # tick credits under churn: the proactive phase's per-round path
+    "proactive-trace-period-spread": dict(
+        scenario="trace", period_spread=0.3, strategy="proactive", **SMALL
     ),
 }
 
@@ -292,6 +304,22 @@ GOLDEN = {
         "a7e7f68b88ba29101102830e258bffc6f33f44b5177f802d09e4df647ca7b488",
         None,
     ),
+    "proactive-flash-crowd-loss-large": (
+        181146,
+        58731,
+        (61539, 49230, 0, 12309, 0),
+        "3c8ef522ef730c263e8dfdf990c8907b6ee692d13692a17152005801cc6becde",
+        "489baff8b1ed78feab85924d1caaffb5e47333b5319d3fc53cb531832d35a596",
+        None,
+    ),
+    "proactive-trace-period-spread": (
+        11278,
+        3507,
+        (3510, 3510, 0, 0, 0),
+        "9ebf18f04e7625f977ce4615fe4c6480f5486ade644b15606cc833115d23d204",
+        "379f388db66878688f0537f6cdac6e3e24d9e16e4f3d1f0438d9b85b369542b7",
+        None,
+    ),
 }
 
 
@@ -345,7 +373,7 @@ def test_every_cell_is_pinned():
     assert sorted(GOLDEN) == sorted(CELLS)
 
 
-if __name__ == "__main__":
-    # regenerate: PYTHONPATH=src python tests/test_vectorized_golden.py
-    for name, cell in CELLS.items():
-        print(f'    "{name}": {fingerprint(cell)!r},')
+if __name__ == "__main__":  # regenerate: PYTHONPATH=src python tests/test_vectorized_golden.py
+    from golden import regenerate
+
+    regenerate(CELLS, fingerprint)
