@@ -83,19 +83,29 @@ a protocol error); remapped keys start fresh accounts on their new
 owner, the same contract as LRU eviction. Run workers with
 ``--cold-start`` to keep the burst bound airtight across a remap (a
 fresh account then starts empty instead of full).
+
+Process orchestration
+---------------------
+Workers are forked from the router (:func:`spawn_worker`) after its
+imports and before its event loop starts, so a cluster pays one import,
+not ``N + 1``: a worker only builds its limiter and runs the stock
+:func:`~repro.serve.server.run_server`. It sends its announce line up a
+private one-way pipe, leaving the router's stdout to the router's own
+announce; a pipe that closes first is a worker that never came up. The
+router starts no thread, so a fork copies a single-threaded interpreter.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 import re
 import signal
 import struct
-import subprocess
 import sys
-import threading
 from dataclasses import dataclass
+from multiprocessing.process import BaseProcess
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -109,9 +119,9 @@ from repro.serve.connection import (
     HelloError,
     fetch_stats,
 )
-from repro.serve.limiter import Decision
+from repro.serve.limiter import Decision, TokenAccountLimiter
 from repro.serve.ring import HashRing
-from repro.serve.server import _ROWS_MIN, stretch_rows
+from repro.serve.server import _ROWS_MIN, run_server, stretch_rows
 
 #: route memo budget (frame bytes -> (worker, bulk-record prefix)),
 #: dropped whole when full or on any ring change
@@ -138,7 +148,7 @@ _SYNTH_REJECT = np.frombuffer(
     dtype=wire.DECISION_RECORD,
 )[0]
 
-#: scrapes the port from a worker's (or the router's) announce line
+#: reads the port from a worker's announce line
 _ANNOUNCE = re.compile(r"on [0-9.]+:(\d+)")
 
 
@@ -716,97 +726,87 @@ class ClusterConfig:
 
 
 class WorkerHandle:
-    """One spawned worker process and its resolved address."""
+    """One forked worker process and its resolved address."""
 
-    def __init__(self, name: str, process: subprocess.Popen, host: str, port: int):
+    def __init__(self, name: str, process: BaseProcess, host: str, port: int):
         self.name = name
         self.process = process
         self.host = host
         self.port = port
 
     def alive(self) -> bool:
-        """Whether the worker process is still running."""
-        return self.process.poll() is None
+        """Whether the worker process is still running (reaping it if not)."""
+        return self.process.exitcode is None
 
     def stop(self, timeout: float = 5.0) -> None:
         """Terminate the worker (escalating to kill), reaping it."""
-        if self.process.poll() is None:
-            self.process.terminate()
-            try:
-                self.process.wait(timeout=timeout)
-            except subprocess.TimeoutExpired:  # pragma: no cover - stuck child
-                self.process.kill()
-                self.process.wait(timeout=timeout)
+        process = self.process
+        if process.exitcode is None:
+            process.terminate()
+            process.join(timeout)
+        if process.exitcode is None:  # pragma: no cover - stuck child
+            process.kill()
+            process.join(timeout)
+
+
+def _serve_worker(config: ClusterConfig, index: int, duration, announce) -> None:
+    """A forked worker's life: its limiter behind the stock server.
+
+    The child ends in ``os._exit`` (``multiprocessing``), never in the
+    router's teardown; SIGTERM ends ``asyncio.run`` by the inherited handler.
+    """
+    limiter = TokenAccountLimiter(
+        config.strategy,
+        period=config.period,
+        spend_rate=config.spend_rate,
+        capacity=config.capacity,
+        shards=config.shards,
+        # each worker owns ~1/N of the key space, so the global LRU
+        # budget splits across the fleet
+        max_keys=max(config.shards, config.max_keys // config.workers),
+        seed=None if config.seed is None else config.seed + index,
+        initial_tokens=0 if config.cold_start else None,
+    )
+    try:
+        asyncio.run(run_server(limiter, config.host, 0, duration, announce.send))
+    except KeyboardInterrupt:
+        pass
 
 
 def spawn_worker(
     config: ClusterConfig, index: int, duration: Optional[float] = None
 ) -> WorkerHandle:
-    """Fork one ``repro serve`` worker and scrape its announced port.
+    """Fork one worker server and read its announced port from a pipe.
 
-    Workers bind port 0 on the cluster's host and announce the resolved
-    port on stdout; each gets a distinct decision-RNG seed. A finite
-    cluster ``duration`` becomes ``duration + 60`` in the worker — a
-    self-destruct against orphans if the router dies uncleanly.
+    Workers bind port 0 on the cluster's host and send their announce
+    line up a private one-way pipe; each gets a distinct decision-RNG
+    seed. A finite cluster ``duration`` becomes ``duration + 60`` in the
+    worker — a self-destruct against orphans if the router dies
+    uncleanly. A worker that exits before announcing closes the pipe:
+    it is reaped and :class:`RuntimeError` raised at once.
     """
-    argv = [
-        sys.executable,
-        "-u",  # the parent scrapes the announce line from a pipe
-        "-m",
-        "repro",
-        "serve",
-        "--strategy",
-        config.strategy,
-        "--period",
-        repr(config.period),
-        "--host",
-        config.host,
-        "--port",
-        "0",
-        "--shards",
-        str(config.shards),
-        # each worker owns ~1/N of the key space, so the global LRU
-        # budget splits across the fleet
-        "--max-keys",
-        str(max(config.shards, config.max_keys // config.workers)),
-    ]
-    if config.spend_rate is not None:
-        argv += ["-A", str(config.spend_rate)]
-    if config.capacity is not None:
-        argv += ["-C", str(config.capacity)]
-    if config.seed is not None:
-        argv += ["--seed", str(config.seed + index)]
-    if config.cold_start:
-        argv.append("--cold-start")
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:  # no fork start method (Windows)
+        raise ValueError("--workers needs the 'fork' start method") from None
+    reader, writer = context.Pipe(duplex=False)
     if duration is not None:
-        argv += ["--duration", repr(duration + 60.0)]
-    process = subprocess.Popen(
-        argv,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
+        duration += 60.0
+    process = context.Process(
+        target=_serve_worker, args=(config, index, duration, writer), daemon=True
     )
+    process.start()
+    writer.close()  # the child holds the only write end: its exit is EOF
+    with reader:  # closed here, so later workers do not inherit it
+        try:
+            match = _ANNOUNCE.search(reader.recv()) if reader.poll(30.0) else None
+        except EOFError:  # the child exited before it announced
+            match = None
     name = f"w{index}"
-    port: Optional[int] = None
-    assert process.stdout is not None
-    for _ in range(50):  # the announce is within the first few lines
-        line = process.stdout.readline()
-        if not line:
-            break
-        match = _ANNOUNCE.search(line)
-        if match:
-            port = int(match.group(1))
-            break
-    if port is None:
-        process.terminate()
-        process.wait(timeout=5.0)
+    if match is None:
+        WorkerHandle(name, process, config.host, 0).stop()
         raise RuntimeError(f"worker {name} never announced its port")
-    # Keep the pipe drained (the worker prints a stats line on exit).
-    drain = threading.Thread(
-        target=lambda: process.stdout.read(), name=f"drain-{name}", daemon=True
-    )
-    drain.start()
-    return WorkerHandle(name, process, config.host, port)
+    return WorkerHandle(name, process, config.host, int(match.group(1)))
 
 
 async def _supervise(
@@ -815,7 +815,7 @@ async def _supervise(
     """Poll worker processes; report deaths to the ring."""
     while True:
         for handle in handles:
-            if handle.process.poll() is not None:
+            if not handle.alive():
                 router.worker_failed(handle.name)
         await asyncio.sleep(interval)
 
@@ -881,7 +881,7 @@ def serve_cluster(
     duration: Optional[float] = None,
     announce=print,
 ) -> Dict[str, int]:
-    """Spawn the workers, run the router, tear everything down.
+    """Fork the workers, run the router, tear everything down.
 
     The ``repro serve --workers N`` entry point. Returns the final
     aggregated counters (empty on an interrupted run). Workers are
@@ -889,11 +889,8 @@ def serve_cluster(
     clean ``SystemExit`` so the ``finally`` teardown runs.
     """
     handles: List[WorkerHandle] = []
-    previous_handler = None
     try:
-        previous_handler = signal.signal(
-            signal.SIGTERM, lambda *_: sys.exit(0)
-        )
+        previous_handler = signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
     except ValueError:  # pragma: no cover - not the main thread
         previous_handler = None
     stats: Dict[str, int] = {}
@@ -905,10 +902,7 @@ def serve_cluster(
         pass
     finally:
         if previous_handler is not None:
-            try:
-                signal.signal(signal.SIGTERM, previous_handler)
-            except ValueError:  # pragma: no cover - not the main thread
-                pass
+            signal.signal(signal.SIGTERM, previous_handler)
         for handle in handles:
             handle.stop()
     return stats

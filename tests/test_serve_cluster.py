@@ -4,8 +4,9 @@ The router and the workers are plain asyncio servers, so everything but
 the actual ``fork`` can run inside one event loop: real sockets, the
 real binary protocol, the real bulk fan-out and reorder path — with
 worker "death" staged by closing a worker server under the router. The
-one subprocess test at the bottom smokes the actual ``repro serve
---workers N`` entry point end to end.
+tests at the bottom fork real workers: one kills a worker process under
+the router, one smokes the actual ``repro serve --workers N`` entry
+point end to end.
 
 The load-bearing claims:
 
@@ -23,21 +24,31 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import cli
 from repro.core.ratelimit import RateLimitAuditor
 from repro.serve import AdmissionServer, ManualClock, TokenAccountLimiter, wire
-from repro.serve.cluster import ClusterRouter, _WorkerLink
+from repro.serve.cluster import (
+    ClusterConfig,
+    ClusterRouter,
+    _supervise,
+    _WorkerLink,
+    spawn_worker,
+)
 from repro.serve.connection import _RECV_BUFFER
 from repro.serve.limiter import Decision
 from tests.conftest import binary_client as binary_session
@@ -115,12 +126,16 @@ async def teardown(router, servers, *connections):
 # RUN expansion: the router's client-facing frame synthesis
 # ----------------------------------------------------------------------
 def sequential_frames(reason, admits, rejects, balance, retry) -> bytes:
-    """What a worker answers to ``admits + rejects`` plain ACQUIREs."""
-    name = wire.REASON_NAMES[reason]
-    decisions = [
-        Decision(True, "k", name, balance - 1 - spent) for spent in range(admits)
-    ] + [Decision(False, "k", "exhausted", balance - admits, retry)] * rejects
-    return b"".join(map(wire.encode_decision_binary, decisions))
+    """What a worker answers to ``admits + rejects`` plain ACQUIREs: one
+    DECISION frame per admit, then one reject frame ``rejects`` times."""
+    pack = wire.DECISION_STRUCT.pack
+    body = wire.DECISION_FRAME_SIZE - 2
+    admitted = b"".join(
+        pack(body, wire.STATUS_DECISION, 1, reason, balance - 1 - spent, 0.0)
+        for spent in range(admits)
+    )
+    reject = Decision(False, "k", "exhausted", balance - admits, retry)
+    return admitted + wire.encode_decision_binary(reject) * rejects
 
 
 def run_stream(runs) -> bytes:
@@ -806,8 +821,95 @@ def test_cluster_burst_bound_holds_for_a_randomized_strategy():
 
 
 # ----------------------------------------------------------------------
-# the real thing: `repro serve --workers 2` as a subprocess
+# the real thing: forked worker processes, `repro serve --workers 2`
 # ----------------------------------------------------------------------
+def child_pids() -> set:
+    """This process's children, live or unreaped."""
+    return {
+        int(pid)
+        for listing in Path("/proc/self/task").glob("*/children")
+        for pid in listing.read_text().split()
+    }
+
+
+def reaped(handle) -> bool:
+    """Whether ``handle``'s process has exited and left no zombie."""
+    try:
+        os.waitpid(handle.process.pid, os.WNOHANG)
+    except ChildProcessError:
+        return handle.process.exitcode is not None
+    return False
+
+
+def test_cluster_remaps_a_killed_worker_process_to_the_survivor():
+    config = ClusterConfig(
+        workers=2, strategy="simple", capacity=3, period=50.0, shards=2, seed=1
+    )
+    handles = [spawn_worker(config, index, duration=60.0) for index in range(2)]
+
+    async def scenario():
+        router = await ClusterRouter(
+            {handle.name: (handle.host, handle.port) for handle in handles},
+            host="127.0.0.1",
+        ).start()
+        supervisor = asyncio.get_running_loop().create_task(
+            _supervise(router, handles, interval=0.01)
+        )
+        session = await binary_session(router.port)
+        reader, writer = session
+        victim_key = next(
+            f"k{i}" for i in range(100) if router._ring.owner(f"k{i}") == "w0"
+        )
+        survivor_key = next(
+            f"s{i}" for i in range(100) if router._ring.owner(f"s{i}") == "w1"
+        )
+        before = await acquire_many(reader, writer, [victim_key, survivor_key])
+        os.kill(handles[0].process.pid, signal.SIGKILL)
+        deadline = time.monotonic() + 10.0
+        while not router.remaps and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        healed = await acquire_many(reader, writer, [victim_key] * 4 + [survivor_key])
+        stats = await fetch_cluster_stats(reader, writer)
+        supervisor.cancel()
+        await teardown(router, [], session)
+        return before, healed, stats
+
+    try:
+        before, healed, stats = asyncio.run(scenario())
+    finally:
+        for handle in handles:
+            handle.stop()
+    assert [d.admitted for d in before] == [True, True]
+    assert stats["remaps"] == 1 and stats["workers"] == 1
+    # the victim's key starts a fresh account (C = 3) on the survivor,
+    # whose own key still has the 2 tokens left
+    assert [d.admitted for d in healed] == [True, True, True, False, True]
+    assert stats["admitted"] == 5 and stats["rejected"] == 1
+    assert handles[0].process.exitcode == -signal.SIGKILL
+    assert all(map(reaped, handles))
+
+
+def test_a_worker_that_cannot_bind_fails_fast_and_is_reaped():
+    # TEST-NET-1: no local interface holds it, so the worker's bind fails
+    config = ClusterConfig(workers=1, strategy="simple", host="192.0.2.1")
+    before = child_pids()
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="never announced"):
+        spawn_worker(config, 0, duration=1.0)
+    assert time.monotonic() - started < 10.0
+    assert child_pids() == before
+
+
+def test_cluster_without_fork_is_a_usage_error(monkeypatch, capsys):
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    argv = ["serve", "--workers", "2", "--strategy", "simple", "--duration", "1"]
+    assert cli.main(argv) == 2
+    assert "--workers needs the 'fork' start method" in capsys.readouterr().err
+
+
 def test_cluster_cli_smoke():
     announce = re.compile(r"on [0-9.]+:(\d+)")
     env = dict(os.environ)
