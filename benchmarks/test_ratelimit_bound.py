@@ -92,7 +92,9 @@ def test_reactive_reference_has_no_bound(scale):
             strategy="reactive",
             reactive_fanout=2,
             n=min(scale.n, 300),
-            periods=min(scale.periods, 50),
+            # the flood saturates within the first period: the worst window
+            # is 198 sends at 5 periods, 200 at 50
+            periods=min(scale.periods, 5),
             seed=1,
             audit_sends=True,
         )

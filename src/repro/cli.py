@@ -517,62 +517,41 @@ def _command_serve(args: argparse.Namespace) -> int:
     """Run the admission server until interrupted (or for --duration)."""
     import asyncio
 
-    from repro.serve import TokenAccountLimiter, run_server
+    from repro.serve import ServeConfig, run_server, serve_cluster
 
-    if args.workers:
-        # Multi-process cluster: N worker servers behind a
-        # consistent-hash router on the public port.
-        from repro.serve.cluster import ClusterConfig, serve_cluster
-
-        config = ClusterConfig(
-            workers=args.workers,
-            strategy=args.strategy,
-            period=args.period,
-            spend_rate=args.spend_rate,
-            capacity=args.capacity,
-            shards=args.shards,
-            max_keys=args.max_keys,
-            seed=args.seed,
-            host=args.host,
-            port=args.port,
-            cold_start=args.cold_start,
-        )
-        stats = serve_cluster(config, duration=args.duration)
-        if stats:
-            print(
-                f"served {stats['admitted']} admissions / "
-                f"{stats['rejected']} rejections over {stats['keys']} key(s) "
-                f"across {stats['workers']} worker(s), "
-                f"{stats['remaps']} remap(s)"
-            )
-        return 0
-
-    limiter = TokenAccountLimiter(
-        args.strategy,
+    config = ServeConfig(
+        strategy=args.strategy,
         period=args.period,
         spend_rate=args.spend_rate,
         capacity=args.capacity,
         shards=args.shards,
         max_keys=args.max_keys,
         seed=args.seed,
-        initial_tokens=0 if args.cold_start else None,
+        host=args.host,
+        port=args.port,
+        workers=args.workers,
+        cold_start=args.cold_start,
     )
-    try:
-        asyncio.run(
-            run_server(
-                limiter,
-                host=args.host,
-                port=args.port,
-                duration=args.duration,
-            )
+    if config.workers:
+        # N worker servers behind a consistent-hash router on the public port
+        stats = serve_cluster(config, duration=args.duration)
+    else:
+        limiter = config.limiter()
+        try:
+            asyncio.run(run_server(limiter, config.host, config.port, args.duration))
+        except KeyboardInterrupt:
+            pass
+        stats = limiter.stats()
+    if stats:
+        cluster = (
+            f" across {stats['workers']} worker(s), {stats['remaps']} remap(s)"
+            if "workers" in stats
+            else ""
         )
-    except KeyboardInterrupt:
-        pass
-    stats = limiter.stats()
-    print(
-        f"served {stats['admitted']} admissions / {stats['rejected']} rejections "
-        f"over {stats['keys']} key(s)"
-    )
+        print(
+            f"served {stats['admitted']} admissions / {stats['rejected']} "
+            f"rejections over {stats['keys']} key(s){cluster}"
+        )
     return 0
 
 

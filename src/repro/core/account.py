@@ -78,22 +78,6 @@ class TokenAccount:
         self.balance += 1
         self.granted += 1
 
-    def grant_many(self, count: int) -> int:
-        """Bank up to ``count`` tokens at once; returns how many stuck.
-
-        The wall-clock serving layer (:mod:`repro.serve`) advances an
-        account by whole elapsed periods in one step — after an idle
-        stretch that can be thousands of ticks, so the capacity clamp is
-        applied arithmetically instead of looping :meth:`grant`.
-        """
-        if count < 0:
-            raise ValueError(f"cannot grant a negative count: {count}")
-        if self.capacity is not None:
-            count = min(count, max(0, self.capacity - self.balance))
-        self.balance += count
-        self.granted += count
-        return count
-
     def withdraw(self, amount: int) -> None:
         """Spend ``amount`` tokens on reactive messages."""
         if amount < 0:

@@ -15,6 +15,7 @@ bridge from reproducing the paper to serving real traffic with it:
   buffer, hello check, backpressure, drain-on-close) that every
   listening endpoint subclasses;
 * :mod:`repro.serve.server` — the batched asyncio TCP admission server
+  and :class:`ServeConfig`, the one builder of a served limiter
   (``repro serve``);
 * :mod:`repro.serve.ring` + :mod:`repro.serve.cluster` — the stable
   consistent-hash ring and the multi-process limiter cluster
@@ -26,22 +27,22 @@ bridge from reproducing the paper to serving real traffic with it:
 """
 
 from repro.serve.clock import Clock, ManualClock, monotonic_clock
-from repro.serve.cluster import ClusterConfig, ClusterRouter, serve_cluster
+from repro.serve.cluster import ClusterRouter, serve_cluster
 from repro.serve.limiter import Decision, TokenAccountLimiter
 from repro.serve.loadgen import LoadgenReport, fetch_stats, run_loadgen
 from repro.serve.ring import HashRing, stable_hash
-from repro.serve.server import AdmissionServer, run_server
+from repro.serve.server import AdmissionServer, ServeConfig, run_server
 from repro.serve.table import ShardedTable
 
 __all__ = [
     "AdmissionServer",
     "Clock",
-    "ClusterConfig",
     "ClusterRouter",
     "Decision",
     "HashRing",
     "LoadgenReport",
     "ManualClock",
+    "ServeConfig",
     "ShardedTable",
     "TokenAccountLimiter",
     "fetch_stats",

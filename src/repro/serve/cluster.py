@@ -72,9 +72,10 @@ connection's worker links are up.
 
 Failure remap
 -------------
-Worker death is detected two ways: a supervisor polls the child
-processes, and any failed read on a worker link reports the worker
-immediately. Either path removes the member from the ring — which
+Worker death is detected two ways, both at once: the router's event
+loop watches each worker's process sentinel, which turns readable the
+moment the process ends, and any failed read on a worker link reports
+the worker. Either path removes the member from the ring — which
 remaps *only that worker's arcs* (~``1/W`` of the key space) and never
 moves a key between survivors — bumps the ``remaps`` counter and drops
 the route memo. Requests already in flight to the dead worker are
@@ -88,11 +89,14 @@ Process orchestration
 ---------------------
 Workers are forked from the router (:func:`spawn_worker`) after its
 imports and before its event loop starts, so a cluster pays one import,
-not ``N + 1``: a worker only builds its limiter and runs the stock
+not ``N + 1``: a worker only builds ``config.limiter(index)``
+(:class:`~repro.serve.server.ServeConfig`) and runs the stock
 :func:`~repro.serve.server.run_server`. It sends its announce line up a
 private one-way pipe, leaving the router's stdout to the router's own
 announce; a pipe that closes first is a worker that never came up. The
 router starts no thread, so a fork copies a single-threaded interpreter.
+At shutdown the router fetches its own STATS document over its public
+port: the summary ``repro serve`` prints is the one any client reads.
 """
 
 from __future__ import annotations
@@ -104,9 +108,8 @@ import re
 import signal
 import struct
 import sys
-from dataclasses import dataclass
 from multiprocessing.process import BaseProcess
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -119,9 +122,9 @@ from repro.serve.connection import (
     HelloError,
     fetch_stats,
 )
-from repro.serve.limiter import Decision, TokenAccountLimiter
+from repro.serve.limiter import Decision
 from repro.serve.ring import HashRing
-from repro.serve.server import _ROWS_MIN, run_server, stretch_rows
+from repro.serve.server import _ROWS_MIN, ServeConfig, run_server, stretch_rows
 
 #: route memo budget (frame bytes -> (worker, bulk-record prefix)),
 #: dropped whole when full or on any ring change
@@ -688,8 +691,8 @@ class ClusterRouter(FramedListener):
     def worker_failed(self, name: str) -> None:
         """Remove a dead worker: remap only its arcs, drop the memo.
 
-        Idempotent — the supervisor and any number of failed link reads
-        may all report the same death.
+        Idempotent — the process sentinel and any number of failed link
+        reads may all report the same death.
         """
         if name in self._ring:
             self._ring.remove(name)
@@ -702,29 +705,6 @@ class ClusterRouter(FramedListener):
 # process orchestration (``repro serve --workers N``)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ClusterConfig:
-    """Everything needed to spawn and route one limiter cluster."""
-
-    workers: int
-    strategy: str
-    period: float = 1.0
-    spend_rate: Optional[int] = None
-    capacity: Optional[int] = None
-    shards: int = 8
-    max_keys: int = 65536
-    seed: Optional[int] = None
-    host: str = "127.0.0.1"
-    port: int = 0
-    #: start fresh accounts empty (the paper's cold start) — keeps the
-    #: burst bound airtight across failure remaps
-    cold_start: bool = False
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError(f"need at least one worker, got {self.workers}")
-
-
 class WorkerHandle:
     """One forked worker process and its resolved address."""
 
@@ -733,10 +713,6 @@ class WorkerHandle:
         self.process = process
         self.host = host
         self.port = port
-
-    def alive(self) -> bool:
-        """Whether the worker process is still running (reaping it if not)."""
-        return self.process.exitcode is None
 
     def stop(self, timeout: float = 5.0) -> None:
         """Terminate the worker (escalating to kill), reaping it."""
@@ -749,24 +725,13 @@ class WorkerHandle:
             process.join(timeout)
 
 
-def _serve_worker(config: ClusterConfig, index: int, duration, announce) -> None:
+def _serve_worker(config: ServeConfig, index: int, duration, announce) -> None:
     """A forked worker's life: its limiter behind the stock server.
 
     The child ends in ``os._exit`` (``multiprocessing``), never in the
     router's teardown; SIGTERM ends ``asyncio.run`` by the inherited handler.
     """
-    limiter = TokenAccountLimiter(
-        config.strategy,
-        period=config.period,
-        spend_rate=config.spend_rate,
-        capacity=config.capacity,
-        shards=config.shards,
-        # each worker owns ~1/N of the key space, so the global LRU
-        # budget splits across the fleet
-        max_keys=max(config.shards, config.max_keys // config.workers),
-        seed=None if config.seed is None else config.seed + index,
-        initial_tokens=0 if config.cold_start else None,
-    )
+    limiter = config.limiter(index)
     try:
         asyncio.run(run_server(limiter, config.host, 0, duration, announce.send))
     except KeyboardInterrupt:
@@ -774,7 +739,7 @@ def _serve_worker(config: ClusterConfig, index: int, duration, announce) -> None
 
 
 def spawn_worker(
-    config: ClusterConfig, index: int, duration: Optional[float] = None
+    config: ServeConfig, index: int, duration: Optional[float] = None
 ) -> WorkerHandle:
     """Fork one worker server and read its announced port from a pipe.
 
@@ -809,45 +774,43 @@ def spawn_worker(
     return WorkerHandle(name, process, config.host, int(match.group(1)))
 
 
-async def _supervise(
-    router: ClusterRouter, handles: List[WorkerHandle], interval: float = 0.5
-) -> None:
-    """Poll worker processes; report deaths to the ring."""
-    while True:
-        for handle in handles:
-            if not handle.alive():
-                router.worker_failed(handle.name)
-        await asyncio.sleep(interval)
-
-
-async def _final_stats(
+def watch_workers(
     router: ClusterRouter, handles: List[WorkerHandle]
-) -> Dict[str, int]:
-    """Aggregate worker counters for the shutdown summary line."""
-    totals = {"admitted": 0, "rejected": 0, "keys": 0, "evictions": 0}
+) -> Callable[[], None]:
+    """Report each worker's death to ``router`` as the process ends.
+
+    A process's sentinel turns readable when it exits, so the event loop
+    wakes on the death itself, with no poll; each callback removes its
+    own reader and reaps the process. Returns what removes the rest, for
+    before the router closes.
+    """
+    loop = asyncio.get_running_loop()
+
+    def exited(handle: WorkerHandle) -> None:
+        loop.remove_reader(handle.process.sentinel)
+        handle.process.join()  # exiting already: its sentinel closed
+        router.worker_failed(handle.name)
+
+    def unwatch() -> None:
+        for handle in handles:
+            loop.remove_reader(handle.process.sentinel)
+
     for handle in handles:
-        if not handle.alive():
-            continue
-        try:
-            document = await asyncio.wait_for(
-                fetch_stats(handle.host, handle.port), timeout=5.0
-            )
-        except (OSError, ValueError, asyncio.TimeoutError):
-            continue
-        for field in totals:
-            totals[field] += int(document.get(field, 0))
-    totals["workers"] = len(router._workers)
-    totals["remaps"] = router.remaps
-    return totals
+        loop.add_reader(handle.process.sentinel, exited, handle)
+    return unwatch
 
 
 async def _run_router(
-    config: ClusterConfig,
+    config: ServeConfig,
     handles: List[WorkerHandle],
     duration: Optional[float],
     announce,
-) -> Dict[str, int]:
-    """Serve the public port for ``duration`` seconds (forever if None)."""
+) -> Dict[str, object]:
+    """Serve the public port for ``duration`` seconds (forever if None).
+
+    Returns the router's own STATS document, read over its public port
+    at shutdown (empty if that read fails).
+    """
     router = ClusterRouter(
         {handle.name: (handle.host, handle.port) for handle in handles},
         host=config.host,
@@ -859,9 +822,8 @@ async def _run_router(
         f"routing {len(handles)}-worker admission cluster on "
         f"{config.host}:{router.port} (period {config.period}s)"
     )
-    supervisor = asyncio.get_running_loop().create_task(
-        _supervise(router, handles)
-    )
+    unwatch = watch_workers(router, handles)
+    stats: Dict[str, object] = {}
     try:
         if duration is None:
             await asyncio.Event().wait()
@@ -870,30 +832,37 @@ async def _run_router(
     except asyncio.CancelledError:
         pass
     finally:
-        supervisor.cancel()
-        stats = await _final_stats(router, handles)
+        unwatch()
+        try:
+            stats = await asyncio.wait_for(
+                fetch_stats(config.host, router.port), timeout=5.0
+            )
+        except (OSError, ValueError, asyncio.TimeoutError):
+            pass
         await router.close()
     return stats
 
 
 def serve_cluster(
-    config: ClusterConfig,
+    config: ServeConfig,
     duration: Optional[float] = None,
     announce=print,
-) -> Dict[str, int]:
-    """Fork the workers, run the router, tear everything down.
+) -> Dict[str, object]:
+    """Fork ``config.workers`` workers, run the router, tear everything down.
 
-    The ``repro serve --workers N`` entry point. Returns the final
-    aggregated counters (empty on an interrupted run). Workers are
+    The ``repro serve --workers N`` entry point. Returns the router's
+    final STATS document (empty on an interrupted run). Workers are
     always reaped — including on SIGTERM, which is translated to a
     clean ``SystemExit`` so the ``finally`` teardown runs.
     """
+    if config.workers < 1:
+        raise ValueError(f"need at least one worker, got {config.workers}")
     handles: List[WorkerHandle] = []
     try:
         previous_handler = signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
     except ValueError:  # pragma: no cover - not the main thread
         previous_handler = None
-    stats: Dict[str, int] = {}
+    stats: Dict[str, object] = {}
     try:
         for index in range(config.workers):
             handles.append(spawn_worker(config, index, duration))

@@ -20,12 +20,17 @@ byte the same answer, NumPy rows decided once per key
 (:meth:`~repro.serve.limiter.TokenAccountLimiter.try_acquire_runs`, the
 *grouped road*; ARCHITECTURE.md, *Serving*). Any other frame is a flush
 barrier.
+
+:class:`ServeConfig` is one ``repro serve``'s settings, in either shape:
+its :meth:`~ServeConfig.limiter` is the one place a served limiter is
+built, for the single server and for every cluster worker.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -58,6 +63,49 @@ def stretch_rows(
     if last + 2 + length > end or buffer[last : last + 3] != buffer[start : start + 3]:
         return None
     return wire.acquire_rows(buffer, start, end, length, least)
+
+
+@dataclass
+class ServeConfig:
+    """One ``repro serve``: the limiter it serves, where, and in what shape."""
+
+    strategy: str
+    period: float = 1.0
+    spend_rate: Optional[int] = None
+    capacity: Optional[int] = None
+    shards: int = 8
+    max_keys: int = 65536
+    seed: Optional[int] = None
+    host: str = "127.0.0.1"
+    port: int = 0
+    #: 0 = one in-process server; N = N forked workers behind a router
+    #: (:func:`~repro.serve.cluster.serve_cluster`)
+    workers: int = 0
+    #: start fresh accounts empty (the paper's cold start) — keeps the
+    #: burst bound airtight across failure remaps
+    cold_start: bool = False
+
+    def limiter(self, worker: Optional[int] = None) -> TokenAccountLimiter:
+        """The limiter this config serves: the single server's, or ``worker``'s.
+
+        Worker ``index`` of a cluster draws decisions from seed
+        ``seed + index`` and owns ~1/N of the key space, so the LRU
+        budget splits across the fleet.
+        """
+        seed, max_keys = self.seed, self.max_keys
+        if worker is not None:
+            seed = None if seed is None else seed + worker
+            max_keys = max(self.shards, max_keys // self.workers)
+        return TokenAccountLimiter(
+            self.strategy,
+            period=self.period,
+            spend_rate=self.spend_rate,
+            capacity=self.capacity,
+            shards=self.shards,
+            max_keys=max_keys,
+            seed=seed,
+            initial_tokens=0 if self.cold_start else None,
+        )
 
 
 class _AdmissionProtocol(FramedConnection):

@@ -4,9 +4,9 @@ The router and the workers are plain asyncio servers, so everything but
 the actual ``fork`` can run inside one event loop: real sockets, the
 real binary protocol, the real bulk fan-out and reorder path — with
 worker "death" staged by closing a worker server under the router. The
-tests at the bottom fork real workers: one kills a worker process under
-the router, one smokes the actual ``repro serve --workers N`` entry
-point end to end.
+tests at the bottom fork real workers: one kills an idle worker process
+under the router and times the remap, two run the actual ``repro serve``
+entry point, with and without ``--workers 2``, to its summary line.
 
 The load-bearing claims:
 
@@ -41,13 +41,18 @@ from hypothesis import strategies as st
 
 from repro import cli
 from repro.core.ratelimit import RateLimitAuditor
-from repro.serve import AdmissionServer, ManualClock, TokenAccountLimiter, wire
+from repro.serve import (
+    AdmissionServer,
+    ManualClock,
+    ServeConfig,
+    TokenAccountLimiter,
+    wire,
+)
 from repro.serve.cluster import (
-    ClusterConfig,
     ClusterRouter,
-    _supervise,
     _WorkerLink,
     spawn_worker,
+    watch_workers,
 )
 from repro.serve.connection import _RECV_BUFFER
 from repro.serve.limiter import Decision
@@ -842,7 +847,7 @@ def reaped(handle) -> bool:
 
 
 def test_cluster_remaps_a_killed_worker_process_to_the_survivor():
-    config = ClusterConfig(
+    config = ServeConfig(
         workers=2, strategy="simple", capacity=3, period=50.0, shards=2, seed=1
     )
     handles = [spawn_worker(config, index, duration=60.0) for index in range(2)]
@@ -852,9 +857,7 @@ def test_cluster_remaps_a_killed_worker_process_to_the_survivor():
             {handle.name: (handle.host, handle.port) for handle in handles},
             host="127.0.0.1",
         ).start()
-        supervisor = asyncio.get_running_loop().create_task(
-            _supervise(router, handles, interval=0.01)
-        )
+        unwatch = watch_workers(router, handles)
         session = await binary_session(router.port)
         reader, writer = session
         victim_key = next(
@@ -864,22 +867,27 @@ def test_cluster_remaps_a_killed_worker_process_to_the_survivor():
             f"s{i}" for i in range(100) if router._ring.owner(f"s{i}") == "w1"
         )
         before = await acquire_many(reader, writer, [victim_key, survivor_key])
+        # nothing in flight: no link read can see the death, the sentinel must
+        killed = time.monotonic()
         os.kill(handles[0].process.pid, signal.SIGKILL)
-        deadline = time.monotonic() + 10.0
-        while not router.remaps and time.monotonic() < deadline:
-            await asyncio.sleep(0.01)
+        while not router.remaps and time.monotonic() < killed + 10.0:
+            await asyncio.sleep(0.001)
+        seen = time.monotonic() - killed
+        reaped_at_once = reaped(handles[0])
         healed = await acquire_many(reader, writer, [victim_key] * 4 + [survivor_key])
         stats = await fetch_cluster_stats(reader, writer)
-        supervisor.cancel()
+        unwatch()
         await teardown(router, [], session)
-        return before, healed, stats
+        return before, seen, reaped_at_once, healed, stats
 
     try:
-        before, healed, stats = asyncio.run(scenario())
+        before, seen, reaped_at_once, healed, stats = asyncio.run(scenario())
     finally:
         for handle in handles:
             handle.stop()
     assert [d.admitted for d in before] == [True, True]
+    assert seen <= 0.25, f"the idle worker's death was seen after {seen:.3f} s"
+    assert reaped_at_once  # no zombie left until shutdown
     assert stats["remaps"] == 1 and stats["workers"] == 1
     # the victim's key starts a fresh account (C = 3) on the survivor,
     # whose own key still has the 2 tokens left
@@ -889,9 +897,28 @@ def test_cluster_remaps_a_killed_worker_process_to_the_survivor():
     assert all(map(reaped, handles))
 
 
+def test_serve_config_builds_the_server_and_each_worker_limiter():
+    config = ServeConfig(
+        strategy="randomized",
+        spend_rate=5,
+        capacity=10,
+        shards=2,
+        max_keys=120,
+        seed=7,
+        workers=3,
+        cold_start=True,
+    )
+    single, worker = config.limiter(), config.limiter(2)
+    for limiter, keys, seed in ((single, 120, 7), (worker, 40, 9)):
+        # a worker owns ~1/3 of the key space and draws from seed + index
+        assert sum(shard.max_keys for shard in limiter._table.shards) == keys
+        assert limiter._rng.random() == random.Random(seed).random()
+        assert not limiter.try_acquire("k").admitted  # cold: a fresh key is empty
+
+
 def test_a_worker_that_cannot_bind_fails_fast_and_is_reaped():
     # TEST-NET-1: no local interface holds it, so the worker's bind fails
-    config = ClusterConfig(workers=1, strategy="simple", host="192.0.2.1")
+    config = ServeConfig(workers=1, strategy="simple", host="192.0.2.1")
     before = child_pids()
     started = time.monotonic()
     with pytest.raises(RuntimeError, match="never announced"):
@@ -910,7 +937,12 @@ def test_cluster_without_fork_is_a_usage_error(monkeypatch, capsys):
     assert "--workers needs the 'fork' start method" in capsys.readouterr().err
 
 
-def test_cluster_cli_smoke():
+def run_serve_cli(*flags: str) -> str:
+    """``repro serve`` for 3 s with 20 acquires over 4 keys: its last line.
+
+    The server runs its ``--duration`` out, so the line is the shutdown
+    summary; the drive takes a fraction of that.
+    """
     announce = re.compile(r"on [0-9.]+:(\d+)")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -918,50 +950,25 @@ def test_cluster_cli_smoke():
         + env.get("PYTHONPATH", "").split(os.pathsep)
     )
     process = subprocess.Popen(
-        [
-            sys.executable,
-            "-u",
-            "-m",
-            "repro",
-            "serve",
-            "--workers",
-            "2",
-            "--strategy",
-            "simple",
-            "-C",
-            "3",
-            "--period",
-            "50",
-            "--host",
-            "127.0.0.1",
-            "--port",
-            "0",
-            "--duration",
-            "60",
-            "--seed",
-            "1",
-        ],
+        [sys.executable, "-u", "-m", "repro", "serve", *flags]
+        + ["--strategy", "simple", "-C", "3", "--period", "50"]
+        + ["--host", "127.0.0.1", "--port", "0", "--duration", "3", "--seed", "1"],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
         env=env,
     )
     try:
-        port = None
         assert process.stdout is not None
-        for _ in range(50):
-            line = process.stdout.readline()
-            if not line:
+        match = None
+        for line in process.stdout:
+            match = announce.search(line)
+            if match:
                 break
-            if "routing" in line:
-                match = announce.search(line)
-                assert match, line
-                port = int(match.group(1))
-                break
-        assert port, "the router never announced its port"
+        assert match, "the server never announced its port"
 
         async def drive():
-            session = await binary_session(port)
+            session = await binary_session(int(match.group(1)))
             decisions = await acquire_many(
                 *session, [f"k{i % 4}" for i in range(20)]
             )
@@ -971,12 +978,23 @@ def test_cluster_cli_smoke():
 
         decisions, stats = asyncio.run(drive())
         assert sum(d.admitted for d in decisions) == 12  # 4 keys x C=3
-        assert stats["workers"] == 2
         assert stats["admitted"] == 12 and stats["rejected"] == 8
+        assert stats.get("workers", 0) == (2 if flags else 0)
+        rest, _ = process.communicate(timeout=30)
     finally:
-        process.terminate()
-        try:
-            process.wait(timeout=10)
-        except subprocess.TimeoutExpired:  # pragma: no cover
+        if process.poll() is None:  # pragma: no cover - a failed drive
             process.kill()
             process.wait(timeout=10)
+    assert process.returncode == 0, rest
+    return rest.splitlines()[-1]
+
+
+def test_cluster_cli_smoke():
+    assert run_serve_cli("--workers", "2") == (
+        "served 12 admissions / 8 rejections over 4 key(s) "
+        "across 2 worker(s), 0 remap(s)"
+    )
+
+
+def test_server_cli_smoke():
+    assert run_serve_cli() == "served 12 admissions / 8 rejections over 4 key(s)"
