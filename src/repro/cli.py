@@ -55,21 +55,8 @@ from __future__ import annotations
 import argparse
 import ast
 import sys
-from collections import Counter
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.churn.stats import trace_summary
-from repro.churn.stunner import StunnerTraceConfig, generate_stunner_like_trace
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.report import format_series_table
-from repro.experiments.runner import run_experiment
-from repro.experiments.scale import (
-    ScalePreset,
-    current_scale,
-    scale_names,
-    scale_preset,
-)
-from repro.experiments.sweep import sweepable_strategies
 from repro.registry import (
     ALL_REGISTRIES,
     applications,
@@ -78,9 +65,10 @@ from repro.registry import (
     overlays,
     strategies,
 )
-from repro.scenarios import ARRIVAL_PATTERNS, SCENARIOS, ComponentRef, ScenarioSpec
-from repro.sim.randomness import RandomStreams
-from repro.store import ResultStore, StoreMissError, diff_stores, resolve_store
+
+if TYPE_CHECKING:  # pragma: no cover - types only; commands import their own
+    from repro.experiments.scale import ScalePreset
+    from repro.scenarios import ScenarioSpec
 
 
 def _parse_component_param(text: str) -> tuple:
@@ -130,6 +118,8 @@ def _add_store_argument(parser: argparse.ArgumentParser) -> None:
 
 def _add_figure_arguments(parser: argparse.ArgumentParser) -> None:
     """What ``figure`` and ``report figure`` both take."""
+    from repro.experiments.scale import scale_names
+
     parser.add_argument("number", type=int, help="figure number (1-5)")
     parser.add_argument("--app", choices=applications.names(), default=None)
     parser.add_argument("--scale", choices=scale_names(), default=None)
@@ -149,6 +139,10 @@ def _add_figure_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_suite_arguments(parser: argparse.ArgumentParser) -> None:
     """What ``suite`` and ``report suite`` both take."""
+    from repro.experiments.scale import scale_names
+    from repro.experiments.sweep import sweepable_strategies
+    from repro.scenarios import SCENARIOS
+
     parser.add_argument("--app", required=True, choices=applications.names())
     parser.add_argument(
         "--strategies",
@@ -165,6 +159,8 @@ def _add_suite_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
+    from repro.scenarios import SCENARIOS
+
     parser.add_argument("--app", required=True, choices=applications.names())
     parser.add_argument("--strategy", required=True, choices=strategies.names())
     parser.add_argument("-A", "--spend-rate", type=int, default=None)
@@ -233,7 +229,9 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
     _add_save_argument(parser, "write the result to FILE (.json or .csv)")
 
 
-def _config_from_args(args: argparse.Namespace) -> ScenarioSpec:
+def _config_from_args(args: argparse.Namespace) -> "ScenarioSpec":
+    from repro.experiments.config import ExperimentConfig
+
     return ExperimentConfig(
         app=args.app,
         strategy=args.strategy,
@@ -254,6 +252,11 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioSpec:
 
 
 def _command_run(args: argparse.Namespace) -> int:
+    from repro.experiments.report import format_series_table
+    from repro.experiments.runner import run_experiment
+    from repro.scenarios import ComponentRef
+    from repro.store import resolve_store
+
     spec = _config_from_args(args)
     churn = ComponentRef(args.churn) if args.churn else spec.churn
     spec = spec.with_overrides(
@@ -280,6 +283,8 @@ def _command_run(args: argparse.Namespace) -> int:
 
 def _command_list(args: argparse.Namespace) -> int:
     """Enumerate the component registries with their parameter schemas."""
+    from repro.scenarios import SCENARIOS
+
     sections = ALL_REGISTRIES
     if args.kind:
         sections = {args.kind: ALL_REGISTRIES[args.kind]}
@@ -297,7 +302,7 @@ def _command_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_scale(name: Optional[str]) -> ScalePreset:
+def _resolve_scale(name: Optional[str]) -> "ScalePreset":
     """Resolve ``--scale`` (explicit choice) or fall back to ``REPRO_SCALE``.
 
     The explicit choice is threaded as a :class:`ScalePreset` value and
@@ -306,6 +311,8 @@ def _resolve_scale(name: Optional[str]) -> ScalePreset:
     invocation and into forked suite workers (regression-tested in
     ``tests/test_cli.py``).
     """
+    from repro.experiments.scale import current_scale, scale_preset
+
     if name is None:
         return current_scale()
     return scale_preset(name)
@@ -320,6 +327,7 @@ def _figure_data(args: argparse.Namespace, offline: bool = False):
     """
     from repro.experiments import figures
     from repro.experiments.suite import SuiteRunner
+    from repro.store import resolve_store
 
     scale = _resolve_scale(args.scale)
     number = args.number
@@ -345,7 +353,7 @@ def _figure_data(args: argparse.Namespace, offline: bool = False):
 
 def _print_figure(data, args: argparse.Namespace) -> int:
     """Shared ``figure`` / ``report figure`` rendering path."""
-    from repro.experiments.report import format_messages_per_node
+    from repro.experiments.report import format_messages_per_node, format_series_table
 
     print(f"{data.name}: {data.description}")
     print(f"scale: {data.scale_label}\n")
@@ -380,7 +388,7 @@ def _command_figure(args: argparse.Namespace) -> int:
     return _print_figure(_figure_data(args), args)
 
 
-def _sweep_bundle(args: argparse.Namespace, strategy_names, scale: ScalePreset):
+def _sweep_bundle(args: argparse.Namespace, strategy_names, scale: "ScalePreset"):
     """The §4.2 suite behind ``sweep``, ``suite`` and ``report suite``."""
     from repro.experiments.sweep import sweep_suite
 
@@ -405,6 +413,7 @@ def _print_sweep_tables(args: argparse.Namespace, suite_result, heading: str) ->
 
 def _command_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.suite import SuiteRunner
+    from repro.store import resolve_store
 
     bundle = _sweep_bundle(args, [args.strategy], _resolve_scale(args.scale))
     runner = SuiteRunner(workers=args.workers, store=resolve_store(args.store))
@@ -423,7 +432,10 @@ def _command_suite(args: argparse.Namespace, offline: bool = False) -> int:
     replayed from the store, and :class:`StoreMissError` escapes to the
     caller before anything is printed.
     """
+    from collections import Counter
+
     from repro.experiments.suite import SuiteRunner, print_progress, worker_count
+    from repro.store import resolve_store
 
     store = resolve_store(args.store)
     if offline and store is None:
@@ -479,6 +491,8 @@ def _command_suite(args: argparse.Namespace, offline: bool = False) -> int:
 
 def _command_report(args: argparse.Namespace) -> int:
     """Rebuild figures / suite tables purely from the result store."""
+    from repro.store import StoreMissError
+
     try:
         if args.target == "suite":
             return _command_suite(args, offline=True)
@@ -493,6 +507,7 @@ def _command_report(args: argparse.Namespace) -> int:
 def _command_store(args: argparse.Namespace) -> int:
     """Inspect (``ls``), prune (``gc``) or compare (``diff``) stores."""
     from repro.experiments.report import format_store_diff, format_store_entries
+    from repro.store import ResultStore, diff_stores, resolve_store
 
     if args.action == "diff":
         left, right = ResultStore(args.left), ResultStore(args.right)
@@ -514,10 +529,15 @@ def _command_store(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    """Run the admission server until interrupted (or for --duration)."""
-    import asyncio
+    """Run the admission server until interrupted (or for --duration).
 
-    from repro.serve import ServeConfig, run_server, serve_cluster
+    A port it cannot bind is one ``error: cannot bind HOST:PORT`` line and
+    exit status 1; a cluster's forked workers are stopped first.
+    """
+    import asyncio
+    import os
+
+    from repro.serve.server import ServeConfig, run_server
 
     config = ServeConfig(
         strategy=args.strategy,
@@ -532,16 +552,28 @@ def _command_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         cold_start=args.cold_start,
     )
-    if config.workers:
-        # N worker servers behind a consistent-hash router on the public port
-        stats = serve_cluster(config, duration=args.duration)
-    else:
-        limiter = config.limiter()
-        try:
-            asyncio.run(run_server(limiter, config.host, config.port, args.duration))
-        except KeyboardInterrupt:
-            pass
-        stats = limiter.stats()
+    try:
+        if config.workers:
+            # N worker servers behind a consistent-hash router on the public port
+            from repro.serve.cluster import serve_cluster
+
+            stats = serve_cluster(config, duration=args.duration)
+        else:
+            limiter = config.limiter()
+            try:
+                asyncio.run(
+                    run_server(limiter, config.host, config.port, args.duration)
+                )
+            except KeyboardInterrupt:
+                pass
+            stats = limiter.stats()
+    except OSError as error:
+        reason = os.strerror(error.errno) if error.errno else error
+        print(
+            f"error: cannot bind {config.host}:{config.port}: {reason}",
+            file=sys.stderr,
+        )
+        return 1
     if stats:
         cluster = (
             f" across {stats['workers']} worker(s), {stats['remaps']} remap(s)"
@@ -599,6 +631,10 @@ def _command_loadgen(args: argparse.Namespace) -> int:
 
 
 def _command_trace(args: argparse.Namespace) -> int:
+    from repro.churn.stats import trace_summary
+    from repro.churn.stunner import StunnerTraceConfig, generate_stunner_like_trace
+    from repro.sim.randomness import RandomStreams
+
     streams = RandomStreams(args.seed)
     config = StunnerTraceConfig(horizon=args.hours * 3600.0)
     trace = generate_stunner_like_trace(args.users, streams.stream("cli-trace"), config)
@@ -609,131 +645,118 @@ def _command_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description=(
-            "Token account algorithms (Danner & Jelasity, ICDCS 2018) — "
-            "experiments, figures and sweeps"
-        ),
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
+def _fill_run(parser: argparse.ArgumentParser) -> None:
+    _add_experiment_arguments(parser)
+    _add_store_argument(parser)
+    parser.set_defaults(handler=_command_run)
 
-    run_parser = commands.add_parser("run", help="run one experiment")
-    _add_experiment_arguments(run_parser)
-    _add_store_argument(run_parser)
-    run_parser.set_defaults(handler=_command_run)
 
-    list_parser = commands.add_parser(
-        "list", help="enumerate registered components and their parameters"
-    )
-    list_parser.add_argument(
+def _fill_list(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "kind",
         nargs="?",
         choices=tuple(ALL_REGISTRIES),
         default=None,
         help="restrict the listing to one registry",
     )
-    list_parser.set_defaults(handler=_command_list)
+    parser.set_defaults(handler=_command_list)
 
-    figure_parser = commands.add_parser("figure", help="regenerate a paper figure")
-    _add_figure_arguments(figure_parser)
-    _add_workers_argument(figure_parser)
-    _add_store_argument(figure_parser)
-    figure_parser.set_defaults(handler=_command_figure)
 
-    sweep_parser = commands.add_parser("sweep", help="§4.2 parameter sweep")
-    sweep_parser.add_argument("--app", required=True, choices=applications.names())
-    sweep_parser.add_argument(
-        "--strategy", required=True, choices=sweepable_strategies()
-    )
-    sweep_parser.add_argument("--scenario", choices=SCENARIOS, default="failure-free")
-    sweep_parser.add_argument("--scale", choices=scale_names(), default=None)
-    sweep_parser.add_argument("--seed", type=int, default=1)
-    _add_workers_argument(sweep_parser)
-    _add_store_argument(sweep_parser)
-    sweep_parser.set_defaults(handler=_command_sweep)
+def _fill_figure(parser: argparse.ArgumentParser) -> None:
+    _add_figure_arguments(parser)
+    _add_workers_argument(parser)
+    _add_store_argument(parser)
+    parser.set_defaults(handler=_command_figure)
 
-    suite_parser = commands.add_parser(
-        "suite",
-        help="run the multi-strategy (A, C) exploration as one parallel suite",
-    )
-    _add_suite_arguments(suite_parser)
-    _add_workers_argument(suite_parser)
-    suite_parser.add_argument(
+
+def _fill_sweep(parser: argparse.ArgumentParser) -> None:
+    from repro.experiments.scale import scale_names
+    from repro.experiments.sweep import sweepable_strategies
+    from repro.scenarios import SCENARIOS
+
+    parser.add_argument("--app", required=True, choices=applications.names())
+    parser.add_argument("--strategy", required=True, choices=sweepable_strategies())
+    parser.add_argument("--scenario", choices=SCENARIOS, default="failure-free")
+    parser.add_argument("--scale", choices=scale_names(), default=None)
+    parser.add_argument("--seed", type=int, default=1)
+    _add_workers_argument(parser)
+    _add_store_argument(parser)
+    parser.set_defaults(handler=_command_sweep)
+
+
+def _fill_suite(parser: argparse.ArgumentParser) -> None:
+    _add_suite_arguments(parser)
+    _add_workers_argument(parser)
+    parser.add_argument(
         "--quiet", action="store_true", help="suppress per-cell progress/ETA lines"
     )
-    suite_parser.set_defaults(handler=_command_suite)
+    parser.set_defaults(handler=_command_suite)
 
-    report_parser = commands.add_parser(
-        "report",
-        help="rebuild figures / suite tables from a result store (no simulation)",
-    )
-    report_targets = report_parser.add_subparsers(dest="target", required=True)
 
-    report_figure = report_targets.add_parser(
+def _fill_report(parser: argparse.ArgumentParser) -> None:
+    targets = parser.add_subparsers(dest="target", required=True)
+
+    report_figure = targets.add_parser(
         "figure", help="rebuild a paper figure from stored cells"
     )
     _add_figure_arguments(report_figure)
     _add_store_argument(report_figure)
     report_figure.set_defaults(handler=_command_report, workers=1)
 
-    report_suite = report_targets.add_parser(
+    report_suite = targets.add_parser(
         "suite", help="rebuild the multi-strategy sweep tables from stored cells"
     )
     _add_suite_arguments(report_suite)
     report_suite.set_defaults(handler=_command_report)
 
-    store_parser = commands.add_parser(
-        "store", help="inspect, prune or compare result stores"
-    )
-    store_actions = store_parser.add_subparsers(dest="action", required=True)
 
-    store_ls = store_actions.add_parser("ls", help="list stored cells")
+def _fill_store(parser: argparse.ArgumentParser) -> None:
+    actions = parser.add_subparsers(dest="action", required=True)
+
+    store_ls = actions.add_parser("ls", help="list stored cells")
     _add_store_argument(store_ls)
     store_ls.set_defaults(handler=_command_store)
 
-    store_gc = store_actions.add_parser(
+    store_gc = actions.add_parser(
         "gc", help="remove stale-schema and unreadable entries"
     )
     store_gc.add_argument("--all", action="store_true", help="clear the store entirely")
     _add_store_argument(store_gc)
     store_gc.set_defaults(handler=_command_store)
 
-    store_diff = store_actions.add_parser(
+    store_diff = actions.add_parser(
         "diff", help="compare two stores' grids cell by cell"
     )
     store_diff.add_argument("left", metavar="STORE_A")
     store_diff.add_argument("right", metavar="STORE_B")
     store_diff.set_defaults(handler=_command_store)
 
-    serve_parser = commands.add_parser(
-        "serve", help="run the TCP admission-control server"
-    )
-    serve_parser.add_argument("--strategy", required=True, choices=strategies.names())
-    serve_parser.add_argument("-A", "--spend-rate", type=int, default=None)
-    serve_parser.add_argument("-C", "--capacity", type=int, default=None)
-    serve_parser.add_argument(
+
+def _fill_serve(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--strategy", required=True, choices=strategies.names())
+    parser.add_argument("-A", "--spend-rate", type=int, default=None)
+    parser.add_argument("-C", "--capacity", type=int, default=None)
+    parser.add_argument(
         "--period",
         type=float,
         default=1.0,
         help="wall-clock seconds per token (steady admission rate = 1/period)",
     )
-    serve_parser.add_argument("--host", type=str, default="127.0.0.1")
-    serve_parser.add_argument(
+    parser.add_argument("--host", type=str, default="127.0.0.1")
+    parser.add_argument(
         "--port", type=int, default=7700, help="bind port (0 picks a free one)"
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--shards", type=int, default=8, help="account-table lock shards"
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--max-keys",
         type=int,
         default=65536,
         help="LRU budget for per-key accounts across all shards",
     )
-    serve_parser.add_argument("--seed", type=int, default=None)
-    serve_parser.add_argument(
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument(
         "--workers",
         type=int,
         default=0,
@@ -744,7 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: 0 = a single in-process server)"
         ),
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--cold-start",
         action="store_true",
         help=(
@@ -753,74 +776,121 @@ def build_parser() -> argparse.ArgumentParser:
             "cluster failure remaps and LRU re-admissions"
         ),
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--duration",
         type=float,
         default=None,
         help="serve for this many seconds then exit (default: run forever)",
     )
-    serve_parser.set_defaults(handler=_command_serve)
+    parser.set_defaults(handler=_command_serve)
 
-    loadgen_parser = commands.add_parser(
-        "loadgen", help="replay an arrival pattern against a running server"
-    )
-    loadgen_parser.add_argument("--host", type=str, default="127.0.0.1")
-    loadgen_parser.add_argument("--port", type=int, default=7700)
-    loadgen_parser.add_argument(
-        "--pattern", choices=ARRIVAL_PATTERNS, default="poisson"
-    )
-    loadgen_parser.add_argument(
+
+def _fill_loadgen(parser: argparse.ArgumentParser) -> None:
+    from repro.scenarios import ARRIVAL_PATTERNS
+
+    parser.add_argument("--host", type=str, default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=7700)
+    parser.add_argument("--pattern", choices=ARRIVAL_PATTERNS, default="poisson")
+    parser.add_argument(
         "--rate", type=float, default=1000.0, help="baseline requests per second"
     )
-    loadgen_parser.add_argument(
+    parser.add_argument(
         "--peak-rate",
         type=float,
         default=10000.0,
         help="flash-crowd in-window requests per second",
     )
-    loadgen_parser.add_argument(
+    parser.add_argument(
         "--burst-start",
         type=float,
         default=0.10,
         help="flash-crowd window start, as a fraction of --duration",
     )
-    loadgen_parser.add_argument(
+    parser.add_argument(
         "--burst-window",
         type=float,
         default=0.10,
         help="flash-crowd window length, as a fraction of --duration",
     )
-    loadgen_parser.add_argument("--duration", type=float, default=5.0)
-    loadgen_parser.add_argument("--connections", type=int, default=4)
-    loadgen_parser.add_argument(
+    parser.add_argument("--duration", type=float, default=5.0)
+    parser.add_argument("--connections", type=int, default=4)
+    parser.add_argument(
         "--keys", type=int, default=16, help="distinct account keys to spread over"
     )
-    loadgen_parser.add_argument("--seed", type=int, default=1)
-    loadgen_parser.add_argument(
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument(
         "--pipeline",
         type=int,
         default=0,
         metavar="N",
         help="cap in-flight requests per connection (0 = unbounded)",
     )
-    _add_save_argument(loadgen_parser, "write the report document to FILE (.json)")
-    loadgen_parser.set_defaults(handler=_command_loadgen)
+    _add_save_argument(parser, "write the report document to FILE (.json)")
+    parser.set_defaults(handler=_command_loadgen)
 
-    trace_parser = commands.add_parser(
-        "trace", help="generate a synthetic smartphone trace"
+
+def _fill_trace(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--users", type=int, default=2000)
+    parser.add_argument("--hours", type=float, default=48.0)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--out", type=str, default=None)
+    parser.set_defaults(handler=_command_trace)
+
+
+#: every command in ``repro --help`` order: its name, its help line and
+#: what fills in its arguments
+_COMMANDS = (
+    ("run", "run one experiment", _fill_run),
+    ("list", "enumerate registered components and their parameters", _fill_list),
+    ("figure", "regenerate a paper figure", _fill_figure),
+    ("sweep", "§4.2 parameter sweep", _fill_sweep),
+    (
+        "suite",
+        "run the multi-strategy (A, C) exploration as one parallel suite",
+        _fill_suite,
+    ),
+    (
+        "report",
+        "rebuild figures / suite tables from a result store (no simulation)",
+        _fill_report,
+    ),
+    ("store", "inspect, prune or compare result stores", _fill_store),
+    ("serve", "run the TCP admission-control server", _fill_serve),
+    ("loadgen", "replay an arrival pattern against a running server", _fill_loadgen),
+    ("trace", "generate a synthetic smartphone trace", _fill_trace),
+)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``repro`` parser: every command listed, ``command``'s arguments filled.
+
+    Filling a command imports what its choices come from — the component
+    registries load their modules, ``--scale`` and ``--strategies`` the
+    experiment harness — so :func:`main` fills only the command it runs
+    and ``repro serve`` starts without the simulator. ``None`` fills every
+    command. The help a command prints is the same either way.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description=(
+            "Token account algorithms (Danner & Jelasity, ICDCS 2018) — "
+            "experiments, figures and sweeps"
+        ),
     )
-    trace_parser.add_argument("--users", type=int, default=2000)
-    trace_parser.add_argument("--hours", type=float, default=48.0)
-    trace_parser.add_argument("--seed", type=int, default=1)
-    trace_parser.add_argument("--out", type=str, default=None)
-    trace_parser.set_defaults(handler=_command_trace)
-
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, fill in _COMMANDS:
+        subparser = commands.add_parser(name, help=help_text)
+        if command is None or command == name:
+            fill(subparser)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # the command is the first word: the top-level parser has no option but -h
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.handler(args)

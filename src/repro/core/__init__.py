@@ -20,36 +20,44 @@
   future work).
 """
 
-from repro.core.account import TokenAccount
-from repro.core.discrete_balance import (
-    stationary_distribution,
-    stationary_mean_balance,
-)
-from repro.core.api import Application
-from repro.core.grading import (
-    GradedGeneralizedTokenAccount,
-    GradedRandomizedTokenAccount,
-    as_grade,
-    saturating_grade,
-)
-from repro.core.meanfield import (
-    MeanFieldModel,
-    MeanFieldTrajectory,
-    randomized_equilibrium,
-    solve_equilibrium,
-)
-from repro.core.protocol import TokenAccountNode
-from repro.core.ratelimit import RateLimitAuditor, burst_bound
-from repro.core.rounding import rand_round
-from repro.core.strategies import (
-    GeneralizedTokenAccount,
-    ProactiveStrategy,
-    PureReactiveStrategy,
-    RandomizedTokenAccount,
-    SimpleTokenAccount,
-    Strategy,
-    make_strategy,
-)
+from .. import _lazy_exports
+
+#: each re-exported name, under the module that defines it (imported on
+#: the name's first use, :func:`repro._lazy_exports`)
+_EXPORTS = {
+    "repro.core.account": ("TokenAccount",),
+    "repro.core.api": ("Application",),
+    "repro.core.discrete_balance": (
+        "stationary_distribution",
+        "stationary_mean_balance",
+    ),
+    "repro.core.grading": (
+        "GradedGeneralizedTokenAccount",
+        "GradedRandomizedTokenAccount",
+        "as_grade",
+        "saturating_grade",
+    ),
+    "repro.core.meanfield": (
+        "MeanFieldModel",
+        "MeanFieldTrajectory",
+        "randomized_equilibrium",
+        "solve_equilibrium",
+    ),
+    "repro.core.protocol": ("TokenAccountNode",),
+    "repro.core.ratelimit": ("RateLimitAuditor", "burst_bound"),
+    "repro.core.rounding": ("rand_round",),
+    "repro.core.strategies": (
+        "GeneralizedTokenAccount",
+        "ProactiveStrategy",
+        "PureReactiveStrategy",
+        "RandomizedTokenAccount",
+        "SimpleTokenAccount",
+        "Strategy",
+        "make_strategy",
+    ),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "Application",

@@ -26,13 +26,23 @@ bridge from reproducing the paper to serving real traffic with it:
   with optional pipelining.
 """
 
-from repro.serve.clock import Clock, ManualClock, monotonic_clock
-from repro.serve.cluster import ClusterRouter, serve_cluster
-from repro.serve.limiter import Decision, TokenAccountLimiter
-from repro.serve.loadgen import LoadgenReport, fetch_stats, run_loadgen
-from repro.serve.ring import HashRing, stable_hash
-from repro.serve.server import AdmissionServer, ServeConfig, run_server
-from repro.serve.table import ShardedTable
+from .. import _lazy_exports
+
+#: each re-exported name, under the module that defines it (imported on
+#: the name's first use, :func:`repro._lazy_exports`): ``from repro.serve
+#: import wire`` loads the wire and the limiter, not the cluster or loadgen
+_EXPORTS = {
+    "repro.serve.clock": ("Clock", "ManualClock", "monotonic_clock"),
+    "repro.serve.cluster": ("ClusterRouter", "serve_cluster"),
+    "repro.serve.connection": ("fetch_stats",),
+    "repro.serve.limiter": ("Decision", "TokenAccountLimiter"),
+    "repro.serve.loadgen": ("LoadgenReport", "run_loadgen"),
+    "repro.serve.ring": ("HashRing", "stable_hash"),
+    "repro.serve.server": ("AdmissionServer", "ServeConfig", "run_server"),
+    "repro.serve.table": ("ShardedTable",),
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "AdmissionServer",

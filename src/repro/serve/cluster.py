@@ -91,10 +91,15 @@ Workers are forked from the router (:func:`spawn_worker`) after its
 imports and before its event loop starts, so a cluster pays one import,
 not ``N + 1``: a worker only builds ``config.limiter(index)``
 (:class:`~repro.serve.server.ServeConfig`) and runs the stock
-:func:`~repro.serve.server.run_server`. It sends its announce line up a
+:func:`~repro.serve.server.run_server`. This module imports what that
+limiter runs on (``repro.core.kernel``, ``numpy.random``), so a forked
+worker imports nothing. It sends its announce line up a
 private one-way pipe, leaving the router's stdout to the router's own
 announce; a pipe that closes first is a worker that never came up. The
 router starts no thread, so a fork copies a single-threaded interpreter.
+A worker serves until the router stops it, and watches the router's
+sentinel as the router watches its: a router killed before its teardown
+takes its workers with it.
 At shutdown the router fetches its own STATS document over its public
 port: the summary ``repro serve`` prints is the one any client reads.
 """
@@ -112,7 +117,9 @@ from multiprocessing.process import BaseProcess
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
+import numpy.random  # noqa: F401  (a worker's limiter: imported before the fork)
 
+import repro.core.kernel  # noqa: F401  (a worker's limiter: imported before the fork)
 from repro.serve import wire
 from repro.serve.connection import (
     _RECV_BUFFER,
@@ -732,10 +739,37 @@ def _serve_worker(config: ServeConfig, index: int, duration, announce) -> None:
     router's teardown; SIGTERM ends ``asyncio.run`` by the inherited handler.
     """
     limiter = config.limiter(index)
+    serving = run_server(limiter, config.host, 0, duration, announce.send)
     try:
-        asyncio.run(run_server(limiter, config.host, 0, duration, announce.send))
+        asyncio.run(_until_router_exits(serving))
     except KeyboardInterrupt:
         pass
+
+
+async def _until_router_exits(serving) -> None:
+    """Await ``serving`` until it ends or the router that forked this worker does.
+
+    The mirror of :func:`watch_workers`: the parent's sentinel turns
+    readable when the router exits, however it died (SIGKILL and OOM
+    included), so the worker's loop wakes on the death itself. The
+    callback removes its reader and cancels the serving task, which
+    ``run_server`` takes as the end of its duration. A worker keeps an
+    earlier sibling's sentinel open until it exits itself, so orphans end
+    last-forked first.
+    """
+    loop = asyncio.get_running_loop()
+    task = asyncio.current_task()
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def router_exited() -> None:
+        loop.remove_reader(sentinel)
+        task.cancel()
+
+    loop.add_reader(sentinel, router_exited)
+    try:
+        await serving
+    finally:
+        loop.remove_reader(sentinel)
 
 
 def spawn_worker(
@@ -745,18 +779,15 @@ def spawn_worker(
 
     Workers bind port 0 on the cluster's host and send their announce
     line up a private one-way pipe; each gets a distinct decision-RNG
-    seed. A finite cluster ``duration`` becomes ``duration + 60`` in the
-    worker — a self-destruct against orphans if the router dies
-    uncleanly. A worker that exits before announcing closes the pipe:
-    it is reaped and :class:`RuntimeError` raised at once.
+    seed. A worker serves for ``duration`` seconds (``None``: until it is
+    stopped or the router exits). A worker that exits before announcing
+    closes the pipe: it is reaped and :class:`RuntimeError` raised at once.
     """
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:  # no fork start method (Windows)
         raise ValueError("--workers needs the 'fork' start method") from None
     reader, writer = context.Pipe(duplex=False)
-    if duration is not None:
-        duration += 60.0
     process = context.Process(
         target=_serve_worker, args=(config, index, duration, writer), daemon=True
     )
@@ -853,7 +884,9 @@ def serve_cluster(
     The ``repro serve --workers N`` entry point. Returns the router's
     final STATS document (empty on an interrupted run). Workers are
     always reaped — including on SIGTERM, which is translated to a
-    clean ``SystemExit`` so the ``finally`` teardown runs.
+    clean ``SystemExit`` so the ``finally`` teardown runs — and serve
+    until then; a router that dies without that teardown ends them too
+    (:func:`_until_router_exits`).
     """
     if config.workers < 1:
         raise ValueError(f"need at least one worker, got {config.workers}")
@@ -865,7 +898,7 @@ def serve_cluster(
     stats: Dict[str, object] = {}
     try:
         for index in range(config.workers):
-            handles.append(spawn_worker(config, index, duration))
+            handles.append(spawn_worker(config, index))
         stats = asyncio.run(_run_router(config, handles, duration, announce))
     except KeyboardInterrupt:
         pass

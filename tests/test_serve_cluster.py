@@ -23,12 +23,14 @@ The load-bearing claims:
 from __future__ import annotations
 
 import asyncio
+import errno
 import json
 import multiprocessing
 import os
 import random
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -828,11 +830,11 @@ def test_cluster_burst_bound_holds_for_a_randomized_strategy():
 # ----------------------------------------------------------------------
 # the real thing: forked worker processes, `repro serve --workers 2`
 # ----------------------------------------------------------------------
-def child_pids() -> set:
-    """This process's children, live or unreaped."""
+def child_pids(parent: object = "self") -> set:
+    """The children of ``parent`` (default: this process), live or unreaped."""
     return {
         int(pid)
-        for listing in Path("/proc/self/task").glob("*/children")
+        for listing in Path(f"/proc/{parent}/task").glob("*/children")
         for pid in listing.read_text().split()
     }
 
@@ -937,6 +939,31 @@ def test_cluster_without_fork_is_a_usage_error(monkeypatch, capsys):
     assert "--workers needs the 'fork' start method" in capsys.readouterr().err
 
 
+def serve_cli(*flags: str, **popen) -> subprocess.Popen:
+    """``python -u -m repro serve --strategy simple -C 3 FLAGS`` from ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    return subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro", "serve"]
+        + ["--strategy", "simple", "-C", "3", "--host", "127.0.0.1", *flags],
+        text=True,
+        env=env,
+        **popen,
+    )
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` is alive: gone and zombie (exited, unreaped) are not."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"
+
+
 def run_serve_cli(*flags: str) -> str:
     """``repro serve`` for 3 s with 20 acquires over 4 keys: its last line.
 
@@ -944,19 +971,11 @@ def run_serve_cli(*flags: str) -> str:
     summary; the drive takes a fraction of that.
     """
     announce = re.compile(r"on [0-9.]+:(\d+)")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(__file__), "..", "src")]
-        + env.get("PYTHONPATH", "").split(os.pathsep)
-    )
-    process = subprocess.Popen(
-        [sys.executable, "-u", "-m", "repro", "serve", *flags]
-        + ["--strategy", "simple", "-C", "3", "--period", "50"]
-        + ["--host", "127.0.0.1", "--port", "0", "--duration", "3", "--seed", "1"],
+    process = serve_cli(
+        *flags,
+        *("--period", "50", "--port", "0", "--duration", "3", "--seed", "1"),
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
     )
     try:
         assert process.stdout is not None
@@ -998,3 +1017,57 @@ def test_cluster_cli_smoke():
 
 def test_server_cli_smoke():
     assert run_serve_cli() == "served 12 admissions / 8 rejections over 4 key(s)"
+
+
+@pytest.mark.parametrize("flags", [(), ("--workers", "2")], ids=["server", "cluster"])
+def test_serve_on_a_busy_port_is_one_error_line(flags):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        process = serve_cli(
+            *flags,
+            *("--port", str(port), "--duration", "3"),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        out, err = process.communicate(timeout=60)
+    assert process.returncode == 1
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: cannot bind 127.0.0.1:{port}: {os.strerror(errno.EADDRINUSE)}"
+    ]
+    # a cluster's workers are forked before the router binds: none is left
+    same_port = []
+    for cmdline in Path("/proc").glob("[0-9]*/cmdline"):
+        try:
+            argv = cmdline.read_bytes().split(b"\0")
+        except OSError:
+            continue
+        if b"serve" in argv and str(port).encode() in argv:
+            same_port.append(int(cmdline.parent.name))
+    assert [pid for pid in same_port if running(pid)] == []
+
+
+def test_workers_exit_when_their_router_is_killed():
+    # no --duration: a worker that did not watch its router would serve on
+    # for good, holding its port
+    process = serve_cli("--workers", "2", "--port", "0", stdout=subprocess.PIPE)
+    workers: set = set()
+    try:
+        assert process.stdout is not None
+        assert "routing 2-worker" in process.stdout.readline()
+        workers = child_pids(process.pid)
+        assert len(workers) == 2
+        process.kill()
+        process.wait(timeout=10)
+        deadline = time.monotonic() + 2.0
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(map(running, workers))
+    finally:
+        if process.poll() is None:  # pragma: no cover - a failed start
+            process.kill()
+            process.wait(timeout=10)
+        for pid in filter(running, workers):  # pragma: no cover - the bug
+            os.kill(pid, signal.SIGKILL)
