@@ -531,12 +531,13 @@ def _command_store(args: argparse.Namespace) -> int:
 def _command_serve(args: argparse.Namespace) -> int:
     """Run the admission server until interrupted (or for --duration).
 
-    A port it cannot bind is one ``error: cannot bind HOST:PORT`` line and
-    exit status 1; a cluster's forked workers are stopped first.
+    A public port it cannot bind is one ``error: cannot bind HOST:PORT``
+    line and exit status 1; a cluster's forked workers are stopped first.
+    Any other :class:`OSError` is not a bind failure and propagates.
     """
     import asyncio
-    import os
 
+    from repro.serve.connection import BindError
     from repro.serve.server import ServeConfig, run_server
 
     config = ServeConfig(
@@ -567,12 +568,8 @@ def _command_serve(args: argparse.Namespace) -> int:
             except KeyboardInterrupt:
                 pass
             stats = limiter.stats()
-    except OSError as error:
-        reason = os.strerror(error.errno) if error.errno else error
-        print(
-            f"error: cannot bind {config.host}:{config.port}: {reason}",
-            file=sys.stderr,
-        )
+    except BindError as error:
+        print(f"error: {error}", file=sys.stderr)
         return 1
     if stats:
         cluster = (

@@ -732,14 +732,15 @@ class WorkerHandle:
             process.join(timeout)
 
 
-def _serve_worker(config: ServeConfig, index: int, duration, announce) -> None:
+def _serve_worker(config: ServeConfig, index: int, announce) -> None:
     """A forked worker's life: its limiter behind the stock server.
 
-    The child ends in ``os._exit`` (``multiprocessing``), never in the
-    router's teardown; SIGTERM ends ``asyncio.run`` by the inherited handler.
+    It serves until the router stops it or exits. The child ends in
+    ``os._exit`` (``multiprocessing``), never in the router's teardown;
+    SIGTERM ends ``asyncio.run`` by the inherited handler.
     """
     limiter = config.limiter(index)
-    serving = run_server(limiter, config.host, 0, duration, announce.send)
+    serving = run_server(limiter, config.host, 0, None, announce.send)
     try:
         asyncio.run(_until_router_exits(serving))
     except KeyboardInterrupt:
@@ -753,7 +754,7 @@ async def _until_router_exits(serving) -> None:
     readable when the router exits, however it died (SIGKILL and OOM
     included), so the worker's loop wakes on the death itself. The
     callback removes its reader and cancels the serving task, which
-    ``run_server`` takes as the end of its duration. A worker keeps an
+    ``run_server`` takes as the end of serving. A worker keeps an
     earlier sibling's sentinel open until it exits itself, so orphans end
     last-forked first.
     """
@@ -772,15 +773,13 @@ async def _until_router_exits(serving) -> None:
         loop.remove_reader(sentinel)
 
 
-def spawn_worker(
-    config: ServeConfig, index: int, duration: Optional[float] = None
-) -> WorkerHandle:
+def spawn_worker(config: ServeConfig, index: int) -> WorkerHandle:
     """Fork one worker server and read its announced port from a pipe.
 
     Workers bind port 0 on the cluster's host and send their announce
     line up a private one-way pipe; each gets a distinct decision-RNG
-    seed. A worker serves for ``duration`` seconds (``None``: until it is
-    stopped or the router exits). A worker that exits before announcing
+    seed. A worker serves until it is stopped or the router exits
+    (:func:`_until_router_exits`). A worker that exits before announcing
     closes the pipe: it is reaped and :class:`RuntimeError` raised at once.
     """
     try:
@@ -789,7 +788,7 @@ def spawn_worker(
         raise ValueError("--workers needs the 'fork' start method") from None
     reader, writer = context.Pipe(duplex=False)
     process = context.Process(
-        target=_serve_worker, args=(config, index, duration, writer), daemon=True
+        target=_serve_worker, args=(config, index, writer), daemon=True
     )
     process.start()
     writer.close()  # the child holds the only write end: its exit is EOF

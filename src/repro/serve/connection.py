@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import struct
 from typing import Dict, Optional, Set
 
@@ -45,6 +46,10 @@ _DECISION_HEAD = struct.pack("<HB", wire.DECISION_FRAME_SIZE - 2, wire.STATUS_DE
 
 class HelloError(ValueError):
     """The peer did not echo the hello (no :class:`OSError`: the host was reached)."""
+
+
+class BindError(OSError):
+    """A listener could not bind its address (the OS error is the cause)."""
 
 
 class ReceiveBuffer(asyncio.BufferedProtocol):
@@ -324,11 +329,18 @@ class FramedListener:
         self._protocols: Set[FramedConnection] = set()
 
     async def start(self) -> "FramedListener":
-        """Bind and start accepting connections; resolves :attr:`port`."""
+        """Bind and start accepting connections; resolves :attr:`port`.
+
+        Raises :class:`BindError` if the address cannot be bound.
+        """
         loop = asyncio.get_running_loop()
-        self._server = await loop.create_server(
-            lambda: self.connection_class(self), self.host, self.port
-        )
+        try:
+            self._server = await loop.create_server(
+                lambda: self.connection_class(self), self.host, self.port
+            )
+        except OSError as error:
+            reason = os.strerror(error.errno) if error.errno else error
+            raise BindError(f"cannot bind {self.host}:{self.port}: {reason}") from error
         self.port = self._server.sockets[0].getsockname()[1]
         return self
 

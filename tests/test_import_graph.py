@@ -84,6 +84,11 @@ def test_import_repro_loads_no_subpackage():
     assert loaded("import repro\n") == ["repro"]
 
 
+@pytest.mark.parametrize("name", ["repro.core", "repro.serve"])
+def test_importing_a_subpackage_loads_only_it(name):
+    assert loaded(f"import {name}\n") == ["repro", name]
+
+
 def test_the_null_servers_imports_load_the_wire_and_the_limiter_only():
     modules = loaded(
         "from repro.serve import wire\nfrom repro.serve.limiter import Decision\n"

@@ -852,7 +852,7 @@ def test_cluster_remaps_a_killed_worker_process_to_the_survivor():
     config = ServeConfig(
         workers=2, strategy="simple", capacity=3, period=50.0, shards=2, seed=1
     )
-    handles = [spawn_worker(config, index, duration=60.0) for index in range(2)]
+    handles = [spawn_worker(config, index) for index in range(2)]
 
     async def scenario():
         router = await ClusterRouter(
@@ -924,7 +924,7 @@ def test_a_worker_that_cannot_bind_fails_fast_and_is_reaped():
     before = child_pids()
     started = time.monotonic()
     with pytest.raises(RuntimeError, match="never announced"):
-        spawn_worker(config, 0, duration=1.0)
+        spawn_worker(config, 0)
     assert time.monotonic() - started < 10.0
     assert child_pids() == before
 
@@ -1047,6 +1047,19 @@ def test_serve_on_a_busy_port_is_one_error_line(flags):
         if b"serve" in argv and str(port).encode() in argv:
             same_port.append(int(cmdline.parent.name))
     assert [pid for pid in same_port if running(pid)] == []
+
+
+def test_serve_reports_no_other_oserror_as_a_bind_failure(monkeypatch, capsys):
+    # a fork that fails (EAGAIN) is not the port's fault: it propagates
+    def no_fork(config, index):
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr("repro.serve.cluster.spawn_worker", no_fork)
+    argv = ["serve", "--workers", "2", "--strategy", "simple", "-C", "3"]
+    with pytest.raises(OSError) as raised:
+        cli.main(argv + ["--port", "0", "--duration", "1"])
+    assert raised.value.errno == errno.EAGAIN
+    assert "cannot bind" not in capsys.readouterr().err
 
 
 def test_workers_exit_when_their_router_is_killed():
