@@ -80,13 +80,9 @@ def simulator_modules(modules: list) -> list:
     return [m for m in modules if set(m.split(".")[1:2]) & set(SIMULATOR)]
 
 
-def test_import_repro_loads_no_subpackage():
-    assert loaded("import repro\n") == ["repro"]
-
-
-@pytest.mark.parametrize("name", ["repro.core", "repro.serve"])
-def test_importing_a_subpackage_loads_only_it(name):
-    assert loaded(f"import {name}\n") == ["repro", name]
+@pytest.mark.parametrize("name", PACKAGES)
+def test_importing_a_package_loads_it_alone(name):
+    assert loaded(f"import {name}\n") == sorted({"repro", name})
 
 
 def test_the_null_servers_imports_load_the_wire_and_the_limiter_only():
