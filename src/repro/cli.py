@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import os
 import sys
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -890,12 +891,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return status
     except ValueError as error:
         # Bad knob values (--workers 0, REPRO_WORKERS=junk, REPRO_SCALE=junk)
         # should read as usage errors, not tracebacks.
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of stdout left early (`repro list | head -1`): what
+        # is still buffered goes to the null device, so the interpreter's
+        # exit flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

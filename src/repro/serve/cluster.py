@@ -23,18 +23,23 @@ Per client connection the router opens one binary connection to every
 worker, so each worker answers *this client's* requests strictly FIFO.
 A drained client chunk becomes one **batch**: validated ACQUIRE frames
 are grouped by verbatim frame bytes (= one group per key+flags), in the
-order they first occur, positions remembered. Two roads file a frame
+order they first occur, positions remembered. Two roads read a frame
 into the batch. The **frame road** takes one frame at a time: one bytes
 copy, one dict hit. The **row road** takes a stretch of same-size
 frames at once where the server's grouped road would (its trigger,
 :func:`~repro.serve.server.stretch_rows`, and ``_ROWS_MIN`` are shared):
-the stretch is viewed as NumPy rows (:func:`~repro.serve.wire.acquire_rows`)
-and identical rows are grouped in one pass
-(:func:`~repro.serve.wire.group_rows_first`). Both roads fill the same
-groups, so one send serves them (:meth:`_RouterConnection._send`) and
-the row road needs no threshold of its own: whatever the road, a worker
-receives the same bytes. Routing is memoized frame-bytes → (worker,
-bulk-record prefix) in a bounded dict, one lookup per distinct frame.
+the stretch is viewed as NumPy rows (:func:`~repro.serve.wire.acquire_rows`).
+A batch that is one stretch and nothing else — every batch of a
+client that pipelines fixed-width keys — is planned from its columns
+(:meth:`_RouterConnection._send_rows`): the rows' bytes are hashed in
+one ``set``, so distinct frames are never sorted and go to their
+owners as ``rows[singles]``; repeats are grouped by one sort
+(:func:`~repro.serve.wire.group_rows_first`). A stretch that other
+frames join is filed into the batch's groups frame by frame, and the
+frame road's send (:meth:`_RouterConnection._send`) serves it. Either
+way a worker receives the same bytes, so the row road needs no
+threshold of its own. Routing is memoized frame-bytes → worker slot in
+a bounded dict, one lookup per distinct frame.
 At the flush a group takes one of two forms, by its count alone. A
 frame seen **once** is forwarded to its owner verbatim and the worker's
 ordinary drain answers it with a 17-byte DECISION record. A frame seen
@@ -113,16 +118,20 @@ import re
 import signal
 import struct
 import sys
+from itertools import repeat
 from multiprocessing.process import BaseProcess
+from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 import numpy.random  # noqa: F401  (a worker's limiter: imported before the fork)
 
 import repro.core.kernel  # noqa: F401  (a worker's limiter: imported before the fork)
+from repro.core.strategies import make_strategy
 from repro.serve import wire
 from repro.serve.connection import (
     _RECV_BUFFER,
+    BindError,
     FramedConnection,
     FramedLink,
     FramedListener,
@@ -133,7 +142,7 @@ from repro.serve.limiter import Decision
 from repro.serve.ring import HashRing
 from repro.serve.server import _ROWS_MIN, ServeConfig, run_server, stretch_rows
 
-#: route memo budget (frame bytes -> (worker, bulk-record prefix)),
+#: route memo budget (frame bytes -> worker slot),
 #: dropped whole when full or on any ring change
 _ROUTE_CACHE_MAX = 65536
 
@@ -160,6 +169,41 @@ _SYNTH_REJECT = np.frombuffer(
 
 #: reads the port from a worker's announce line
 _ANNOUNCE = re.compile(r"on [0-9.]+:(\d+)")
+
+
+def _row_frames(rows: np.ndarray) -> List[bytes]:
+    """Each of :func:`~repro.serve.wire.acquire_rows`' rows as one frame's
+    bytes, whole: a void view keeps trailing NUL key bytes (an ``S``
+    dtype would strip them)."""
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
+
+
+def _bulk_records(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each row's ``ACQUIRE_BULK`` group record for its count, as a block's
+    rows: the row with its u16 length and opcode replaced by the u16 key
+    length, and the u16 count appended."""
+    block = np.empty((len(rows), rows.shape[1] + 1), np.uint8)
+    block[:, :2] = np.frombuffer(_U16.pack(rows.shape[1] - 4), np.uint8)
+    block[:, 2:-2] = rows[:, 3:]
+    block[:, -2:] = counts.astype("<u2")[:, None].view(np.uint8)
+    return block
+
+
+def _present(owners: np.ndarray) -> Tuple[List[int], bool]:
+    """The worker slots among ``owners``, ascending, and whether any is
+    ``-1`` (no owner)."""
+    tally = np.bincount(owners + 1)
+    return np.flatnonzero(tally[1:]).tolist(), bool(tally[0])
+
+
+def _pack_bulk_rows(block: np.ndarray) -> bytes:
+    """:func:`_pack_bulk_frames` of same-size records, the rows of ``block``
+    (greedy packing puts as many in every frame but the last)."""
+    per = (wire.MAX_FRAME - 1) // block.shape[1]
+    return b"".join(
+        _U16.pack(1 + part.size) + _BULK_OP + part.tobytes()
+        for part in (block[at : at + per] for at in range(0, len(block), per))
+    )
 
 
 def _pack_bulk_frames(records: List[bytes]) -> bytes:
@@ -248,6 +292,8 @@ class _RouterConnection(FramedConnection):
         #: reply frames owed to the client and not yet written
         self._outstanding = 0
         self._setup_task: Optional[asyncio.Task] = None
+        #: the last batch read as one row stretch repeated frames
+        self._repeats = False
         self._responder: Optional[asyncio.Task] = None
 
     # ------------------------------------------------------------------
@@ -289,47 +335,43 @@ class _RouterConnection(FramedConnection):
         self.begin()  # hello ack, then the frames that arrived meanwhile
 
     # ------------------------------------------------------------------
-    def _route_frame(self, frame: bytes) -> Optional[Tuple[str, bytes]]:
+    def _route_frame(self, frame: bytes) -> Optional[int]:
         """Validate and route one ACQUIRE frame (the route-memo miss path).
 
         The memo is keyed by the *whole verbatim frame* — one bytes
-        copy per frame serves dedup, routing and bulk encoding. The
-        cached entry is ``(worker, record_prefix)`` where the prefix is
-        the frame's ready-made bulk group record minus the trailing
-        count (distinct flag bytes for one key cost one extra memo
-        entry each; only the key bytes feed the ring hash). Returns
-        ``None`` — uncached — when every worker is gone.
+        object per frame serves dedup and routing — and holds the owner's
+        slot in :attr:`ClusterRouter._names` (distinct flag bytes for one
+        key cost one extra memo entry each; only the key bytes feed the
+        ring hash). Returns ``None`` — uncached — when every worker is
+        gone.
         """
-        raw = frame[4:]
-        key = raw.decode("utf-8", "replace")
+        key = frame[4:].decode("utf-8", "replace")
         if not key:
             raise ValueError("ACQUIRE needs a key")
         if len(key) > wire.MAX_KEY_LENGTH:
             raise ValueError(f"key longer than {wire.MAX_KEY_LENGTH}")
-        name = self.router._route(key)
-        if name is None:
+        slot = self.router._route(key)
+        if slot is None:
             return None
-        entry = (
-            name,
-            wire.BULK_GROUP_HEAD.pack(len(raw), frame[3]) + raw,
-        )
         cache = self.router._route_cache
         if len(cache) >= _ROUTE_CACHE_MAX:
             cache.clear()
-        cache[frame] = entry
-        return entry
+        cache[frame] = slot
+        return slot
 
     def drain(self) -> None:
         """Route every complete frame in the buffer (the request hot loop).
 
-        Consecutive validated ACQUIRE frames form one batch, grouped by
-        verbatim frame bytes (= by key+flags, preserving per-key order)
-        on one of two roads: the frame road files each frame in turn;
-        where a frame with the same head lies ``_ROWS_MIN - 1`` frames on,
-        the row road reads the stretch as NumPy rows and files it at once
-        (:meth:`_file_rows`). A flush hands the batch to :meth:`_send`.
-        ``STATS``/``PING``/malformed frames are batch barriers, enqueued
-        in order behind the batches.
+        Consecutive validated ACQUIRE frames form one batch. The frame
+        road files each frame in turn, grouped by verbatim frame bytes
+        (= by key+flags, preserving per-key order); where a frame with
+        the same head lies ``_ROWS_MIN - 1`` frames on, the row road
+        reads the stretch as NumPy rows at once. A batch that is one row
+        stretch and nothing else is planned from its columns
+        (:meth:`_send_rows`); a stretch that more frames join is filed
+        frame by frame (:meth:`_file_rows`) and the batch goes to
+        :meth:`_send`. ``STATS``/``PING``/malformed frames are batch
+        barriers, enqueued in order behind the batches.
         """
         assert self.transport is not None
         buffer = self._buffer
@@ -342,6 +384,8 @@ class _RouterConnection(FramedConnection):
         #: verbatim ACQUIRE frame -> this batch's positions, in order
         groups: Dict[bytes, List[int]] = {}
         position = 0
+        #: the row stretch that opened the batch, while nothing joined it
+        lead: Optional[np.ndarray] = None
         oversized = False
         acquire_op = wire.OP_ACQUIRE
         max_frame = wire.MAX_FRAME
@@ -355,11 +399,14 @@ class _RouterConnection(FramedConnection):
             queue_put(item)
 
         def flush() -> None:
-            nonlocal groups, position
-            if position:
+            nonlocal groups, position, lead
+            if lead is not None:
+                self._send_rows(lead)
+                lead = None
+            elif position:
                 self._send(groups, position)
                 groups = {}
-                position = 0
+            position = 0
 
         while end - start >= 2:
             length = buffer[start] | (buffer[start + 1] << 8)
@@ -372,10 +419,18 @@ class _RouterConnection(FramedConnection):
             if length >= 3 and buffer[start + 2] == acquire_op:
                 if length != stretch:  # a stretch of one size starts here
                     stretch = length
+                    if lead is not None:  # more frames join the opening stretch
+                        self._file_rows(lead, groups, 0)
+                        lead = None
                     if length <= key_limit:  # every such key is valid
                         rows = stretch_rows(buffer, start, end, length, least)
                         if rows is not None:
-                            groups = self._file_rows(rows, groups, position)
+                            if len(rows) >= least:
+                                self.router.rows += len(rows)
+                            if position:
+                                self._file_rows(rows, groups, position)
+                            else:
+                                lead = rows
                             position += len(rows)
                             start += rows.size
                             continue
@@ -431,39 +486,19 @@ class _RouterConnection(FramedConnection):
 
     def _file_rows(
         self, rows: np.ndarray, groups: Dict[bytes, List[int]], position: int
-    ) -> Dict[bytes, List[int]]:
-        """File a stretch of same-size ACQUIRE frames, read as ``rows`` from
-        batch ``position`` on, into the batch's ``groups``; returns them.
+    ) -> None:
+        """File a stretch read as ``rows`` from batch ``position`` on into
+        a mixed batch's ``groups``, frame by frame like the frame road.
 
-        The row road, for ``_ROWS_MIN`` rows and more: identical rows are
-        grouped at once, in first-occurrence order, and an empty batch
-        is built from them in one call. A shorter stretch — one that
-        only looked long — is filed row by row, like the frame road. The
-        keys need no check: one of at most ``MAX_KEY_LENGTH`` bytes is
+        The keys need no check: one of at most ``MAX_KEY_LENGTH`` bytes is
         valid, and the route memo is consulted at the flush.
         """
-        grouped = len(rows) >= _ROWS_MIN
-        if grouped:
-            first, counts, order = wire.group_rows_first(rows)
-            data = rows[first].tobytes()
-            order = (order + position).tolist()
-            ends = counts.cumsum().tolist()
-            spans = [order[end - n : end] for end, n in zip(ends, counts.tolist())]
-            self.router.rows += len(rows)
-        else:
-            data = rows.tobytes()
-            spans = [[at] for at in range(position, position + len(rows))]
-        stride = rows.shape[1]
-        frames = [data[at : at + stride] for at in range(0, len(data), stride)]
-        if grouped and not groups:
-            return dict(zip(frames, spans))
-        for frame, span in zip(frames, spans):
+        for at, frame in enumerate(_row_frames(rows), position):
             group = groups.get(frame)
             if group is None:
-                groups[frame] = span
+                groups[frame] = [at]
             else:
-                group += span
-        return groups
+                group.append(at)
 
     def _send(self, groups: Dict[bytes, List[int]], total: int) -> None:
         """Write one batch to its workers and queue its scatter plan.
@@ -477,35 +512,37 @@ class _RouterConnection(FramedConnection):
         appearance, the positions its DECISION and RUN strides answer,
         then the positions of frames no worker owns (an empty ring).
         """
-        router = self.router
-        route = router._route_cache
-        pack_count = wire.BULK_GROUP_COUNT.pack
-        #: worker name -> (lone frames, their positions, bulk records
+        route = self.router._route_cache
+        #: worker slot -> (lone frames, their positions, bulk records
         #: of the repeated ones, their positions flat)
-        pending: Dict[str, Tuple[list, list, list, list]] = {}
+        pending: Dict[int, Tuple[list, list, list, list]] = {}
         orphans: List[int] = []
         for frame, positions in groups.items():
-            entry = route.get(frame)
-            if entry is None:
+            slot = route.get(frame)
+            if slot is None:
                 # the ring changed underneath this batch (a remap drops
-                # the whole memo), or the row road never looked
-                entry = self._route_frame(frame)
-            if entry is None:
+                # the whole memo), or the frame was read as a row
+                slot = self._route_frame(frame)
+            if slot is None:
                 # every worker is gone; the responder synthesizes
                 orphans.extend(positions)
                 continue
-            name, prefix = entry
-            bucket = pending.get(name)
+            bucket = pending.get(slot)
             if bucket is None:
-                pending[name] = bucket = ([], [], [], [])
+                pending[slot] = bucket = ([], [], [], [])
             if len(positions) == 1:
                 bucket[0].append(frame)
                 bucket[1].append(positions[0])
             else:
-                bucket[2].append(prefix + pack_count(len(positions)))
+                # the bulk group record: u16 key length, flags, key, u16 count
+                bucket[2].append(
+                    _U16.pack(len(frame) - 4) + frame[3:] + _U16.pack(len(positions))
+                )
                 bucket[3].extend(positions)
+        router = self.router
         plan: List[Tuple[Optional[str], np.ndarray, bool]] = []
-        for name, (lone, singles, records, repeats) in pending.items():
+        for slot, (lone, singles, records, repeats) in pending.items():
+            name = router._names[slot]
             link = self._links.get(name)
             if link is not None and not link.dead:
                 if records:
@@ -522,6 +559,79 @@ class _RouterConnection(FramedConnection):
         router.routed += total
         self._outstanding += total
         self._queue.put_nowait(("B", plan, total))
+
+    def _send_rows(self, rows: np.ndarray) -> None:
+        """Write a batch that is one row stretch and queue its plan, from columns.
+
+        What :meth:`_send` writes and queues for the same frames, byte
+        for byte, with no Python step per frame. The rows' bytes are
+        hashed in one ``set``: a batch of distinct frames is never
+        sorted, and a worker's share is ``rows[singles]``, cut by a mask
+        of the memo's owners, read by one ``map``. A batch with repeats is
+        grouped by one sort (:func:`~repro.serve.wire.group_rows_first`)
+        and only its groups' first rows are routed; a connection whose
+        last such batch had repeats sorts at once, without hashing first.
+        """
+        total = len(rows)
+        #: per worker: (its first group, slot, bytes, singles, repeats)
+        shares = []
+        frames = None if self._repeats else _row_frames(rows)
+        if frames is not None and len(set(frames)) == total:
+            # every frame once: a group is a row, and nothing is sorted
+            count = total
+            owners = self._owners(frames)
+            slots, orphaned = _present(owners)
+            for slot in slots:
+                singles = np.flatnonzero(owners == slot)
+                data = rows[singles].tobytes()
+                shares.append((singles[0], slot, data, singles, ()))
+            orphans = np.flatnonzero(owners < 0) if orphaned else ()
+        else:
+            first, counts, order = wire.group_rows_first(rows)
+            count = len(first)
+            self._repeats = count < total
+            heads = rows[first]
+            owners = self._owners(_row_frames(heads))
+            repeated = counts > 1
+            records = _bulk_records(heads, counts)
+            slots, orphaned = _present(owners)
+            for slot in slots:
+                mine = owners == slot
+                bulk = mine & repeated
+                singles = first[mine ^ bulk]
+                data = rows[singles].tobytes() + _pack_bulk_rows(records[bulk])
+                repeats = order[np.repeat(bulk, counts)]
+                shares.append((mine.argmax(), slot, data, singles, repeats))
+            orphans = order[np.repeat(owners < 0, counts)] if orphaned else ()
+        router = self.router
+        plan: List[Tuple[Optional[str], np.ndarray, bool]] = []
+        for _, slot, data, singles, repeats in sorted(shares, key=itemgetter(0)):
+            name = router._names[slot]
+            link = self._links.get(name)
+            if link is not None and not link.dead:
+                link.transport.write(data)
+            if len(singles):
+                plan.append((name, singles, True))
+            if len(repeats):
+                plan.append((name, repeats, False))
+            router.forwarded += len(singles)
+        if len(orphans):
+            plan.append((None, orphans, False))
+        router.groups += count
+        router.routed += total
+        self._outstanding += total
+        self._queue.put_nowait(("B", plan, total))
+
+    def _owners(self, frames: List[bytes]) -> np.ndarray:
+        """Each frame's worker slot by the route memo, ``-1`` for none
+        (memo misses are routed in order, as :meth:`_send` would)."""
+        route = self.router._route_cache
+        owners = np.fromiter(map(route.get, frames, repeat(-1)), np.intp, len(frames))
+        for at in np.flatnonzero(owners < 0).tolist():
+            slot = self._route_frame(frames[at])
+            if slot is not None:
+                owners[at] = slot
+        return owners
 
     # ------------------------------------------------------------------
     async def _respond(self) -> None:
@@ -670,7 +780,11 @@ class ClusterRouter(FramedListener):
         super().__init__(host, port)
         self._workers: Dict[str, Tuple[str, int]] = dict(workers)
         self._ring = HashRing(self._workers, replicas=replicas, seed=seed)
-        self._route_cache: Dict[bytes, Tuple[str, bytes]] = {}
+        #: slot -> worker name, for every worker the router started with
+        self._names: Tuple[str, ...] = tuple(self._workers)
+        self._slots: Dict[str, int] = {name: i for i, name in enumerate(self._names)}
+        #: the route memo: frame bytes -> its owner's slot
+        self._route_cache: Dict[bytes, int] = {}
         #: ring membership changes from worker failures so far
         self.remaps = 0
         #: groups formed, the decisions they asked for (their ratio is
@@ -688,10 +802,10 @@ class ClusterRouter(FramedListener):
         """The live worker names, sorted."""
         return tuple(sorted(self._workers))
 
-    def _route(self, key: str) -> Optional[str]:
-        """Resolve ``key``'s owner on the ring; ``None`` when it's empty."""
+    def _route(self, key: str) -> Optional[int]:
+        """Resolve ``key``'s owner's slot on the ring; ``None`` when it's empty."""
         try:
-            return self._ring.owner(key)
+            return self._slots[self._ring.owner(key)]
         except LookupError:
             return None  # every worker is gone; callers synthesize
 
@@ -735,14 +849,18 @@ class WorkerHandle:
 def _serve_worker(config: ServeConfig, index: int, announce) -> None:
     """A forked worker's life: its limiter behind the stock server.
 
-    It serves until the router stops it or exits. The child ends in
-    ``os._exit`` (``multiprocessing``), never in the router's teardown;
-    SIGTERM ends ``asyncio.run`` by the inherited handler.
+    It serves until the router stops it or exits. A bind that fails
+    sends its error text up the pipe instead of an announce line. The
+    child ends in ``os._exit`` (``multiprocessing``), never in the
+    router's teardown; SIGTERM ends ``asyncio.run`` by the inherited
+    handler.
     """
     limiter = config.limiter(index)
     serving = run_server(limiter, config.host, 0, None, announce.send)
     try:
         asyncio.run(_until_router_exits(serving))
+    except BindError as error:
+        announce.send(str(error))
     except KeyboardInterrupt:
         pass
 
@@ -779,13 +897,20 @@ def spawn_worker(config: ServeConfig, index: int) -> WorkerHandle:
     Workers bind port 0 on the cluster's host and send their announce
     line up a private one-way pipe; each gets a distinct decision-RNG
     seed. A worker serves until it is stopped or the router exits
-    (:func:`_until_router_exits`). A worker that exits before announcing
-    closes the pipe: it is reaped and :class:`RuntimeError` raised at once.
+    (:func:`_until_router_exits`). A strategy its limiter would refuse
+    raises that :class:`ValueError` before the fork. A worker that cannot
+    bind sends its error text instead of the announce: it is reaped and
+    :class:`BindError` raised. One that exits before either closes the
+    pipe: it is reaped and :class:`RuntimeError` raised at once.
     """
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:  # no fork start method (Windows)
         raise ValueError("--workers needs the 'fork' start method") from None
+    # a strategy the worker's limiter would refuse is refused before the fork
+    make_strategy(
+        config.strategy, spend_rate=config.spend_rate, capacity=config.capacity
+    )
     reader, writer = context.Pipe(duplex=False)
     process = context.Process(
         target=_serve_worker, args=(config, index, writer), daemon=True
@@ -794,12 +919,15 @@ def spawn_worker(config: ServeConfig, index: int) -> WorkerHandle:
     writer.close()  # the child holds the only write end: its exit is EOF
     with reader:  # closed here, so later workers do not inherit it
         try:
-            match = _ANNOUNCE.search(reader.recv()) if reader.poll(30.0) else None
+            line = reader.recv() if reader.poll(30.0) else None
         except EOFError:  # the child exited before it announced
-            match = None
+            line = None
     name = f"w{index}"
+    match = None if line is None else _ANNOUNCE.search(line)
     if match is None:
         WorkerHandle(name, process, config.host, 0).stop()
+        if line is not None:  # no announce: the worker's bind error
+            raise BindError(line)
         raise RuntimeError(f"worker {name} never announced its port")
     return WorkerHandle(name, process, config.host, int(match.group(1)))
 
@@ -885,7 +1013,10 @@ def serve_cluster(
     always reaped — including on SIGTERM, which is translated to a
     clean ``SystemExit`` so the ``finally`` teardown runs — and serve
     until then; a router that dies without that teardown ends them too
-    (:func:`_until_router_exits`).
+    (:func:`_until_router_exits`). A strategy the workers' limiters
+    would refuse raises :class:`ValueError` before the first fork, and a
+    worker that cannot bind raises :class:`BindError`, as the single
+    server does (:func:`spawn_worker`).
     """
     if config.workers < 1:
         raise ValueError(f"need at least one worker, got {config.workers}")

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -149,6 +153,32 @@ def test_list_command_single_kind(capsys):
     assert code == 0
     assert "watts-strogatz" in out
     assert "applications:" not in out
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("lines", [1, 0], ids=["after-one-line", "before-any"])
+def test_list_into_a_reader_that_leaves_early_is_quiet(lines, unbuffered):
+    """``repro list applications | head -1``: no BrokenPipeError traceback.
+
+    A reader closing after one line may still come after the last write;
+    one that closes before any line always meets the write.
+    """
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "list", "applications"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    if lines:
+        assert process.stdout.readline() == b"applications:\n"
+    process.stdout.close()
+    err = process.stderr.read()
+    process.wait(timeout=60)
+    assert err == b""
+    assert process.returncode in ((0, 1) if lines else (1,))
 
 
 def test_run_trace_driven_chaotic_iteration(capsys):

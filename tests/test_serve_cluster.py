@@ -56,7 +56,7 @@ from repro.serve.cluster import (
     spawn_worker,
     watch_workers,
 )
-from repro.serve.connection import _RECV_BUFFER
+from repro.serve.connection import _RECV_BUFFER, BindError
 from repro.serve.limiter import Decision
 from tests.conftest import binary_client as binary_session
 
@@ -920,10 +920,10 @@ def test_serve_config_builds_the_server_and_each_worker_limiter():
 
 def test_a_worker_that_cannot_bind_fails_fast_and_is_reaped():
     # TEST-NET-1: no local interface holds it, so the worker's bind fails
-    config = ServeConfig(workers=1, strategy="simple", host="192.0.2.1")
+    config = ServeConfig(workers=1, strategy="simple", capacity=3, host="192.0.2.1")
     before = child_pids()
     started = time.monotonic()
-    with pytest.raises(RuntimeError, match="never announced"):
+    with pytest.raises(BindError, match="cannot bind 192.0.2.1:0: "):
         spawn_worker(config, 0)
     assert time.monotonic() - started < 10.0
     assert child_pids() == before
@@ -1047,6 +1047,51 @@ def test_serve_on_a_busy_port_is_one_error_line(flags):
         if b"serve" in argv and str(port).encode() in argv:
             same_port.append(int(cmdline.parent.name))
     assert [pid for pid in same_port if running(pid)] == []
+
+
+def serve_pids(marker: str) -> list:
+    """Live ``repro serve`` processes (forked workers too) with ``marker`` in argv."""
+    pids = []
+    for cmdline in Path("/proc").glob("[0-9]*/cmdline"):
+        try:
+            argv = cmdline.read_bytes().split(b"\0")
+        except OSError:
+            continue
+        if b"serve" in argv and marker.encode() in argv:
+            pids.append(int(cmdline.parent.name))
+    return [pid for pid in pids if running(pid)]
+
+
+@pytest.mark.parametrize("flags", [(), ("--workers", "1")], ids=["server", "cluster"])
+def test_serve_on_an_unbindable_host_is_one_error_line(flags):
+    # TEST-NET-1: no local interface holds it; a cluster's worker binds first
+    process = serve_cli(
+        *flags,
+        *("--host", "192.0.2.1", "--port", "0", "--duration", "3"),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    out, err = process.communicate(timeout=60)
+    assert process.returncode == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot bind 192.0.2.1:0: ")
+    assert serve_pids("192.0.2.1") == []
+
+
+def test_a_cluster_refuses_a_bad_strategy_as_the_server_does(capsys):
+    argv = ["serve", "--strategy", "simple", "--duration", "1"]  # no -C
+    assert cli.main(argv) == 2
+    alone = capsys.readouterr()
+    before = child_pids()
+    assert cli.main(argv + ["--workers", "2"]) == 2
+    assert child_pids() == before
+    assert capsys.readouterr() == alone
+    assert alone.out == ""
+    assert alone.err.startswith(
+        "error: strategy 'simple' requires parameter 'capacity'"
+    )
+    assert len(alone.err.splitlines()) == 1
 
 
 def test_serve_reports_no_other_oserror_as_a_bind_failure(monkeypatch, capsys):

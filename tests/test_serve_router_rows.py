@@ -238,6 +238,102 @@ def test_the_roads_agree_on_a_sick_cluster(scenario):
     assert router.rows == 5 * ROWS
 
 
+@pytest.fixture
+def column_plans(monkeypatch):
+    """The batches ``_send_rows`` planned from columns, counted."""
+    planned = []
+    send_rows = cluster._RouterConnection._send_rows
+
+    def counted(self, rows):
+        planned.append(len(rows))
+        send_rows(self, rows)
+
+    monkeypatch.setattr(cluster._RouterConnection, "_send_rows", counted)
+    return planned
+
+
+#: case -> (reads, scenario, decisions read as rows, batches planned
+#: from columns)
+LONE_STRETCHES = {
+    # a void view keeps the NUL; an S dtype would strip it off each key
+    "nul-last-key-byte": (
+        [frames([key + b"\x00" for key in width_keys(7, 3 * ROWS)])],
+        {},
+        3 * ROWS,
+        1,
+    ),
+    # a dead link is still on the ring: its share becomes REJECTs
+    "dead-link-distinct": (
+        [frames(width_keys(8, 2 * ROWS))],
+        dict(dead=("w1",)),
+        2 * ROWS,
+        1,
+    ),
+    "dead-link-repeats": (
+        [frames(cycled(width_keys(6, 40), 3 * ROWS))],
+        dict(dead=("w1",)),
+        3 * ROWS,
+        1,
+    ),
+    # no worker left: every position is an orphan
+    "empty-ring-repeats": (
+        [frames(few_repeats(2 * ROWS))],
+        dict(empty_ring=True),
+        2 * ROWS,
+        1,
+    ),
+    # the first memo miss drops the whole memo, mid-batch
+    "memo-overflows-distinct": (
+        [frames(width_keys(8, 2 * ROWS))],
+        dict(full_memo=True),
+        2 * ROWS,
+        1,
+    ),
+    "memo-overflows-repeats": (
+        [frames(cycled(width_keys(6, 40), 3 * ROWS))],
+        dict(full_memo=True),
+        3 * ROWS,
+        1,
+    ),
+    # 205-byte bulk records, 19 to a frame: each worker's span two frames
+    "bulk-records-span-frames": (
+        [frames(cycled(width_keys(200, 60), 2 * ROWS))],
+        {},
+        2 * ROWS,
+        1,
+    ),
+    # one connection's batches change shape: after repeats it sorts first
+    "shapes-alternate": (
+        [
+            frames(cycled(width_keys(6, 40), 2 * ROWS)),
+            frames(width_keys(6, 2 * ROWS)),
+            frames(width_keys(6, 2 * ROWS, b"j")),
+            frames(few_repeats(ROWS)),
+            frames(width_keys(8, ROWS)),
+        ],
+        {},
+        8 * ROWS,
+        5,
+    ),
+    # a frame of another size joins the stretch's batch: filed as frames
+    "stretch-then-other-size": (
+        [frames(cycled(width_keys(6, 40), 2 * ROWS) + [b"another-size"])],
+        {},
+        2 * ROWS,
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "reads, scenario, rows, plans", LONE_STRETCHES.values(), ids=LONE_STRETCHES.keys()
+)
+def test_a_lone_stretch_is_planned_as_columns(reads, scenario, rows, plans, column_plans):
+    router = routed_both_ways(reads, **scenario)
+    assert router.rows == rows
+    assert len(column_plans) == plans
+
+
 KEY_BYTES = [b"aa", b"bb", b"cc", "é".encode(), b"\xff\xfe", b"\xfe\xff", b"dd"]
 
 
