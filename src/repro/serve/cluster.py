@@ -21,25 +21,21 @@ Data path
 ---------
 Per client connection the router opens one binary connection to every
 worker, so each worker answers *this client's* requests strictly FIFO.
-A drained client chunk becomes one **batch**: validated ACQUIRE frames
-are grouped by verbatim frame bytes (= one group per key+flags), in the
-order they first occur, positions remembered. Two roads read a frame
-into the batch. The **frame road** takes one frame at a time: one bytes
-copy, one dict hit. The **row road** takes a stretch of same-size
-frames at once where the server's grouped road would (its trigger,
-:func:`~repro.serve.server.stretch_rows`, and ``_ROWS_MIN`` are shared):
-the stretch is viewed as NumPy rows (:func:`~repro.serve.wire.acquire_rows`).
-A batch that is one stretch and nothing else — every batch of a
-client that pipelines fixed-width keys — is planned from its columns
+The client's receive buffer is walked by
+:meth:`~repro.serve.connection.FramedConnection.drain`, which hands over
+each **batch** of consecutive ACQUIRE frames with valid keys, a stretch
+of same-size ones read as NumPy rows by the server's own trigger.
+A batch that is one such stretch — every batch of a client that
+pipelines fixed-width keys — is planned from its columns
 (:meth:`_RouterConnection._send_rows`): the rows' bytes are hashed in
-one ``set``, so distinct frames are never sorted and go to their
-owners as ``rows[singles]``; repeats are grouped by one sort
-(:func:`~repro.serve.wire.group_rows_first`). A stretch that other
-frames join is filed into the batch's groups frame by frame, and the
-frame road's send (:meth:`_RouterConnection._send`) serves it. Either
-way a worker receives the same bytes, so the row road needs no
-threshold of its own. Routing is memoized frame-bytes → worker slot in
-a bounded dict, one lookup per distinct frame.
+one ``set``, so distinct frames are never sorted and go to their owners
+as ``rows[singles]``; repeats are grouped by one sort
+(:func:`~repro.serve.wire.group_rows_first`). Any other batch is grouped
+by verbatim frame bytes (= one group per key+flags) in the order they
+first occur, positions remembered (:meth:`_RouterConnection._send`).
+Either way a worker receives the same bytes. Routing is memoized
+frame-bytes → worker slot in a bounded dict, one lookup per distinct
+frame.
 At the flush a group takes one of two forms, by its count alone. A
 frame seen **once** is forwarded to its owner verbatim and the worker's
 ordinary drain answers it with a 17-byte DECISION record. A frame seen
@@ -70,8 +66,8 @@ Replies return in request order; §3.4 is per key over time, so it holds.
 worker on the same connections (preserving FIFO alignment), sums the
 per-worker counters and answers one aggregated document with cluster
 fields (``workers``, ``remaps``, router ``connections``) added.
-``PING`` is answered locally. The client-facing receive buffer, hello
-check and shutdown drain are the worker server's own
+``PING`` is answered locally. The client-facing receive buffer and its
+walk, hello check and shutdown drain are the worker server's own
 (:mod:`repro.serve.connection`); the hello is acked only once this
 connection's worker links are up.
 
@@ -131,6 +127,7 @@ from repro.core.strategies import make_strategy
 from repro.serve import wire
 from repro.serve.connection import (
     _RECV_BUFFER,
+    _ROWS_MIN,
     BindError,
     FramedConnection,
     FramedLink,
@@ -140,7 +137,13 @@ from repro.serve.connection import (
 )
 from repro.serve.limiter import Decision
 from repro.serve.ring import HashRing
-from repro.serve.server import _ROWS_MIN, ServeConfig, run_server, stretch_rows
+from repro.serve.server import ServeConfig, run_server
+
+#: virtual replicas per worker on the ring (:class:`~repro.serve.ring.HashRing`)
+_REPLICAS = 96
+
+#: how long a stopping worker gets to exit, after SIGTERM and after SIGKILL
+_STOP_TIMEOUT = 5.0
 
 #: route memo budget (frame bytes -> worker slot),
 #: dropped whole when full or on any ring change
@@ -279,8 +282,8 @@ class _WorkerLink(FramedLink):
 class _RouterConnection(FramedConnection):
     """One client connection through the router.
 
-    The drain *routes* frames instead of deciding them, and a responder
-    task writes the reordered replies.
+    Its batches are *routed* instead of decided, and a responder task
+    writes the reordered replies.
     """
 
     def __init__(self, router: "ClusterRouter"):
@@ -336,7 +339,7 @@ class _RouterConnection(FramedConnection):
 
     # ------------------------------------------------------------------
     def _route_frame(self, frame: bytes) -> Optional[int]:
-        """Validate and route one ACQUIRE frame (the route-memo miss path).
+        """Route one ACQUIRE frame (the route-memo miss path).
 
         The memo is keyed by the *whole verbatim frame* — one bytes
         object per frame serves dedup and routing — and holds the owner's
@@ -345,12 +348,7 @@ class _RouterConnection(FramedConnection):
         ring hash). Returns ``None`` — uncached — when every worker is
         gone.
         """
-        key = frame[4:].decode("utf-8", "replace")
-        if not key:
-            raise ValueError("ACQUIRE needs a key")
-        if len(key) > wire.MAX_KEY_LENGTH:
-            raise ValueError(f"key longer than {wire.MAX_KEY_LENGTH}")
-        slot = self.router._route(key)
+        slot = self.router._route(frame[4:].decode("utf-8", "replace"))
         if slot is None:
             return None
         cache = self.router._route_cache
@@ -359,159 +357,85 @@ class _RouterConnection(FramedConnection):
         cache[frame] = slot
         return slot
 
-    def drain(self) -> None:
-        """Route every complete frame in the buffer (the request hot loop).
-
-        Consecutive validated ACQUIRE frames form one batch. The frame
-        road files each frame in turn, grouped by verbatim frame bytes
-        (= by key+flags, preserving per-key order); where a frame with
-        the same head lies ``_ROWS_MIN - 1`` frames on, the row road
-        reads the stretch as NumPy rows at once. A batch that is one row
-        stretch and nothing else is planned from its columns
-        (:meth:`_send_rows`); a stretch that more frames join is filed
-        frame by frame (:meth:`_file_rows`) and the batch goes to
-        :meth:`_send`. ``STATS``/``PING``/malformed frames are batch
-        barriers, enqueued in order behind the batches.
-        """
-        assert self.transport is not None
-        buffer = self._buffer
+    def batch(self, parts) -> None:
+        """Route a batch: one row stretch alone is planned from its columns
+        (:meth:`_send_rows`); anything else is grouped by verbatim frame
+        bytes (= by key+flags, preserving per-key order) for :meth:`_send`."""
         view = self._view
-        start = self._start
-        end = self._end
-        links = self._links
-        route = self.router._route_cache
-        queue_put = self._queue.put_nowait
-        #: verbatim ACQUIRE frame -> this batch's positions, in order
-        groups: Dict[bytes, List[int]] = {}
-        position = 0
-        #: the row stretch that opened the batch, while nothing joined it
-        lead: Optional[np.ndarray] = None
-        oversized = False
-        acquire_op = wire.OP_ACQUIRE
-        max_frame = wire.MAX_FRAME
-        key_limit = 2 + wire.MAX_KEY_LENGTH
-        least = _ROWS_MIN
-        stretch = 0  # the length of the ACQUIRE frames being read
-
-        def owe(item: tuple) -> None:
-            # one reply frame outside a batch; callers flush() first
-            self._outstanding += 1
-            queue_put(item)
-
-        def flush() -> None:
-            nonlocal groups, position, lead
-            if lead is not None:
-                self._send_rows(lead)
-                lead = None
-            elif position:
-                self._send(groups, position)
-                groups = {}
-            position = 0
-
-        while end - start >= 2:
-            length = buffer[start] | (buffer[start + 1] << 8)
-            if length > max_frame:
-                oversized = True
-                break
-            frame_end = start + 2 + length
-            if frame_end > end:
-                break
-            if length >= 3 and buffer[start + 2] == acquire_op:
-                if length != stretch:  # a stretch of one size starts here
-                    stretch = length
-                    if lead is not None:  # more frames join the opening stretch
-                        self._file_rows(lead, groups, 0)
-                        lead = None
-                    if length <= key_limit:  # every such key is valid
-                        rows = stretch_rows(buffer, start, end, length, least)
-                        if rows is not None:
-                            if len(rows) >= least:
-                                self.router.rows += len(rows)
-                            if position:
-                                self._file_rows(rows, groups, position)
-                            else:
-                                lead = rows
-                            position += len(rows)
-                            start += rows.size
-                            continue
-                frame = bytes(view[start:frame_end])
-                start = frame_end
-                group = groups.get(frame)
-                if group is not None:
-                    group.append(position)
-                    position += 1
-                    continue
-                if frame not in route:
-                    try:
-                        self._route_frame(frame)
-                    except ValueError as error:
-                        flush()
-                        owe(("E", str(error).encode(), False))
-                        continue
-                groups[frame] = [position]
-                position += 1
+        frames: List[bytes] = []
+        append = frames.append
+        for part in parts:
+            if type(part) is list:
+                at = part[0]
+                for to in part[1:]:
+                    append(bytes(view[at:to]))
+                    at = to
                 continue
-            payload = view[start + 2 : frame_end]
-            start = frame_end
-            stretch = 0
-            try:
-                command, _key, _useful = wire.parse_request_binary(payload)
-            except ValueError as error:
-                flush()
-                owe(("E", str(error).encode(), False))
-                continue
-            if command == "S":
-                flush()
-                # Written synchronously, in parse order, so each worker
-                # link's FIFO stays aligned with the batch queue.
-                stats_frame = wire.encode_command_binary(wire.OP_STATS)
-                names = []
-                for name, link in links.items():
-                    if not link.dead:
-                        link.transport.write(stats_frame)
-                        names.append(name)
-                owe(("S", tuple(names)))
-            else:  # "P" (an ACQUIRE short enough to miss the fast path
-                # is malformed and raised above)
-                flush()
-                owe(("P",))
-        flush()
-        self._start = start
-        if oversized:
-            owe(("E", b"frame exceeds %d bytes" % wire.MAX_FRAME, True))
-            self.hold("closing")  # cannot resync; dying anyway
+            if len(part) >= _ROWS_MIN:
+                self.router.rows += len(part)
+            if len(parts) == 1:
+                self._send_rows(part)
+                return
+            frames += _row_frames(part)
+        self._send(frames)
+
+    def frame(self, payload) -> None:
+        """Answer ``PING`` here, forward ``STATS`` to every live worker, and
+        queue an ``ERROR`` for anything else: batch barriers, in order."""
+        try:
+            command = wire.parse_request_binary(payload)[0]
+        except ValueError as error:
+            self._owe(("E", str(error).encode(), False))
             return
-        if self._outstanding >= _PAUSE_OUTSTANDING:
+        if command == "S":
+            # Written synchronously, in parse order, so each worker
+            # link's FIFO stays aligned with the batch queue.
+            stats_frame = wire.encode_command_binary(wire.OP_STATS)
+            names = []
+            for name, link in self._links.items():
+                if not link.dead:
+                    link.transport.write(stats_frame)
+                    names.append(name)
+            self._owe(("S", tuple(names)))
+        else:  # "P": the walk took every ACQUIRE with a valid key
+            self._owe(("P",))
+
+    def drained(self, oversized: bool) -> None:
+        """Hold the read side while too many replies are owed; after a bad
+        prefix, queue the error that closes the connection."""
+        if oversized:
+            self._owe(("E", b"frame exceeds %d bytes" % wire.MAX_FRAME, True))
+            self.hold("closing")  # cannot resync; dying anyway
+        elif self._outstanding >= _PAUSE_OUTSTANDING:
             self.hold("outstanding")
 
-    def _file_rows(
-        self, rows: np.ndarray, groups: Dict[bytes, List[int]], position: int
-    ) -> None:
-        """File a stretch read as ``rows`` from batch ``position`` on into
-        a mixed batch's ``groups``, frame by frame like the frame road.
+    def _owe(self, item: tuple) -> None:
+        """Queue one reply frame outside a batch."""
+        self._outstanding += 1
+        self._queue.put_nowait(item)
 
-        The keys need no check: one of at most ``MAX_KEY_LENGTH`` bytes is
-        valid, and the route memo is consulted at the flush.
-        """
-        for at, frame in enumerate(_row_frames(rows), position):
-            group = groups.get(frame)
-            if group is None:
-                groups[frame] = [at]
-            else:
-                group.append(at)
+    def _send(self, frames: List[bytes]) -> None:
+        """Write one batch of ACQUIRE ``frames`` to its workers and queue
+        its scatter plan.
 
-    def _send(self, groups: Dict[bytes, List[int]], total: int) -> None:
-        """Write one batch to its workers and queue its scatter plan.
-
-        ``groups`` maps the batch's distinct ACQUIRE frames, in the order
-        they first occur, to their positions. A frame is routed by one
-        memo lookup. A worker is written its lone frames (count 1)
-        verbatim, then one ``ACQUIRE_BULK`` record per repeated frame,
-        each kind in first-occurrence order, so its reply to the batch is
-        two fixed strides. The plan lists, per worker in order of first
+        The distinct frames, grouped with their positions in the order
+        they first occur, are routed by one memo lookup each. A worker is
+        written its lone frames (count 1) verbatim, then one
+        ``ACQUIRE_BULK`` record per repeated frame, each kind in
+        first-occurrence order, so its reply to the batch is two fixed
+        strides. The plan lists, per worker in order of first
         appearance, the positions its DECISION and RUN strides answer,
         then the positions of frames no worker owns (an empty ring).
         """
+        #: verbatim ACQUIRE frame -> this batch's positions, in order
+        groups: Dict[bytes, List[int]] = {}
+        get = groups.get
+        for position, frame in enumerate(frames):
+            group = get(frame)
+            if group is None:
+                groups[frame] = [position]
+            else:
+                group.append(position)
         route = self.router._route_cache
         #: worker slot -> (lone frames, their positions, bulk records
         #: of the repeated ones, their positions flat)
@@ -520,8 +444,8 @@ class _RouterConnection(FramedConnection):
         for frame, positions in groups.items():
             slot = route.get(frame)
             if slot is None:
-                # the ring changed underneath this batch (a remap drops
-                # the whole memo), or the frame was read as a row
+                # a frame new to the memo, or the ring changed (a remap
+                # drops the whole memo)
                 slot = self._route_frame(frame)
             if slot is None:
                 # every worker is gone; the responder synthesizes
@@ -555,6 +479,7 @@ class _RouterConnection(FramedConnection):
             router.forwarded += len(singles)
         if orphans:
             plan.append((None, np.array(orphans, dtype=np.intp), False))
+        total = len(frames)
         router.groups += len(groups)
         router.routed += total
         self._outstanding += total
@@ -763,8 +688,8 @@ class ClusterRouter(FramedListener):
     host, port:
         Public bind address; port 0 picks a free port (read it back
         from :attr:`port` after :meth:`start`).
-    replicas, seed:
-        Ring geometry — see :class:`~repro.serve.ring.HashRing`.
+    seed:
+        The ring's hash seed — see :class:`~repro.serve.ring.HashRing`.
     """
 
     connection_class = _RouterConnection
@@ -774,12 +699,11 @@ class ClusterRouter(FramedListener):
         workers: Mapping[str, Tuple[str, int]],
         host: str = "127.0.0.1",
         port: int = 0,
-        replicas: int = 96,
         seed: int = 0,
     ):
         super().__init__(host, port)
         self._workers: Dict[str, Tuple[str, int]] = dict(workers)
-        self._ring = HashRing(self._workers, replicas=replicas, seed=seed)
+        self._ring = HashRing(self._workers, replicas=_REPLICAS, seed=seed)
         #: slot -> worker name, for every worker the router started with
         self._names: Tuple[str, ...] = tuple(self._workers)
         self._slots: Dict[str, int] = {name: i for i, name in enumerate(self._names)}
@@ -835,15 +759,15 @@ class WorkerHandle:
         self.host = host
         self.port = port
 
-    def stop(self, timeout: float = 5.0) -> None:
+    def stop(self) -> None:
         """Terminate the worker (escalating to kill), reaping it."""
         process = self.process
         if process.exitcode is None:
             process.terminate()
-            process.join(timeout)
+            process.join(_STOP_TIMEOUT)
         if process.exitcode is None:  # pragma: no cover - stuck child
             process.kill()
-            process.join(timeout)
+            process.join(_STOP_TIMEOUT)
 
 
 def _serve_worker(config: ServeConfig, index: int, announce) -> None:

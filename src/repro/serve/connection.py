@@ -14,9 +14,10 @@ halves) and the load generator (connects) — need of the wire protocol
   first bytes are :data:`~repro.serve.wire.MAGIC` or it gets one ``!``
   line and a close, and the socket's read side is held whenever requests
   must not be accepted: the peer is not draining replies, the subclass is
-  not ready to drain yet, or the endpoint is shutting down. A subclass
-  supplies :meth:`~FramedConnection.drain` (walk the complete frames) and
-  may defer :meth:`~FramedConnection.begin` (the hello ack) until it can.
+  not ready to drain yet, or the endpoint is shutting down. Its
+  :meth:`~FramedConnection.drain` is the one walk over a receive buffer;
+  a subclass says what a batch of ``ACQUIRE`` frames, any other frame and
+  the walk's end mean, and may defer :meth:`~FramedConnection.begin`.
 * :class:`FramedListener` — the listening half: bind, read back port 0,
   and a close that lets every owed reply reach its socket first.
 """
@@ -27,7 +28,7 @@ import asyncio
 import json
 import os
 import struct
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -42,6 +43,32 @@ _REFUSAL = b"! unsupported protocol: expected the binary wire v1 hello\n"
 
 #: the constant head of every DECISION frame: u16 length, status
 _DECISION_HEAD = struct.pack("<HB", wire.DECISION_FRAME_SIZE - 2, wire.STATUS_DECISION)
+
+#: how long a closing listener waits for owed replies to reach their sockets
+_CLOSE_TIMEOUT = 5.0
+
+#: rows of one size below which reading a stretch as rows loses to
+#: reading its frames one by one (measured in ARCHITECTURE.md, *Serving*)
+_ROWS_MIN = 128
+
+
+def stretch_rows(
+    buffer: bytearray, start: int, end: int, length: int, least: int
+) -> Optional[np.ndarray]:
+    """The rows of a stretch of same-size ``ACQUIRE`` frames, if it may be one.
+
+    Called at a stretch's first frame (at ``start``, payload ``length``):
+    the :func:`~repro.serve.wire.acquire_rows` view from ``start`` when a
+    frame with the same head — length prefix and opcode — lies
+    ``least - 1`` frames on, else ``None``. A stretch that only looks long
+    costs ``least`` rows at most: ``acquire_rows`` checks no more before it
+    gives up. Callers look once per stretch (were a stretch short, so are
+    its tails).
+    """
+    last = start + (least - 1) * (2 + length)
+    if last + 2 + length > end or buffer[last : last + 3] != buffer[start : start + 3]:
+        return None
+    return wire.acquire_rows(buffer, start, end, length, least)
 
 
 class HelloError(ValueError):
@@ -222,8 +249,23 @@ class FramedConnection(ReceiveBuffer):
     # ------------------------------------------------------------------
     # what a subclass supplies
     # ------------------------------------------------------------------
-    def drain(self) -> None:
-        """Consume every complete frame in ``_buffer[_start:_end]``."""
+    def batch(self, parts: list) -> None:
+        """Take one batch: consecutive ``ACQUIRE`` frames with valid keys.
+
+        ``parts`` lie in buffer order, each a stretch read as rows or the
+        offsets of consecutive lone frames and the end of the last one;
+        they are good until the walk returns.
+        """
+        raise NotImplementedError
+
+    def frame(self, payload: memoryview) -> None:
+        """Take any other frame's payload: a command, a bulk frame or a
+        malformed one. The batch before it has been taken."""
+        raise NotImplementedError
+
+    def drained(self, oversized: bool) -> None:
+        """The walk is over; a length prefix over ``MAX_FRAME`` ended it if
+        ``oversized``, and nothing after that prefix can be framed."""
         raise NotImplementedError
 
     def hello_received(self) -> None:
@@ -276,6 +318,71 @@ class FramedConnection(ReceiveBuffer):
         self.release("peer-not-reading")
 
     # ------------------------------------------------------------------
+    def drain(self) -> None:
+        """Walk every complete frame in ``_buffer[_start:_end]``: length
+        prefixes, the ``MAX_FRAME`` cut, partial frames, valid keys, row
+        stretches (:func:`stretch_rows`) and batch barriers.
+
+        Consecutive ``ACQUIRE`` frames with a valid key are one batch, for
+        :meth:`batch` at the next other frame (for :meth:`frame`) or at the
+        end. A key of at most ``MAX_KEY_LENGTH`` bytes is valid as it lies;
+        a longer one is decoded once to count its characters.
+        """
+        buffer = self._buffer
+        view = self._view
+        start = self._start
+        end = self._end
+        parts: list = []
+        lone: Optional[List[int]] = None  # the part lone frames join
+        acquire_op = wire.OP_ACQUIRE
+        max_frame = wire.MAX_FRAME
+        max_key = wire.MAX_KEY_LENGTH
+        key_limit = 2 + max_key
+        stretch = 0  # the payload length of the ACQUIRE frames being read
+        oversized = False
+        while end - start >= 2:
+            length = buffer[start] | (buffer[start + 1] << 8)
+            if length > max_frame:
+                oversized = True
+                break
+            stop = start + 2 + length
+            if stop > end:
+                break
+            if (
+                length > 2
+                and buffer[start + 2] == acquire_op
+                and (
+                    length <= key_limit
+                    or len(str(view[start + 4 : stop], "utf-8", "replace")) <= max_key
+                )
+            ):
+                if length != stretch:  # a stretch of one size starts here
+                    stretch = length
+                    if length <= key_limit:
+                        rows = stretch_rows(buffer, start, end, length, _ROWS_MIN)
+                        if rows is not None:
+                            parts.append(rows)
+                            lone = None
+                            start += rows.size
+                            continue
+                if lone is None:
+                    lone = [start]
+                    parts.append(lone)
+                lone.append(stop)
+                start = stop
+                continue
+            if parts:
+                self.batch(parts)
+                parts = []
+                lone = None
+            stretch = 0
+            self.frame(view[start + 2 : stop])
+            start = stop
+        if parts:
+            self.batch(parts)
+        self._start = start
+        self.drained(oversized)
+
     def buffer_updated(self, nbytes: int) -> None:
         """``nbytes`` more arrived: drain them, or check the hello first."""
         self._end += nbytes
@@ -352,7 +459,7 @@ class FramedListener:
         async with self._server:
             await self._server.serve_forever()
 
-    async def close(self, drain_timeout: float = 5.0) -> None:
+    async def close(self) -> None:
         """Stop accepting, drain in-flight responses, close every transport.
 
         A pipelined client can have kilobytes of DECISION frames in a
@@ -360,7 +467,7 @@ class FramedListener:
         schedules a flush that dies with the event loop (``asyncio.run``
         tears it down as the coroutine returns), truncating the final
         batch. So: stop reading (no new decisions), wait up to
-        ``drain_timeout`` seconds for every connection to be
+        ``_CLOSE_TIMEOUT`` seconds for every connection to be
         :meth:`~FramedConnection.idle`, then close.
         """
         if self._server is not None:
@@ -378,7 +485,7 @@ class FramedListener:
             # stops growing.
             protocol.hold("closing")
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + drain_timeout
+        deadline = loop.time() + _CLOSE_TIMEOUT
         while pending:
             pending = [
                 protocol

@@ -6,17 +6,18 @@ the asyncio event loop and any worker threads see one consistent token
 state per key.
 
 Connections speak the length-prefixed binary protocol of
-:mod:`repro.serve.wire`; the receive buffer, hello check, backpressure
-and shutdown drain live in :mod:`repro.serve.connection`, shared with
-the cluster router. This module supplies what a frame *means* here.
+:mod:`repro.serve.wire`; the receive buffer and its walk, hello check,
+backpressure and shutdown drain live in :mod:`repro.serve.connection`,
+shared with the cluster router. This module supplies what a frame
+*means* here.
 
 The hot path is batch-oriented: the connection answers *every* complete
 request in the received chunk and flushes all responses with a single
-write. Consecutive ``ACQUIRE`` frames become **one**
+write. A batch of consecutive ``ACQUIRE`` frames becomes **one**
 :meth:`~repro.serve.limiter.TokenAccountLimiter.try_acquire_frames`
 call whose batch core packs the ``DECISION`` records, written as is —
-or, for a run of ``_ROWS_MIN`` same-size frames where that is byte for
-byte the same answer, NumPy rows decided once per key
+except where a stretch of ``_ROWS_MIN`` same-size frames is answered
+byte for byte the same by NumPy rows decided once per key
 (:meth:`~repro.serve.limiter.TokenAccountLimiter.try_acquire_runs`, the
 *grouped road*; ARCHITECTURE.md, *Serving*). Any other frame is a flush
 barrier.
@@ -31,38 +32,17 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.serve import wire
-from repro.serve.connection import FramedConnection, FramedListener
+from repro.serve.connection import _ROWS_MIN, FramedConnection, FramedListener
 from repro.serve.limiter import TokenAccountLimiter
 
-#: rows of one size, and rows per group, below which the grouped road
-#: loses to the frame road (measured in ARCHITECTURE.md, *Serving*); the
-#: cluster router's row road starts at the same run length
-_ROWS_MIN = 128
+#: rows per group above which the grouped road loses to the frame road
+#: (measured in ARCHITECTURE.md, *Serving*)
 _ROWS_PER_GROUP = 4
-
-
-def stretch_rows(
-    buffer: bytearray, start: int, end: int, length: int, least: int
-) -> Optional[np.ndarray]:
-    """The rows of a stretch of same-size ``ACQUIRE`` frames, if it may be one.
-
-    Called at a stretch's first frame (at ``start``, payload ``length``):
-    the :func:`~repro.serve.wire.acquire_rows` view from ``start`` when a
-    frame with the same head — length prefix and opcode — lies
-    ``least - 1`` frames on, else ``None``. A stretch that only looks long
-    costs ``least`` rows at most: ``acquire_rows`` checks no more before it
-    gives up. Callers look once per stretch (were a stretch short, so are
-    its tails).
-    """
-    last = start + (least - 1) * (2 + length)
-    if last + 2 + length > end or buffer[last : last + 3] != buffer[start : start + 3]:
-        return None
-    return wire.acquire_rows(buffer, start, end, length, least)
 
 
 @dataclass
@@ -114,147 +94,95 @@ class _AdmissionProtocol(FramedConnection):
     def __init__(self, server: "AdmissionServer"):
         super().__init__(server)
         self.limiter = server.limiter
+        #: this walk's replies, written together when it ends
+        self._out: List[bytes] = []
 
     # ------------------------------------------------------------------
-    def drain(self) -> None:
-        """Answer every complete frame in the buffer with one write.
-
-        Consecutive ``ACQUIRE`` frames become one ``try_acquire_frames``
-        batch — or grouped rows, where ``_ROWS_MIN`` of one size follow
-        (:meth:`_acquire_rows`); ``STATS``/``PING``/bulk/malformed frames
-        are the flush barriers.
-        """
-        assert self.transport is not None
-        buffer = self._buffer
-        start = self._start
-        end = self._end
-        view = self._view
-        parse = wire.parse_request_binary
-        out: List[bytes] = []
-        run_keys: List[str] = []
-        run_flags: List[bool] = []
-        keys_append = run_keys.append
-        flags_append = run_flags.append
-        oversized = False
-        acquire_op = wire.OP_ACQUIRE
-        bulk_op = wire.OP_ACQUIRE_BULK
-        useful_flag = wire.FLAG_USEFUL
-        key_limit = 2 + wire.MAX_KEY_LENGTH
-        stretch = 0  # the length of the ACQUIRE frames being read inline
-        while end - start >= 2:
-            length = buffer[start] | (buffer[start + 1] << 8)
-            if length > wire.MAX_FRAME:
-                oversized = True
-                break
-            frame_end = start + 2 + length
-            if frame_end > end:
-                break
-            # ACQUIRE frames dominate a pipelined stream: decode them
-            # inline (opcode + flags + utf-8 key, same semantics as
-            # parse_request_binary) and let everything else take the
-            # generic parser below.
-            if (
-                2 < length <= key_limit
-                and buffer[start + 2] == acquire_op
-            ):
-                if length != stretch:  # a stretch of one size starts here
-                    stretch = length
-                    rows = stretch_rows(buffer, start, end, length, _ROWS_MIN)
-                    if rows is not None:
-                        self._acquire_rows(rows, run_keys, run_flags, out)
-                        start += rows.size
-                        continue
-                keys_append(str(view[start + 4 : frame_end], "utf-8", "replace"))
-                flags_append(bool(buffer[start + 3] & useful_flag))
-                start = frame_end
+    def batch(self, parts) -> None:
+        """Decide a batch: its frames in one ``try_acquire_frames`` call, cut
+        only where a stretch takes the grouped road (:meth:`_grouped`)."""
+        buffer, view = self._buffer, self._view
+        useful = wire.FLAG_USEFUL
+        keys: List[str] = []
+        flags: List[bool] = []
+        for part in parts:
+            if type(part) is list:
+                at = part[0]
+                for to in part[1:]:
+                    keys.append(str(view[at + 4 : to], "utf-8", "replace"))
+                    flags.append(buffer[at + 3] & useful == useful)
+                    at = to
                 continue
-            payload = view[start + 2 : frame_end]
-            start = frame_end
-            stretch = 0
-            try:
-                if length >= 7 and payload[0] == bulk_op:
-                    # Cluster router bulk fan-in: a barrier like STATS (the
-                    # router's per-link FIFO counts on response order).
-                    self._flush_acquires(run_keys, run_flags, out)
-                    self._respond_bulk(payload, out)
-                    continue
-                command, key, useful = parse(payload)
-            except ValueError as error:
-                self._flush_acquires(run_keys, run_flags, out)
-                out.append(
-                    wire.encode_status_binary(
-                        wire.STATUS_ERROR, str(error).encode()
-                    )
-                )
-                continue
-            if command == "A":
-                assert key is not None
-                run_keys.append(key)
-                run_flags.append(useful)
-            elif command == "S":
-                self._flush_acquires(run_keys, run_flags, out)
-                out.append(
-                    wire.encode_status_binary(wire.STATUS_STATS, self._stats_json())
-                )
+            reply = self._grouped(part, lambda: self._decide(keys, flags))
+            if reply is None:
+                keys += wire.decode_keys(part[:, 4:])
+                flags += (part[:, 3] & useful).astype(bool).tolist()
             else:
-                self._flush_acquires(run_keys, run_flags, out)
-                out.append(wire.encode_status_binary(wire.STATUS_PONG))
-        self._flush_acquires(run_keys, run_flags, out)
-        self._start = start
+                self._out.append(reply)
+        self._decide(keys, flags)
+
+    def _decide(self, keys: List[str], flags: List[bool]) -> None:
+        """Decide the pending frames in one call, which packs the reply."""
+        if keys:
+            every = True if all(flags) else flags
+            self._out.append(self.limiter.try_acquire_frames(keys, every))
+            keys.clear()
+            flags.clear()
+
+    def _grouped(self, rows: np.ndarray, decide: Callable[[], None]) -> Optional[bytes]:
+        """The reply to a stretch read as ``rows`` on the grouped road, where
+        that is byte for byte the frame road's: a closed-form strategy,
+        ``_ROWS_MIN`` rows or more, at most one group per ``_ROWS_PER_GROUP``
+        rows, distinct decoded keys and — once ``decide`` has decided the
+        frames ahead — no eviction. Else ``None``."""
+        limiter = self.limiter
+        count = len(rows)
+        if not limiter._run_closed_form or count < _ROWS_MIN:
+            return None
+        last, counts, places = wire.group_rows(rows)
+        if len(last) * _ROWS_PER_GROUP > count:
+            return None
+        # one key under two flags bytes, or two byte strings that decode
+        # to one key, would be two groups on one state
+        names = wire.decode_keys(rows[last, 4:])
+        if len(set(names)) < len(names):
+            return None
+        decide()
+        if not limiter._table.fits(names):
+            return None
+        per_key = (rows[last, 3] & wire.FLAG_USEFUL).astype(bool).tolist()
+        runs = limiter.try_acquire_runs(names, counts.tolist(), per_key)
+        limiter.grouped += count
+        return wire.decisions_from_runs(runs, places)
+
+    def frame(self, payload) -> None:
+        """Answer a frame outside the batches: ``ACQUIRE_BULK``, ``STATS``,
+        ``PING``, or an ``ERROR`` for a malformed one."""
+        try:
+            if len(payload) >= 7 and payload[0] == wire.OP_ACQUIRE_BULK:
+                self._respond_bulk(payload)
+            elif wire.parse_request_binary(payload)[0] == "S":
+                self._reply(wire.STATUS_STATS, self._stats_json())
+            else:
+                self._reply(wire.STATUS_PONG)
+        except ValueError as error:
+            self._reply(wire.STATUS_ERROR, str(error).encode())
+
+    def drained(self, oversized: bool) -> None:
+        """Write the walk's replies at once; a bad prefix also ends the connection."""
         if oversized:
-            out.append(
-                wire.encode_status_binary(
-                    wire.STATUS_ERROR,
-                    b"frame exceeds %d bytes" % wire.MAX_FRAME,
-                )
-            )
-            self.transport.write(b"".join(out))
-            self.transport.close()  # cannot resync after a bad prefix
-            return
+            self._reply(wire.STATUS_ERROR, b"frame exceeds %d bytes" % wire.MAX_FRAME)
+        out = self._out
         if out:
             self.transport.write(b"".join(out) if len(out) > 1 else out[0])
+            out.clear()
+        if oversized:
+            self.transport.close()  # cannot resync after a bad prefix
 
-    def _flush_acquires(
-        self, keys: List[str], flags: List[bool], out: List[bytes]
-    ) -> None:
-        """Decide a pending ``ACQUIRE`` run: the limiter packs the reply."""
-        if not keys:
-            return
-        useful = True if all(flags) else flags
-        out.append(self.limiter.try_acquire_frames(keys, useful))
-        keys.clear()
-        flags.clear()
+    def _reply(self, status: int, body: bytes = b"") -> None:
+        self._out.append(wire.encode_status_binary(status, body))
 
-    def _acquire_rows(
-        self, rows: np.ndarray, keys: List[str], flags: List[bool], out
-    ) -> None:
-        """Decide a stretch of same-size ``ACQUIRE`` frames read as ``rows``.
-
-        The grouped road where it answers byte for byte what the pending
-        batch would — a closed-form strategy, at most one group per
-        ``_ROWS_PER_GROUP`` rows, distinct decoded keys, no eviction inside
-        the batch; else the frames join that batch, keys decoded as a block.
-        """
-        count = len(rows)
-        useful = (rows[:, 3] & wire.FLAG_USEFUL).astype(bool)
-        limiter = self.limiter
-        if limiter._run_closed_form and count >= _ROWS_MIN:
-            last, counts, places = wire.group_rows(rows)
-            if len(last) * _ROWS_PER_GROUP <= count:
-                # one key under two flags bytes, or two byte strings that
-                # decode to one key, would be two groups on one state
-                names = wire.decode_keys(rows[last, 4:])
-                self._flush_acquires(keys, flags, out)
-                if len(set(names)) == len(names) and limiter._table.fits(names):
-                    per_key = useful[last].tolist()
-                    runs = limiter.try_acquire_runs(names, counts.tolist(), per_key)
-                    out.append(wire.decisions_from_runs(runs, places))
-                    limiter.grouped += count
-                    return
-        keys += wire.decode_keys(rows[:, 4:])
-        flags += useful.tolist()
-
-    def _respond_bulk(self, payload, out: List[bytes]) -> None:
+    def _respond_bulk(self, payload) -> None:
         """Answer one ``ACQUIRE_BULK`` frame with ``RUN`` frames only.
 
         One ``try_acquire_runs`` call for the whole frame; where the
@@ -265,7 +193,7 @@ class _AdmissionProtocol(FramedConnection):
         """
         groups = wire.parse_bulk_binary(payload)
         keys, flags, counts = zip(*groups)
-        limiter = self.limiter
+        limiter, out = self.limiter, self._out
         runs = limiter.try_acquire_runs(keys, counts, flags)
         if runs is not None:
             out.append(wire.encode_runs_binary(runs))

@@ -22,7 +22,7 @@ from repro.core.strategies import Strategy
 from repro.experiments.scale import current_scale
 from repro.registry import strategies as strategy_registry
 from repro.serve import AdmissionServer, ManualClock, TokenAccountLimiter, wire
-from repro.serve.server import _ROWS_MIN as ROWS
+from repro.serve.connection import _ROWS_MIN as ROWS
 
 PERIOD = 1.0
 

@@ -5,7 +5,7 @@ by the cluster router as NumPy rows and grouped in one pass; every other
 frame is filed one at a time. Both feed one send, so the roads must be
 indistinguishable downstream. Each test here drives
 ``_RouterConnection.drain`` in-process — fake transports, fake worker
-links — next to the same router with ``cluster._ROWS_MIN`` patched above
+links — next to the same router with ``connection._ROWS_MIN`` patched above
 any chunk (the frame road alone), and requires identical bytes written
 to every worker link, identical queued scatter plans and identical
 ``groups`` / ``routed`` / ``forwarded`` counters. The ``rows`` counter
@@ -24,7 +24,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.scale import current_scale
-from repro.serve import ManualClock, cluster, wire
+from repro.serve import ManualClock, cluster, connection, wire
 from repro.serve.cluster import _ROUTE_CACHE_MAX, ClusterRouter
 from tests.conftest import binary_client
 from tests.test_serve_cluster import (
@@ -36,7 +36,7 @@ from tests.test_serve_cluster import (
     teardown,
 )
 
-ROWS = cluster._ROWS_MIN
+ROWS = connection._ROWS_MIN
 WORKERS = ("w0", "w1", "w2")
 EXAMPLES = 60 if current_scale().name == "ci" else 400
 
@@ -55,12 +55,12 @@ class Recorder(FakeTransport):
 @contextmanager
 def frame_road_only():
     """No stretch is long enough for the row road while this is open."""
-    saved = cluster._ROWS_MIN
-    cluster._ROWS_MIN = 1 << 30
+    saved = connection._ROWS_MIN
+    connection._ROWS_MIN = 1 << 30
     try:
         yield
     finally:
-        cluster._ROWS_MIN = saved
+        connection._ROWS_MIN = saved
 
 
 class Side:
