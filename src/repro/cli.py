@@ -530,30 +530,22 @@ def _command_store(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    """Run the admission server until interrupted (or for --duration).
+    """Run the admission server until stopped (or for --duration).
 
-    A public port it cannot bind is one ``error: cannot bind HOST:PORT``
-    line and exit status 1; a cluster's forked workers are stopped first.
-    Any other :class:`OSError` is not a bind failure and propagates.
+    SIGTERM and SIGINT stop it the way the end of --duration does: the
+    summary line is printed and the exit status is 0. A public port it
+    cannot bind is one ``error: cannot bind HOST:PORT`` line and exit
+    status 1; a cluster's forked workers are stopped first. Any other
+    :class:`OSError` is not a bind failure and propagates.
     """
     import asyncio
+    from dataclasses import fields
 
     from repro.serve.connection import BindError
     from repro.serve.server import ServeConfig, run_server
 
-    config = ServeConfig(
-        strategy=args.strategy,
-        period=args.period,
-        spend_rate=args.spend_rate,
-        capacity=args.capacity,
-        shards=args.shards,
-        max_keys=args.max_keys,
-        seed=args.seed,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        cold_start=args.cold_start,
-    )
+    # every ServeConfig field is an argparse dest of the same name
+    config = ServeConfig(**{f.name: getattr(args, f.name) for f in fields(ServeConfig)})
     try:
         if config.workers:
             # N worker servers behind a consistent-hash router on the public port
@@ -562,12 +554,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             stats = serve_cluster(config, duration=args.duration)
         else:
             limiter = config.limiter()
-            try:
-                asyncio.run(
-                    run_server(limiter, config.host, config.port, args.duration)
-                )
-            except KeyboardInterrupt:
-                pass
+            asyncio.run(run_server(limiter, config.host, config.port, args.duration))
             stats = limiter.stats()
     except BindError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -740,7 +727,12 @@ def _fill_serve(parser: argparse.ArgumentParser) -> None:
         default=1.0,
         help="wall-clock seconds per token (steady admission rate = 1/period)",
     )
-    parser.add_argument("--host", type=str, default="127.0.0.1")
+    parser.add_argument(
+        "--host",
+        type=str,
+        default="127.0.0.1",
+        help="bind address (a host name binds its first address only)",
+    )
     parser.add_argument(
         "--port", type=int, default=7700, help="bind port (0 picks a free one)"
     )

@@ -88,21 +88,24 @@ fresh account then starts empty instead of full).
 
 Process orchestration
 ---------------------
-Workers are forked from the router (:func:`spawn_worker`) after its
-imports and before its event loop starts, so a cluster pays one import,
-not ``N + 1``: a worker only builds ``config.limiter(index)``
-(:class:`~repro.serve.server.ServeConfig`) and runs the stock
-:func:`~repro.serve.server.run_server`. This module imports what that
-limiter runs on (``repro.core.kernel``, ``numpy.random``), so a forked
-worker imports nothing. It sends its announce line up a
-private one-way pipe, leaving the router's stdout to the router's own
-announce; a pipe that closes first is a worker that never came up. The
-router starts no thread, so a fork copies a single-threaded interpreter.
-A worker serves until the router stops it, and watches the router's
-sentinel as the router watches its: a router killed before its teardown
-takes its workers with it.
-At shutdown the router fetches its own STATS document over its public
-port: the summary ``repro serve`` prints is the one any client reads.
+The router builds and binds each worker before forking it
+(:func:`spawn_worker`): ``config.limiter(index)``
+(:class:`~repro.serve.server.ServeConfig`) behind an
+:class:`~repro.serve.server.AdmissionServer` bound to port 0, so a
+limiter it would refuse and an address it cannot bind raise in the
+router, before any fork, as they do for the single server. The child
+only serves that socket; the router closes its own copy and reads
+nothing from the child. Workers are forked after the router's imports
+and before its event loop starts, so a cluster pays one import, not
+``N + 1``, and a forked worker imports nothing. The router starts no
+thread, so a fork copies a single-threaded interpreter. A worker
+serves until the router stops it, and watches the router's sentinel as
+the router watches its: a router killed before its teardown takes its
+workers with it. Every process stops one way, by cancelling its serving
+task (:func:`~repro.serve.connection.until_stopped`: SIGTERM and SIGINT
+do it from the event loop). At shutdown the router fetches its own
+STATS document over its public port: the summary ``repro serve``
+prints is the one any client reads.
 """
 
 from __future__ import annotations
@@ -110,34 +113,28 @@ from __future__ import annotations
 import asyncio
 import json
 import multiprocessing
-import re
-import signal
 import struct
-import sys
 from itertools import repeat
 from multiprocessing.process import BaseProcess
 from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
-import numpy.random  # noqa: F401  (a worker's limiter: imported before the fork)
 
-import repro.core.kernel  # noqa: F401  (a worker's limiter: imported before the fork)
-from repro.core.strategies import make_strategy
 from repro.serve import wire
 from repro.serve.connection import (
     _RECV_BUFFER,
     _ROWS_MIN,
-    BindError,
     FramedConnection,
     FramedLink,
     FramedListener,
     HelloError,
     fetch_stats,
+    until_stopped,
 )
 from repro.serve.limiter import Decision
 from repro.serve.ring import HashRing
-from repro.serve.server import ServeConfig, run_server
+from repro.serve.server import AdmissionServer, ServeConfig
 
 #: virtual replicas per worker on the ring (:class:`~repro.serve.ring.HashRing`)
 _REPLICAS = 96
@@ -169,9 +166,6 @@ _SYNTH_REJECT = np.frombuffer(
     wire.encode_decision_binary(Decision(False, "", "exhausted", 0, 0.0)),
     dtype=wire.DECISION_RECORD,
 )[0]
-
-#: reads the port from a worker's announce line
-_ANNOUNCE = re.compile(r"on [0-9.]+:(\d+)")
 
 
 def _row_frames(rows: np.ndarray) -> List[bytes]:
@@ -770,23 +764,13 @@ class WorkerHandle:
             process.join(_STOP_TIMEOUT)
 
 
-def _serve_worker(config: ServeConfig, index: int, announce) -> None:
-    """A forked worker's life: its limiter behind the stock server.
+def _serve_worker(server: AdmissionServer) -> None:
+    """A forked worker's life: serve the socket the router bound for it.
 
-    It serves until the router stops it or exits. A bind that fails
-    sends its error text up the pipe instead of an announce line. The
-    child ends in ``os._exit`` (``multiprocessing``), never in the
-    router's teardown; SIGTERM ends ``asyncio.run`` by the inherited
-    handler.
+    It serves until it is stopped or the router exits. The child ends in
+    ``os._exit`` (``multiprocessing``), never in the router's teardown.
     """
-    limiter = config.limiter(index)
-    serving = run_server(limiter, config.host, 0, None, announce.send)
-    try:
-        asyncio.run(_until_router_exits(serving))
-    except BindError as error:
-        announce.send(str(error))
-    except KeyboardInterrupt:
-        pass
+    asyncio.run(_until_router_exits(server.serve()))
 
 
 async def _until_router_exits(serving) -> None:
@@ -796,9 +780,9 @@ async def _until_router_exits(serving) -> None:
     readable when the router exits, however it died (SIGKILL and OOM
     included), so the worker's loop wakes on the death itself. The
     callback removes its reader and cancels the serving task, which
-    ``run_server`` takes as the end of serving. A worker keeps an
-    earlier sibling's sentinel open until it exits itself, so orphans end
-    last-forked first.
+    :func:`~repro.serve.connection.until_stopped` takes as the end of
+    serving. A worker keeps an earlier sibling's sentinel open until it
+    exits itself, so orphans end last-forked first.
     """
     loop = asyncio.get_running_loop()
     task = asyncio.current_task()
@@ -816,44 +800,27 @@ async def _until_router_exits(serving) -> None:
 
 
 def spawn_worker(config: ServeConfig, index: int) -> WorkerHandle:
-    """Fork one worker server and read its announced port from a pipe.
+    """Build and bind worker ``index``'s server, then fork a child that serves it.
 
-    Workers bind port 0 on the cluster's host and send their announce
-    line up a private one-way pipe; each gets a distinct decision-RNG
-    seed. A worker serves until it is stopped or the router exits
-    (:func:`_until_router_exits`). A strategy its limiter would refuse
-    raises that :class:`ValueError` before the fork. A worker that cannot
-    bind sends its error text instead of the announce: it is reaped and
-    :class:`BindError` raised. One that exits before either closes the
-    pipe: it is reaped and :class:`RuntimeError` raised at once.
+    The worker's limiter is ``config.limiter(index)`` (its own decision
+    seed) and its socket is bound to port 0 on the cluster's host, both
+    here: a limiter the settings refuse raises its :class:`ValueError`,
+    and an address that cannot be bound :class:`BindError`, before the
+    fork. The router closes its copy of the socket and reads nothing from
+    the child, which serves until it is stopped or the router exits
+    (:func:`_until_router_exits`).
     """
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:  # no fork start method (Windows)
         raise ValueError("--workers needs the 'fork' start method") from None
-    # a strategy the worker's limiter would refuse is refused before the fork
-    make_strategy(
-        config.strategy, spend_rate=config.spend_rate, capacity=config.capacity
-    )
-    reader, writer = context.Pipe(duplex=False)
-    process = context.Process(
-        target=_serve_worker, args=(config, index, writer), daemon=True
-    )
-    process.start()
-    writer.close()  # the child holds the only write end: its exit is EOF
-    with reader:  # closed here, so later workers do not inherit it
-        try:
-            line = reader.recv() if reader.poll(30.0) else None
-        except EOFError:  # the child exited before it announced
-            line = None
-    name = f"w{index}"
-    match = None if line is None else _ANNOUNCE.search(line)
-    if match is None:
-        WorkerHandle(name, process, config.host, 0).stop()
-        if line is not None:  # no announce: the worker's bind error
-            raise BindError(line)
-        raise RuntimeError(f"worker {name} never announced its port")
-    return WorkerHandle(name, process, config.host, int(match.group(1)))
+    server = AdmissionServer(config.limiter(index), config.host, 0).bind()
+    process = context.Process(target=_serve_worker, args=(server,), daemon=True)
+    try:
+        process.start()
+    finally:
+        server.sock.close()  # the child's copy is the one that serves
+    return WorkerHandle(f"w{index}", process, config.host, server.port)
 
 
 def watch_workers(
@@ -888,7 +855,7 @@ async def _run_router(
     duration: Optional[float],
     announce,
 ) -> Dict[str, object]:
-    """Serve the public port for ``duration`` seconds (forever if None).
+    """Serve the public port for ``duration`` seconds, else until stopped.
 
     Returns the router's own STATS document, read over its public port
     at shutdown (empty if that read fails).
@@ -907,12 +874,7 @@ async def _run_router(
     unwatch = watch_workers(router, handles)
     stats: Dict[str, object] = {}
     try:
-        if duration is None:
-            await asyncio.Event().wait()
-        else:
-            await asyncio.sleep(duration)
-    except asyncio.CancelledError:
-        pass
+        await until_stopped(duration)
     finally:
         unwatch()
         try:
@@ -933,32 +895,19 @@ def serve_cluster(
     """Fork ``config.workers`` workers, run the router, tear everything down.
 
     The ``repro serve --workers N`` entry point. Returns the router's
-    final STATS document (empty on an interrupted run). Workers are
-    always reaped — including on SIGTERM, which is translated to a
-    clean ``SystemExit`` so the ``finally`` teardown runs — and serve
-    until then; a router that dies without that teardown ends them too
-    (:func:`_until_router_exits`). A strategy the workers' limiters
-    would refuse raises :class:`ValueError` before the first fork, and a
-    worker that cannot bind raises :class:`BindError`, as the single
-    server does (:func:`spawn_worker`).
+    final STATS document (empty if it could not be read). Workers are
+    always reaped, and serve until then; a router that dies without that
+    teardown ends them too (:func:`_until_router_exits`). A limiter the
+    workers would refuse and a worker address that cannot be bound raise
+    before the first fork, as the single server does (:func:`spawn_worker`).
     """
     if config.workers < 1:
         raise ValueError(f"need at least one worker, got {config.workers}")
     handles: List[WorkerHandle] = []
     try:
-        previous_handler = signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
-    except ValueError:  # pragma: no cover - not the main thread
-        previous_handler = None
-    stats: Dict[str, object] = {}
-    try:
         for index in range(config.workers):
             handles.append(spawn_worker(config, index))
-        stats = asyncio.run(_run_router(config, handles, duration, announce))
-    except KeyboardInterrupt:
-        pass
+        return asyncio.run(_run_router(config, handles, duration, announce))
     finally:
-        if previous_handler is not None:
-            signal.signal(signal.SIGTERM, previous_handler)
         for handle in handles:
             handle.stop()
-    return stats

@@ -29,7 +29,6 @@ built, for the single server and for every cluster worker.
 
 from __future__ import annotations
 
-import asyncio
 import json
 from dataclasses import dataclass
 from typing import Callable, List, Optional
@@ -218,7 +217,7 @@ class AdmissionServer(FramedListener):
         The shared admission primitive.
     host, port:
         Bind address; port 0 picks a free port (read it back from
-        :attr:`port` after :meth:`start`).
+        :attr:`port` after :meth:`bind`).
     """
 
     connection_class = _AdmissionProtocol
@@ -237,24 +236,18 @@ async def run_server(
     duration: Optional[float] = None,
     announce=print,
 ) -> TokenAccountLimiter:
-    """Start a server and run it for ``duration`` seconds (forever if ``None``).
+    """Serve ``limiter`` for ``duration`` seconds, else until stopped.
 
-    The ``repro serve`` entry point: announces the bound address via
-    ``announce`` (so scripts can scrape the port when asking for port 0)
-    and returns the limiter for a final stats line.
+    The single ``repro serve``: announces the bound address via
+    ``announce`` (so scripts can scrape the port when asking for port 0),
+    serves until the duration ends, a cancel, SIGTERM or SIGINT
+    (:meth:`~repro.serve.connection.FramedListener.serve`) and returns
+    the limiter for a final stats line.
     """
-    server = await AdmissionServer(limiter, host, port).start()
+    server = AdmissionServer(limiter, host, port).bind()
     announce(
         f"serving {limiter.strategy.describe()} admission control on "
         f"{host}:{server.port} (period {limiter.period}s)"
     )
-    try:
-        if duration is None:
-            await server.serve_forever()
-        else:
-            await asyncio.sleep(duration)
-    except asyncio.CancelledError:
-        pass
-    finally:
-        await server.close()
+    await server.serve(duration)
     return limiter

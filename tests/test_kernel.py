@@ -110,8 +110,12 @@ def test_decide_one_falls_back_for_graded_usefulness():
     kernel = strategy.decision_kernel
     rng = np.random.default_rng(1)
     # grade 1.0 (a float, not True) must behave like useful=True
-    verdicts_float = [kernel.decide_one(5, 1.0, np.random.default_rng(s)) for s in range(40)]
-    verdicts_bool = [kernel.decide_one(5, True, np.random.default_rng(s)) for s in range(40)]
+    verdicts_float = [
+        kernel.decide_one(5, 1.0, np.random.default_rng(s)) for s in range(40)
+    ]
+    verdicts_bool = [
+        kernel.decide_one(5, True, np.random.default_rng(s)) for s in range(40)
+    ]
     assert verdicts_float == verdicts_bool
     assert kernel.decide_one(5, 0.5, rng) in (None, "reactive", "proactive")
 

@@ -5,8 +5,9 @@ the actual ``fork`` can run inside one event loop: real sockets, the
 real binary protocol, the real bulk fan-out and reorder path — with
 worker "death" staged by closing a worker server under the router. The
 tests at the bottom fork real workers: one kills an idle worker process
-under the router and times the remap, two run the actual ``repro serve``
-entry point, with and without ``--workers 2``, to its summary line.
+under the router and times the remap, others run the actual ``repro
+serve`` entry point, with and without ``--workers 2``, to its summary
+line: at the end of ``--duration``, or on SIGTERM or SIGINT.
 
 The load-bearing claims:
 
@@ -1019,6 +1020,48 @@ def test_server_cli_smoke():
     assert run_serve_cli() == "served 12 admissions / 8 rejections over 4 key(s)"
 
 
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["term", "int"])
+@pytest.mark.parametrize("flags", [(), ("--workers", "2")], ids=["server", "cluster"])
+def test_a_signal_stops_serve_with_its_summary(flags, signum):
+    # no --duration: only the signal ends it, the way --duration would
+    process = serve_cli(
+        *flags,
+        *("--period", "50", "--port", "0", "--seed", "1"),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    members: set = set()
+    try:
+        assert process.stdout is not None
+        match = re.search(r"on [0-9.]+:(\d+)", process.stdout.readline())
+        assert match, "the server never announced its port"
+        members = {process.pid} | child_pids(process.pid)
+        assert len(members) == 1 + (2 if flags else 0)
+
+        async def drive():
+            session = await binary_session(int(match.group(1)))
+            decisions = await acquire_many(*session, [f"k{i % 4}" for i in range(20)])
+            session[1].close()
+            return decisions
+
+        assert sum(d.admitted for d in asyncio.run(drive())) == 12
+        process.send_signal(signum)
+        out, err = process.communicate(timeout=30)
+    finally:
+        if process.poll() is None:  # pragma: no cover - a failed drive
+            process.kill()
+            process.wait(timeout=10)
+        for pid in filter(running, members - {process.pid}):  # pragma: no cover
+            os.kill(pid, signal.SIGKILL)
+    assert process.returncode == 0
+    assert err == ""
+    cluster = " across 2 worker(s), 0 remap(s)" if flags else ""
+    assert out.splitlines()[-1] == (
+        f"served 12 admissions / 8 rejections over 4 key(s){cluster}"
+    )
+    assert not any(map(running, members))
+
+
 @pytest.mark.parametrize("flags", [(), ("--workers", "2")], ids=["server", "cluster"])
 def test_serve_on_a_busy_port_is_one_error_line(flags):
     with socket.socket() as taken:
@@ -1079,8 +1122,17 @@ def test_serve_on_an_unbindable_host_is_one_error_line(flags):
     assert serve_pids("192.0.2.1") == []
 
 
-def test_a_cluster_refuses_a_bad_strategy_as_the_server_does(capsys):
-    argv = ["serve", "--strategy", "simple", "--duration", "1"]  # no -C
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        ((), "error: strategy 'simple' requires parameter 'capacity'"),  # no -C
+        (("-C", "3", "--shards", "0"), "error: need at least one shard, got 0"),
+        (("-C", "3", "--period", "0"), "error: period must be positive, got 0.0"),
+    ],
+    ids=["capacity", "shards", "period"],
+)
+def test_a_cluster_refuses_a_bad_strategy_as_the_server_does(flags, error, capsys):
+    argv = ["serve", "--strategy", "simple", "--duration", "1", *flags]
     assert cli.main(argv) == 2
     alone = capsys.readouterr()
     before = child_pids()
@@ -1088,9 +1140,7 @@ def test_a_cluster_refuses_a_bad_strategy_as_the_server_does(capsys):
     assert child_pids() == before
     assert capsys.readouterr() == alone
     assert alone.out == ""
-    assert alone.err.startswith(
-        "error: strategy 'simple' requires parameter 'capacity'"
-    )
+    assert alone.err.startswith(error)
     assert len(alone.err.splitlines()) == 1
 
 

@@ -98,7 +98,9 @@ def test_stable_hash_survives_interpreter_restarts():
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1] == outputs[2]
     hashes, shards = outputs[0].splitlines()
-    assert eval(hashes) == [GOLDEN_HASHES[k] for k in ("alpha", "beta", "gamma", "key0")]
+    assert eval(hashes) == [
+        GOLDEN_HASHES[k] for k in ("alpha", "beta", "gamma", "key0")
+    ]
     assert eval(shards) == GOLDEN_SHARDS_8
 
 

@@ -328,7 +328,9 @@ LONE_STRETCHES = {
 @pytest.mark.parametrize(
     "reads, scenario, rows, plans", LONE_STRETCHES.values(), ids=LONE_STRETCHES.keys()
 )
-def test_a_lone_stretch_is_planned_as_columns(reads, scenario, rows, plans, column_plans):
+def test_a_lone_stretch_is_planned_as_columns(
+    reads, scenario, rows, plans, column_plans
+):
     router = routed_both_ways(reads, **scenario)
     assert router.rows == rows
     assert len(column_plans) == plans

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import subprocess
 import sys
 
@@ -137,6 +138,22 @@ def test_server_port_zero_picks_a_free_port():
         return port
 
     assert asyncio.run(scenario()) > 0
+
+
+def test_accepted_connections_send_without_nagles_delay():
+    # asyncio turns TCP_NODELAY on only for accepted sockets whose proto
+    # says TCP, which they take from the listening socket bind() made
+    async def scenario():
+        server = await start_server(make_limiter())
+        session = await binary_client(server.port)
+        (connection,) = server._protocols
+        sock = connection.transport.get_extra_info("socket")
+        nodelay = sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        session[1].close()
+        await server.close()
+        return nodelay
+
+    assert asyncio.run(scenario())
 
 
 # ----------------------------------------------------------------------
