@@ -123,7 +123,6 @@ class Experiment:
             ),
         )
         if spec.audit_sends:
-            self.network.enable_send_log()
             self.auditor: Optional[RateLimitAuditor] = RateLimitAuditor(self.network)
         else:
             self.auditor = None

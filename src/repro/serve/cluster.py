@@ -19,9 +19,10 @@ window ``t``) holds cluster-wide exactly as it does in one process.
 
 Data path
 ---------
-Per client connection the router opens one binary connection to every
-worker, so each worker answers *this client's* requests strictly FIFO.
-The client's receive buffer is walked by
+The router opens one binary link to every worker when it starts, before
+it accepts a client, and every client's batches share it: a worker
+answers them strictly FIFO, in the order the router wrote them. A
+client's receive buffer is walked by
 :meth:`~repro.serve.connection.FramedConnection.drain`, which hands over
 each **batch** of consecutive ACQUIRE frames with valid keys, a stretch
 of same-size ones read as NumPy rows by the server's own trigger.
@@ -45,8 +46,9 @@ else (*Bulk admission* in :mod:`repro.serve.wire`). A worker is sent its
 lone frames first, then its bulk records, each in first-occurrence
 order, so its reply to a batch is two fixed strides.
 
-The reply side never works per group. A responder task reassembles
-client order **per worker per batch**, reading the link's preallocated
+The reply side never works per group. One responder task takes every
+client's batches in the order they were written and reassembles each
+client's order **per worker per batch**, reading the link's preallocated
 receive buffer in place (:class:`_WorkerLink`: nothing is allocated per
 wake-up). The DECISION stride is scattered to its request positions as
 opaque records; the RUN stride is cut where its records' decision
@@ -55,7 +57,8 @@ out of the link. Once every worker has answered, the batch's RUN
 records are expanded in one columnar pass
 (:func:`~repro.serve.wire.expand_runs`) and scattered the same way.
 What a link received beyond that — the next batch's replies, a STATS
-document — stays in its buffer for the next reader.
+document — stays in its buffer for the next reader. A client that has
+left still has its replies read, and dropped, so the next ones line up.
 
 Order is kept per verbatim frame. Across frames — two keys, or one key
 under both flag values — a batch is one instant: a worker decides its
@@ -63,13 +66,12 @@ lone frames, then its repeats group by group, however they interleaved.
 Replies return in request order; §3.4 is per key over time, so it holds.
 
 ``STATS`` is a flush barrier: the router forwards it to every live
-worker on the same connections (preserving FIFO alignment), sums the
+worker on the shared links (preserving FIFO alignment), sums the
 per-worker counters and answers one aggregated document with cluster
 fields (``workers``, ``remaps``, router ``connections``) added.
-``PING`` is answered locally. The client-facing receive buffer and its
-walk, hello check and shutdown drain are the worker server's own
-(:mod:`repro.serve.connection`); the hello is acked only once this
-connection's worker links are up.
+``PING`` is answered by the responder too, in its turn. The client-facing
+receive buffer and its walk, hello check and shutdown drain are the
+worker server's own (:mod:`repro.serve.connection`).
 
 Failure remap
 -------------
@@ -98,14 +100,17 @@ only serves that socket; the router closes its own copy and reads
 nothing from the child. Workers are forked after the router's imports
 and before its event loop starts, so a cluster pays one import, not
 ``N + 1``, and a forked worker imports nothing. The router starts no
-thread, so a fork copies a single-threaded interpreter. A worker
-serves until the router stops it, and watches the router's sentinel as
-the router watches its: a router killed before its teardown takes its
-workers with it. Every process stops one way, by cancelling its serving
-task (:func:`~repro.serve.connection.until_stopped`: SIGTERM and SIGINT
-do it from the event loop). At shutdown the router fetches its own
-STATS document over its public port: the summary ``repro serve``
-prints is the one any client reads.
+thread, so a fork copies a single-threaded interpreter. Only the router
+ends a worker: it stops and reaps each one after its teardown, and a
+worker watches the router's sentinel as the router watches its, so a
+router killed before its teardown takes its workers with it. A worker
+runs in a process group of its own, so a signal sent to the router's
+group reaches the router alone. Every process stops one way, by
+cancelling its serving task (:func:`~repro.serve.connection.until_stopped`:
+SIGTERM and SIGINT do it from the event loop). At shutdown the router
+fetches its own STATS document over its public port, before it stops
+its workers: the summary ``repro serve`` prints is the one any client
+reads, with every worker's counts in it.
 """
 
 from __future__ import annotations
@@ -113,6 +118,7 @@ from __future__ import annotations
 import asyncio
 import json
 import multiprocessing
+import os
 import struct
 from itertools import repeat
 from multiprocessing.process import BaseProcess
@@ -225,7 +231,7 @@ def _pack_bulk_frames(records: List[bytes]) -> bytes:
 
 
 class _WorkerLink(FramedLink):
-    """One client connection's private link to one worker.
+    """The router's one link to one worker, shared by every client.
 
     Each reader views what it is owed at ``_start``, steps past it and
     leaves the rest for the next one; a returned view is good until the
@@ -276,60 +282,21 @@ class _WorkerLink(FramedLink):
 class _RouterConnection(FramedConnection):
     """One client connection through the router.
 
-    Its batches are *routed* instead of decided, and a responder task
-    writes the reordered replies.
+    Its batches are *routed* instead of decided: written to the router's
+    worker links, and answered by the router's responder.
     """
 
     def __init__(self, router: "ClusterRouter"):
         super().__init__(router)
         self.router = router
-        #: worker name -> this connection's link (built by _setup)
-        self._links: Dict[str, _WorkerLink] = {}
-        self._queue: "asyncio.Queue[tuple]" = asyncio.Queue()
         #: reply frames owed to the client and not yet written
         self._outstanding = 0
-        self._setup_task: Optional[asyncio.Task] = None
         #: the last batch read as one row stretch repeated frames
         self._repeats = False
-        self._responder: Optional[asyncio.Task] = None
-
-    # ------------------------------------------------------------------
-    def connection_lost(self, exc) -> None:
-        super().connection_lost(exc)
-        for task in (self._setup_task, self._responder):
-            if task is not None and not task.done():
-                task.cancel()
-        self._close_links()
-
-    def _close_links(self) -> None:
-        for link in self._links.values():
-            link.close()
-        self._links.clear()
 
     def idle(self) -> bool:
         """Nothing queued behind a worker gather, nothing unflushed."""
         return not self._outstanding and super().idle()
-
-    def hello_received(self) -> None:
-        """Bring up this connection's worker links first, then ack.
-
-        A client that waits for the echo never races the fan-out setup,
-        and one that does not wait finds the read side held until then.
-        """
-        self._setup_task = asyncio.get_running_loop().create_task(self._setup())
-
-    async def _setup(self) -> None:
-        """Open this connection's private link to every live worker."""
-        for name, (host, port) in list(self.router._workers.items()):
-            try:
-                self._links[name] = await _WorkerLink.connect(host, port)
-            except (HelloError, OSError):
-                self.router.worker_failed(name)
-        if self.transport is None:  # client left during setup
-            self._close_links()
-            return
-        self._responder = asyncio.get_running_loop().create_task(self._respond())
-        self.begin()  # hello ack, then the frames that arrived meanwhile
 
     # ------------------------------------------------------------------
     def _route_frame(self, frame: bytes) -> Optional[int]:
@@ -383,10 +350,10 @@ class _RouterConnection(FramedConnection):
             return
         if command == "S":
             # Written synchronously, in parse order, so each worker
-            # link's FIFO stays aligned with the batch queue.
+            # link's FIFO stays aligned with the router's reply queue.
             stats_frame = wire.encode_command_binary(wire.OP_STATS)
             names = []
-            for name, link in self._links.items():
+            for name, link in self.router._links.items():
                 if not link.dead:
                     link.transport.write(stats_frame)
                     names.append(name)
@@ -403,10 +370,11 @@ class _RouterConnection(FramedConnection):
         elif self._outstanding >= _PAUSE_OUTSTANDING:
             self.hold("outstanding")
 
-    def _owe(self, item: tuple) -> None:
-        """Queue one reply frame outside a batch."""
-        self._outstanding += 1
-        self._queue.put_nowait(item)
+    def _owe(self, item: tuple, frames: int = 1) -> None:
+        """Queue the reply ``item`` (``frames`` reply frames) for the
+        router's responder, behind every batch already written."""
+        self._outstanding += frames
+        self.router._queue.put_nowait((self, item))
 
     def _send(self, frames: List[bytes]) -> None:
         """Write one batch of ACQUIRE ``frames`` to its workers and queue
@@ -461,7 +429,7 @@ class _RouterConnection(FramedConnection):
         plan: List[Tuple[Optional[str], np.ndarray, bool]] = []
         for slot, (lone, singles, records, repeats) in pending.items():
             name = router._names[slot]
-            link = self._links.get(name)
+            link = router._links.get(name)
             if link is not None and not link.dead:
                 if records:
                     lone.append(_pack_bulk_frames(records))
@@ -476,8 +444,7 @@ class _RouterConnection(FramedConnection):
         total = len(frames)
         router.groups += len(groups)
         router.routed += total
-        self._outstanding += total
-        self._queue.put_nowait(("B", plan, total))
+        self._owe(("B", plan, total), total)
 
     def _send_rows(self, rows: np.ndarray) -> None:
         """Write a batch that is one row stretch and queue its plan, from columns.
@@ -526,7 +493,7 @@ class _RouterConnection(FramedConnection):
         plan: List[Tuple[Optional[str], np.ndarray, bool]] = []
         for _, slot, data, singles, repeats in sorted(shares, key=itemgetter(0)):
             name = router._names[slot]
-            link = self._links.get(name)
+            link = router._links.get(name)
             if link is not None and not link.dead:
                 link.transport.write(data)
             if len(singles):
@@ -538,8 +505,7 @@ class _RouterConnection(FramedConnection):
             plan.append((None, orphans, False))
         router.groups += count
         router.routed += total
-        self._outstanding += total
-        self._queue.put_nowait(("B", plan, total))
+        self._owe(("B", plan, total), total)
 
     def _owners(self, frames: List[bytes]) -> np.ndarray:
         """Each frame's worker slot by the route memo, ``-1`` for none
@@ -552,124 +518,22 @@ class _RouterConnection(FramedConnection):
                 owners[at] = slot
         return owners
 
-    # ------------------------------------------------------------------
-    async def _respond(self) -> None:
-        """Reassemble worker replies into client order (the response loop)."""
-        get = self._queue.get
+    def _answer(self, reply: bytes, owed: int, last: bool) -> None:
+        """Write one reply the router's responder assembled, for ``owed``
+        frames; ``last`` closes the connection after it. A client that
+        has left drops it, and a write that fails closes only this one."""
+        self._outstanding -= owed
+        transport = self.transport
+        if transport is None:
+            return
         try:
-            while True:
-                item = await get()
-                transport = self.transport
-                if transport is None:
-                    return
-                kind = item[0]
-                owed = 1
-                if kind == "B":
-                    owed = item[2]
-                    transport.write(await self._gather_batch(item[1], owed))
-                elif kind == "S":
-                    document = await self._aggregate_stats(item[1])
-                    transport.write(
-                        wire.encode_status_binary(wire.STATUS_STATS, document)
-                    )
-                elif kind == "P":
-                    transport.write(wire.encode_status_binary(wire.STATUS_PONG))
-                else:  # "E": error frame; fatal ones close the connection
-                    transport.write(
-                        wire.encode_status_binary(wire.STATUS_ERROR, item[1])
-                    )
-                    if item[2]:
-                        transport.close()
-                        return
-                self._outstanding -= owed
-                if self._outstanding <= _RESUME_OUTSTANDING:
-                    self.release("outstanding")
-        except (ConnectionError, OSError):  # pragma: no cover - client race
-            if self.transport is not None:
-                self.transport.close()
-
-    async def _gather_batch(
-        self, plan: List[Tuple[Optional[str], np.ndarray, bool]], total: int
-    ) -> bytes:
-        """Collect one batch's worker replies, scattered to client order.
-
-        ``plan`` lists, per worker and stride (DECISION records for its
-        lone frames, then RUNs for its bulk records), the request
-        positions answered, in the order asked. DECISION records are
-        scattered as they are read; RUN records are copied out of their
-        link and the batch's are expanded together, once. A read failure
-        or protocol surprise marks the worker lost and what it still owes
-        the batch becomes synthesized REJECT frames, keeping the client's
-        stream complete and ordered.
-        """
-        merged = np.empty(total, dtype=wire.DECISION_RECORD)
-        runs: List[bytes] = []
-        places: List[np.ndarray] = []
-        for name, positions, lone in plan:
-            link = self._links.get(name) if name is not None else None
-            frames = _SYNTH_REJECT
-            if link is not None and not link.dead:
-                try:
-                    if lone:
-                        records = await link.decisions(len(positions))
-                        frames = records.view(wire.DECISION_RECORD)
-                    else:
-                        runs.append((await link.runs(len(positions))).tobytes())
-                        places.append(positions)
-                        continue
-                except (ConnectionError, OSError):
-                    self._worker_lost(name, link)
-            merged[positions] = frames  # a view of the link: before the next await
-        if runs:
-            expanded = wire.expand_runs(np.frombuffer(b"".join(runs), wire.RUN_DTYPE))
-            merged[np.concatenate(places)] = expanded.view(wire.DECISION_RECORD)
-        return merged.tobytes()
-
-    def _worker_lost(self, name: str, link: _WorkerLink) -> None:
-        """Mark a link dead and report the worker to the ring."""
-        link.dead = True
-        link.close()
-        self.router.worker_failed(name)
-
-    async def _aggregate_stats(self, names: Tuple[str, ...]) -> bytes:
-        """Sum the forwarded workers' stats documents into one reply."""
-        totals = {
-            "admitted": 0,
-            "rejected": 0,
-            "keys": 0,
-            "evictions": 0,
-            "grouped": 0,
-            "worker_connections": 0,
-        }
-        meta: Dict[str, object] = {}
-        for name in names:
-            link = self._links.get(name)
-            if link is None or link.dead:
-                continue
-            try:
-                payload = await link.frame()
-            except (ConnectionError, OSError):
-                self._worker_lost(name, link)
-                continue
-            if not payload or payload[0] != wire.STATUS_STATS:
-                continue  # defensive; a worker only ever answers STATS here
-            document = json.loads(payload[1:])
-            for field in ("admitted", "rejected", "keys", "evictions", "grouped"):
-                totals[field] += int(document.get(field, 0))
-            totals["worker_connections"] += int(document.get("connections", 0))
-            meta.setdefault("strategy", document.get("strategy"))
-            meta.setdefault("period", document.get("period"))
-        router = self.router
-        document = dict(meta)
-        document.update(totals)
-        document["workers"] = len(router._workers)
-        document["remaps"] = router.remaps
-        document["connections"] = router.connections
-        document["groups"] = router.groups
-        document["routed"] = router.routed
-        document["forwarded"] = router.forwarded
-        document["rows"] = router.rows
-        return json.dumps(document, sort_keys=True).encode()
+            transport.write(reply)
+        except OSError:
+            last = True
+        if last:
+            transport.close()
+        elif self._outstanding <= _RESUME_OUTSTANDING:
+            self.release("outstanding")
 
 
 class ClusterRouter(FramedListener):
@@ -703,6 +567,11 @@ class ClusterRouter(FramedListener):
         self._slots: Dict[str, int] = {name: i for i, name in enumerate(self._names)}
         #: the route memo: frame bytes -> its owner's slot
         self._route_cache: Dict[bytes, int] = {}
+        #: worker name -> the router's one link to it, shared by every client
+        self._links: Dict[str, _WorkerLink] = {}
+        #: (connection, reply item) in the order the links were written
+        self._queue: "asyncio.Queue[Tuple[_RouterConnection, tuple]]" = asyncio.Queue()
+        self._responder: Optional[asyncio.Task] = None
         #: ring membership changes from worker failures so far
         self.remaps = 0
         #: groups formed, the decisions they asked for (their ratio is
@@ -728,16 +597,147 @@ class ClusterRouter(FramedListener):
             return None  # every worker is gone; callers synthesize
 
     def worker_failed(self, name: str) -> None:
-        """Remove a dead worker: remap only its arcs, drop the memo.
+        """Remove a dead worker: mark its link dead and close it, remap only
+        its arcs, drop the memo.
 
         Idempotent — the process sentinel and any number of failed link
         reads may all report the same death.
         """
+        link = self._links.get(name)
+        if link is not None:
+            link.dead = True
+            link.close()
         if name in self._ring:
             self._ring.remove(name)
             self.remaps += 1
             self._route_cache.clear()
         self._workers.pop(name, None)
+
+    # ------------------------------------------------------------------
+    async def start(self) -> "ClusterRouter":
+        """Bind, open one link to every worker and start the responder,
+        then accept clients: a client never finds a link missing."""
+        if self.sock is None:
+            self.bind()
+        for name, (host, port) in list(self._workers.items()):
+            try:
+                self._links[name] = await _WorkerLink.connect(host, port)
+            except (HelloError, OSError):
+                self.worker_failed(name)
+        self._responder = asyncio.get_running_loop().create_task(self._respond())
+        await super().start()
+        return self
+
+    async def close(self) -> None:
+        """Close as every listener does, once every client has its replies;
+        then stop the responder and close the worker links."""
+        await super().close()
+        if self._responder is not None:
+            self._responder.cancel()
+        for link in self._links.values():
+            link.close()
+
+    async def _respond(self) -> None:
+        """Answer every batch and command in the order they were queued,
+        which is the order each link was written (the response loop).
+
+        A reply is read off the links whether or not its client is still
+        there, so the replies behind it line up.
+        """
+        get = self._queue.get
+        while True:
+            connection, item = await get()
+            kind = item[0]
+            owed = 1
+            last = False
+            if kind == "B":
+                owed = item[2]
+                reply = await self._gather_batch(item[1], owed)
+            elif kind == "S":
+                document = await self._aggregate_stats(item[1])
+                reply = wire.encode_status_binary(wire.STATUS_STATS, document)
+            elif kind == "P":
+                reply = wire.encode_status_binary(wire.STATUS_PONG)
+            else:  # "E": error frame; fatal ones close the connection
+                reply = wire.encode_status_binary(wire.STATUS_ERROR, item[1])
+                last = item[2]
+            connection._answer(reply, owed, last)
+
+    async def _gather_batch(
+        self, plan: List[Tuple[Optional[str], np.ndarray, bool]], total: int
+    ) -> bytes:
+        """Collect one batch's worker replies, scattered to client order.
+
+        ``plan`` lists, per worker and stride (DECISION records for its
+        lone frames, then RUNs for its bulk records), the request
+        positions answered, in the order asked. DECISION records are
+        scattered as they are read; RUN records are copied out of their
+        link and the batch's are expanded together, once. A read failure
+        or protocol surprise reports the worker lost and what it still
+        owes the batch becomes synthesized REJECT frames, keeping the
+        client's stream complete and ordered.
+        """
+        merged = np.empty(total, dtype=wire.DECISION_RECORD)
+        runs: List[bytes] = []
+        places: List[np.ndarray] = []
+        for name, positions, lone in plan:
+            link = self._links.get(name) if name is not None else None
+            frames = _SYNTH_REJECT
+            if link is not None and not link.dead:
+                try:
+                    if lone:
+                        records = await link.decisions(len(positions))
+                        frames = records.view(wire.DECISION_RECORD)
+                    else:
+                        runs.append((await link.runs(len(positions))).tobytes())
+                        places.append(positions)
+                        continue
+                except (ConnectionError, OSError):
+                    self.worker_failed(name)
+            merged[positions] = frames  # a view of the link: before the next await
+        if runs:
+            expanded = wire.expand_runs(np.frombuffer(b"".join(runs), wire.RUN_DTYPE))
+            merged[np.concatenate(places)] = expanded.view(wire.DECISION_RECORD)
+        return merged.tobytes()
+
+    async def _aggregate_stats(self, names: Tuple[str, ...]) -> bytes:
+        """Sum the forwarded workers' stats documents into one reply."""
+        totals = {
+            "admitted": 0,
+            "rejected": 0,
+            "keys": 0,
+            "evictions": 0,
+            "grouped": 0,
+            "worker_connections": 0,
+        }
+        meta: Dict[str, object] = {}
+        for name in names:
+            link = self._links.get(name)
+            if link is None or link.dead:
+                continue
+            try:
+                payload = await link.frame()
+            except (ConnectionError, OSError):
+                self.worker_failed(name)
+                continue
+            if not payload or payload[0] != wire.STATUS_STATS:
+                continue  # defensive; a worker only ever answers STATS here
+            document = json.loads(payload[1:])
+            for field in ("admitted", "rejected", "keys", "evictions", "grouped"):
+                totals[field] += int(document.get(field, 0))
+            totals["worker_connections"] += int(document.get("connections", 0))
+            meta.setdefault("strategy", document.get("strategy"))
+            meta.setdefault("period", document.get("period"))
+        document = dict(meta)
+        document.update(totals)
+        document["workers"] = len(self._workers)
+        document["remaps"] = self.remaps
+        document["connections"] = self.connections
+        document["groups"] = self.groups
+        document["routed"] = self.routed
+        document["forwarded"] = self.forwarded
+        document["rows"] = self.rows
+        return json.dumps(document, sort_keys=True).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -767,9 +767,13 @@ class WorkerHandle:
 def _serve_worker(server: AdmissionServer) -> None:
     """A forked worker's life: serve the socket the router bound for it.
 
-    It serves until it is stopped or the router exits. The child ends in
+    It serves until the router stops it or exits. It leaves the router's
+    process group first: a signal sent to the group (a terminal's ^C, a
+    supervisor's stop) is the router's to act on, and the router reads
+    its workers' counts before it stops them. The child ends in
     ``os._exit`` (``multiprocessing``), never in the router's teardown.
     """
+    os.setpgid(0, 0)
     asyncio.run(_until_router_exits(server.serve()))
 
 

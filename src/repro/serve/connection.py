@@ -11,13 +11,13 @@ halves) and the load generator (connects) — need of the wire protocol
   loadgen``, :func:`fetch_stats`): :meth:`~FramedLink.connect` does the
   hello, frames and DECISION records are read by ``await`` in that buffer.
 * :class:`FramedConnection` — one accepted connection on that buffer: its
-  first bytes are :data:`~repro.serve.wire.MAGIC` or it gets one ``!``
-  line and a close, and the socket's read side is held whenever requests
-  must not be accepted: the peer is not draining replies, the subclass is
-  not ready to drain yet, or the endpoint is shutting down. Its
-  :meth:`~FramedConnection.drain` is the one walk over a receive buffer;
-  a subclass says what a batch of ``ACQUIRE`` frames, any other frame and
-  the walk's end mean, and may defer :meth:`~FramedConnection.begin`.
+  first bytes are :data:`~repro.serve.wire.MAGIC`, acked at once, or it
+  gets one ``!`` line and a close, and the socket's read side is held
+  whenever requests must not be accepted: the peer is not draining
+  replies, the subclass owes too many, or the endpoint is shutting down.
+  Its :meth:`~FramedConnection.drain` is the one walk over a receive
+  buffer; a subclass says what a batch of ``ACQUIRE`` frames, any other
+  frame and the walk's end mean.
 * :class:`FramedListener` — the listening half: the one bind (before
   any event loop runs; port 0 read back), :meth:`~FramedListener.serve`
   until a duration ends or the task is cancelled (:func:`until_stopped`:
@@ -302,15 +302,6 @@ class FramedConnection(ReceiveBuffer):
         ``oversized``, and nothing after that prefix can be framed."""
         raise NotImplementedError
 
-    def hello_received(self) -> None:
-        """The peer sent a valid hello; call :meth:`begin` once able to drain.
-
-        The default is able at once. Otherwise the read side is held
-        until :meth:`begin` runs, so a peer that does not wait for the
-        ack cannot overrun the receive buffer.
-        """
-        self.begin()
-
     def idle(self) -> bool:
         """Whether every reply owed to the peer has reached the socket."""
         assert self.transport is not None
@@ -426,7 +417,8 @@ class FramedConnection(ReceiveBuffer):
             self._check_hello()
 
     def _check_hello(self) -> None:
-        """Accept :data:`wire.MAGIC`, refuse anything else with one line."""
+        """Accept :data:`wire.MAGIC` — ack it, then drain the frames that
+        came with it — and refuse anything else with one line."""
         assert self.transport is not None
         magic = wire.MAGIC
         got = bytes(self._view[: min(self._end, len(magic))])
@@ -435,20 +427,9 @@ class FramedConnection(ReceiveBuffer):
             self.transport.close()
         elif len(got) == len(magic):
             self._start += len(magic)
-            self.hello_received()
-            if not self._ready:
-                # An empty asyncio receive view is fatal to the
-                # transport, so nothing more is read until a drain can
-                # make room.
-                self.hold("hello")
-
-    def begin(self) -> None:
-        """Ack the hello and start draining (frames may already be buffered)."""
-        assert self.transport is not None
-        self.transport.write(wire.MAGIC)
-        self._ready = True
-        self.drain()
-        self.release("hello")
+            self.transport.write(magic)
+            self._ready = True
+            self.drain()
 
 
 class FramedListener:

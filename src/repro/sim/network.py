@@ -102,9 +102,6 @@ class Network:
       they are dropped and counted in ``stats.lost_sender_offline`` (the
       destination left the network — the model explicitly permits this,
       and the sender leaving mid-instant is the symmetric case).
-    * ``send_log_enabled`` turns on per-node timestamp logs used by the
-      burst auditor; it is off by default because half a million nodes
-      each logging every send is needless memory in large runs.
     """
 
     def __init__(
@@ -136,9 +133,6 @@ class Network:
         self.transfer_rng = transfer_rng
         self.nodes: Dict[int, SimNode] = {}
         self.stats = NetworkStats()
-        self.sent_per_node: Dict[int, int] = {}
-        self.send_log_enabled = False
-        self.send_log: Dict[int, List[float]] = {}
         self._send_listeners: List[Callable[[Message], None]] = []
 
     # ------------------------------------------------------------------
@@ -149,7 +143,6 @@ class Network:
         if node.node_id in self.nodes:
             raise ValueError(f"duplicate node id {node.node_id}")
         self.nodes[node.node_id] = node
-        self.sent_per_node[node.node_id] = 0
 
     def register_all(self, nodes: Sequence[SimNode]) -> None:
         for node in nodes:
@@ -176,10 +169,9 @@ class Network:
         dynamically scheduled callback races a churn transition at the
         same virtual instant (see the class notes) — is dropped before
         any accounting: it returns ``None`` and increments
-        ``stats.lost_sender_offline`` only. It does not count as sent,
-        does not enter the per-node send log, and is invisible to send
-        listeners, so the §3.4 burst audit never sees a message the
-        node could not actually emit.
+        ``stats.lost_sender_offline`` only. It does not count as sent and
+        is invisible to send listeners, so the §3.4 burst audit never
+        sees a message the node could not actually emit.
         """
         sender = self.nodes[src]
         if not sender.online:
@@ -193,9 +185,6 @@ class Network:
         stats = self.stats
         stats.sent += 1
         stats.by_kind[kind] = stats.by_kind.get(kind, 0) + 1
-        self.sent_per_node[src] += 1
-        if self.send_log_enabled:
-            self.send_log.setdefault(src, []).append(now)
         for listener in self._send_listeners:
             listener(message)
         delay = self.transfer_time
@@ -211,10 +200,6 @@ class Network:
     def add_send_listener(self, listener: Callable[[Message], None]) -> None:
         """Observe every send (used by metric collectors and auditors)."""
         self._send_listeners.append(listener)
-
-    def enable_send_log(self) -> None:
-        """Record per-node send timestamps (for burst auditing)."""
-        self.send_log_enabled = True
 
     # ------------------------------------------------------------------
     def _deliver(self, message: Message) -> None:

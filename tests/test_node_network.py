@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.ratelimit import RateLimitAuditor
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.node import SimNode
@@ -72,15 +73,12 @@ def test_send_from_offline_node_is_counted_drop():
     nodes[0].set_online(False)
     seen = []
     network.add_send_listener(lambda m: seen.append(m))
-    network.enable_send_log()
     assert network.send(0, 1, "x") is None
     sim.run()
     assert nodes[1].inbox == []
     assert network.stats.lost_sender_offline == 1
     # The message never existed for any other accounting surface.
     assert network.stats.sent == 0
-    assert network.sent_per_node[0] == 0
-    assert network.send_log == {}
     assert seen == []
 
 
@@ -133,26 +131,21 @@ def test_duplicate_registration_raises():
 
 def test_per_node_send_accounting():
     sim, network, nodes = wired()
+    auditor = RateLimitAuditor(network)
     network.send(0, 1, "a")
     network.send(0, 2, "b")
     network.send(1, 2, "c")
-    assert network.sent_per_node == {0: 2, 1: 1, 2: 0}
+    assert [auditor.total_sends(node) for node in range(3)] == [2, 1, 0]
     assert network.stats.sent == 3
-
-
-def test_send_log_disabled_by_default():
-    sim, network, nodes = wired()
-    network.send(0, 1, "a")
-    assert network.send_log == {}
 
 
 def test_send_log_records_times():
     sim, network, nodes = wired()
-    network.enable_send_log()
+    auditor = RateLimitAuditor(network)
     network.send(0, 1, "a")
     sim.schedule_at(5.0, network.send, 0, 1, "b")
     sim.run()
-    assert network.send_log[0] == [0.0, 5.0]
+    assert auditor.send_times[0] == [0.0, 5.0]
 
 
 def test_send_listener_observes_messages():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.protocol import DATA
+from repro.core.ratelimit import RateLimitAuditor
 from repro.core.strategies import (
     GeneralizedTokenAccount,
     ProactiveStrategy,
@@ -220,9 +221,10 @@ def test_try_spend_token():
 def test_kick_sends_without_touching_account():
     system = MiniSystem(SimpleTokenAccount(5), n=3, period=10.0, initial_tokens=3)
     node = system.nodes[0]
+    auditor = RateLimitAuditor(system.network)
     assert node.kick(2) == 2
     assert node.account.balance == 3
-    assert system.network.sent_per_node[0] == 2
+    assert auditor.total_sends(0) == 2
 
 
 def test_kick_while_offline_is_noop():

@@ -593,6 +593,115 @@ def test_cluster_answers_errors_in_order_and_survives_them():
 
 
 # ----------------------------------------------------------------------
+# one link per worker, shared by every client
+# ----------------------------------------------------------------------
+def test_clients_share_one_link_per_worker():
+    """Three clients pipeline interleaved requests on overlapping keys:
+    each gets its replies in its own request order, each key's admits are
+    what one limiter grants it, and the workers see one connection each."""
+    shared = [f"shared{i}" for i in range(6)]
+    rng = random.Random(5)
+    rounds = []
+    for _ in range(4):
+        per_client = []
+        for index in range(3):
+            keys = shared * 2 + [f"own{index}-{i}" for i in range(4)] * 2
+            rng.shuffle(keys)
+            per_client.append(keys)
+        rounds.append(per_client)
+
+    async def scenario():
+        router, servers = await start_cluster(2, clock=ManualClock())
+        sessions = [await binary_session(router.port) for _ in range(3)]
+        answered = [[] for _ in sessions]
+        for per_client in rounds:
+            replies = await asyncio.gather(
+                *(
+                    acquire_many(*session, keys)
+                    for session, keys in zip(sessions, per_client)
+                )
+            )
+            for index, decisions in enumerate(replies):
+                answered[index] += zip(per_client[index], decisions)
+        stats = await fetch_cluster_stats(*sessions[0])
+        links = len(router._links)
+        await teardown(router, servers, *sessions)
+        return answered, stats, links
+
+    answered, stats, links = asyncio.run(scenario())
+    assert links == 2
+    assert stats["connections"] == 3
+    assert stats["worker_connections"] == 2  # not one per client per worker
+    requests = sum(len(keys) for per_client in rounds for keys in per_client)
+    assert stats["admitted"] + stats["rejected"] == requests
+    # a client's own keys: its replies in its own request order, exactly
+    for index, pairs in enumerate(answered):
+        for i in range(4):
+            own = [d for key, d in pairs if key == f"own{index}-{i}"]
+            assert [d.admitted for d in own] == [True] * 3 + [False] * 5
+            assert [d.balance for d in own[:3]] == [2, 1, 0]
+    # a shared key: one account, whichever clients asked, in each one's order
+    reference = make_limiter(clock=ManualClock())
+    for key in shared:
+        admits = []
+        for pairs in answered:
+            mine = [d for k, d in pairs if k == key]
+            flags = [d.admitted for d in mine]
+            assert flags == sorted(flags, reverse=True)
+            admits += [d.balance for d in mine if d.admitted]
+        asked = sum(k == key for pairs in answered for k, _ in pairs)
+        granted = sum(reference.try_acquire(key).admitted for _ in range(asked))
+        assert sorted(admits, reverse=True) == [2, 1, 0][:granted]
+
+
+@pytest.mark.parametrize("leave", ["close", "failed-write"])
+def test_replies_owed_to_a_client_that_is_gone_are_read_and_dropped(leave):
+    """A client leaves with batches in flight (it closes, or writing to it
+    fails): its replies are still read off the shared links and dropped,
+    so another client's replies are complete and correct."""
+    stay = [f"stay{i % 8}" for i in range(40)]
+
+    async def scenario():
+        router, servers = await start_cluster(2, clock=ManualClock())
+        gone = await binary_session(router.port)
+        (connection,) = router._protocols
+        owed_when_gone = []
+        lost = connection.connection_lost
+
+        def connection_lost(exc):
+            owed_when_gone.append(connection._outstanding)
+            lost(exc)
+
+        def write(data):
+            owed_when_gone.append(len(data) // wire.DECISION_FRAME_SIZE)
+            raise ConnectionResetError("the client's socket failed")
+
+        if leave == "close":
+            connection.connection_lost = connection_lost
+        else:
+            connection.transport.write = write
+        stayer = await binary_session(router.port)
+        gone[1].write(
+            b"".join(wire.encode_request_binary(f"gone{i % 16}") for i in range(3000))
+        )
+        if leave == "close":
+            gone[1].close()
+        while connection.transport is not None:
+            await asyncio.sleep(0.001)
+        decisions = await asyncio.wait_for(acquire_many(*stayer, stay), timeout=10.0)
+        responding = not router._responder.done()
+        await teardown(router, servers, gone, stayer)
+        return owed_when_gone, decisions, responding
+
+    owed_when_gone, decisions, responding = asyncio.run(scenario())
+    assert owed_when_gone and owed_when_gone[0] > 0  # it left with replies owed
+    assert responding
+    # 8 keys round-robin at C=3: request i is its key's (i // 8)-th
+    assert [d.admitted for d in decisions] == [i < 24 for i in range(40)]
+    assert [d.balance for d in decisions[:24]] == [2 - i // 8 for i in range(24)]
+
+
+# ----------------------------------------------------------------------
 # the hello: identical on the server and the router
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kind", ["server", "router"])
@@ -1058,6 +1167,49 @@ def test_a_signal_stops_serve_with_its_summary(flags, signum):
     cluster = " across 2 worker(s), 0 remap(s)" if flags else ""
     assert out.splitlines()[-1] == (
         f"served 12 admissions / 8 rejections over 4 key(s){cluster}"
+    )
+    assert not any(map(running, members))
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["term", "int"])
+def test_a_group_signal_stops_a_cluster_with_its_true_summary(signum):
+    """A signal to the whole process group (a terminal's ^C, a supervisor's
+    stop) reaches the workers too: they must leave their end to the router,
+    whose summary counts what they decided."""
+    process = serve_cli(
+        *("--workers", "2", "--period", "50", "--port", "0", "--seed", "1"),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    members: set = set()
+    try:
+        assert process.stdout is not None
+        match = re.search(r"on [0-9.]+:(\d+)", process.stdout.readline())
+        assert match, "the router never announced its port"
+        members = {process.pid} | child_pids(process.pid)
+        assert len(members) == 3
+
+        async def drive():
+            session = await binary_session(int(match.group(1)))
+            decisions = await acquire_many(*session, [f"k{i % 4}" for i in range(20)])
+            session[1].close()
+            return decisions
+
+        assert sum(d.admitted for d in asyncio.run(drive())) == 12
+        os.killpg(process.pid, signum)
+        out, err = process.communicate(timeout=30)
+    finally:
+        if process.poll() is None:  # pragma: no cover - a failed drive
+            process.kill()
+            process.wait(timeout=10)
+        for pid in filter(running, members - {process.pid}):  # pragma: no cover
+            os.kill(pid, signal.SIGKILL)
+    assert process.returncode == 0
+    assert err == ""
+    assert out.splitlines()[-1] == (
+        "served 12 admissions / 8 rejections over 4 key(s) "
+        "across 2 worker(s), 0 remap(s)"
     )
     assert not any(map(running, members))
 

@@ -76,7 +76,7 @@ class Side:
             link.connection_made(Recorder())
             link.dead = name in dead
             self.links[name] = link
-        self.connection._links.update(self.links)
+        self.router._links.update(self.links)
         self.connection._ready = True
         if empty_ring:
             for name in WORKERS:
@@ -92,9 +92,9 @@ class Side:
         view = self.connection.get_buffer(-1)
         view[: len(data)] = data
         self.connection.buffer_updated(len(data))
-        queue = self.connection._queue
+        queue = self.router._queue
         while not queue.empty():
-            item = queue.get_nowait()
+            _, item = queue.get_nowait()
             if item[0] == "B":
                 plan = [(name, at.tolist(), lone) for name, at, lone in item[1]]
                 item = ("B", plan, item[2])
