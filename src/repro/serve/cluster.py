@@ -42,19 +42,21 @@ frame seen **once** is forwarded to its owner verbatim and the worker's
 ordinary drain answers it with a 17-byte DECISION record. A frame seen
 ``count`` > 1 times collapses to one ~``5+len(key)``-byte
 ``ACQUIRE_BULK`` record, answered by 20-byte ``RUN`` frames and nothing
-else (*Bulk admission* in :mod:`repro.serve.wire`). A worker is sent its
-lone frames first, then its bulk records, each in first-occurrence
-order, so its reply to a batch is two fixed strides.
+else (*Bulk admission* in :mod:`repro.serve.wire`); a worker decides
+the bulk frames of one read together, in one ``try_acquire_runs`` call.
+A worker is sent its lone frames first, then its bulk records, each in
+first-occurrence order, so its reply to a batch is two fixed strides.
 
 The reply side never works per group. One responder task takes every
 client's batches in the order they were written and reassembles each
 client's order **per worker per batch**, reading the link's preallocated
 receive buffer in place (:class:`_WorkerLink`: nothing is allocated per
 wake-up). The DECISION stride is scattered to its request positions as
-opaque records; the RUN stride is cut where its records' decision
-counts add up to what the batch owes that worker for repeats and copied
-out of the link. Once every worker has answered, the batch's RUN
-records are expanded in one columnar pass
+opaque records; the RUN stride — parsed once, when at least as many RUN
+frames as the worker was sent bulk records are in — is cut where its
+records' decision counts add up to what the batch owes that worker for
+repeats and copied out of the link. Once every worker has answered, the
+batch's RUN records are expanded in one columnar pass
 (:func:`~repro.serve.wire.expand_runs`) and scattered the same way.
 What a link received beyond that — the next batch's replies, a STATS
 document — stays in its buffer for the next reader. A client that has
@@ -105,12 +107,15 @@ ends a worker: it stops and reaps each one after its teardown, and a
 worker watches the router's sentinel as the router watches its, so a
 router killed before its teardown takes its workers with it. A worker
 runs in a process group of its own, so a signal sent to the router's
-group reaches the router alone. Every process stops one way, by
-cancelling its serving task (:func:`~repro.serve.connection.until_stopped`:
-SIGTERM and SIGINT do it from the event loop). At shutdown the router
-fetches its own STATS document over its public port, before it stops
-its workers: the summary ``repro serve`` prints is the one any client
-reads, with every worker's counts in it.
+group reaches the router alone, and in the ``SCHED_BATCH`` scheduling
+class: a router write queues the worker's turn instead of preempting the
+router mid-batch, so a worker wakes once per round. Every process stops
+one way, by cancelling its serving task
+(:func:`~repro.serve.connection.until_stopped`: SIGTERM and SIGINT do it
+from the event loop). At shutdown the router fetches its own STATS
+document over its public port, before it stops its workers: the summary
+``repro serve`` prints is the one any client reads, with every worker's
+counts in it.
 """
 
 from __future__ import annotations
@@ -135,6 +140,7 @@ from repro.serve.connection import (
     FramedLink,
     FramedListener,
     HelloError,
+    _row_frames,
     fetch_stats,
     until_stopped,
 )
@@ -172,13 +178,6 @@ _SYNTH_REJECT = np.frombuffer(
     wire.encode_decision_binary(Decision(False, "", "exhausted", 0, 0.0)),
     dtype=wire.DECISION_RECORD,
 )[0]
-
-
-def _row_frames(rows: np.ndarray) -> List[bytes]:
-    """Each of :func:`~repro.serve.wire.acquire_rows`' rows as one frame's
-    bytes, whole: a void view keeps trailing NUL key bytes (an ``S``
-    dtype would strip them)."""
-    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
 
 
 def _bulk_records(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -244,8 +243,9 @@ class _WorkerLink(FramedLink):
         super().__init__(_LINK_BUFFER)
         self.dead = False
 
-    async def runs(self, owed: int) -> np.ndarray:
-        """The RUN records that answer the next ``owed`` decisions.
+    async def runs(self, owed: int, least: int = 1) -> np.ndarray:
+        """The RUN records that answer the next ``owed`` decisions, at least
+        ``least`` of them.
 
         The cut is the record where the running total of
         ``admits + rejects`` equals ``owed``; every RUN answers at least
@@ -254,14 +254,19 @@ class _WorkerLink(FramedLink):
         else up to there — another status or length, a total that steps
         over ``owed`` or never reaches it — raises
         :class:`ConnectionError`: the stream can no longer be trusted
-        to line up with what the router asked.
+        to line up with what the router asked. Nothing is parsed before
+        ``least`` whole records are in (a batch's bulk records, each
+        answered by one RUN or more), and after a pass that fell short
+        not before one more is: a stride that arrives over several
+        wake-ups is parsed once. Until then only the head of the record
+        being received is checked.
         """
         size = wire.RUN_FRAME_SIZE
         status = wire.STATUS_RUN
         while True:
             start = self._start
             whole = min((self._end - start) // size, owed)
-            if whole:
+            if whole >= least:
                 records = np.frombuffer(self._buffer, wire.RUN_DTYPE, whole, start)
                 counts = records["admits"].astype(np.intp) + records["rejects"]
                 covered = counts.cumsum()
@@ -276,6 +281,7 @@ class _WorkerLink(FramedLink):
                     return records
                 if whole == owed:
                     raise ConnectionError("RUN frames fall short of the batch")
+                least = whole + 1
             await self._fill(start + whole * size, _RUN_HEAD)
 
 
@@ -387,7 +393,9 @@ class _RouterConnection(FramedConnection):
         first-occurrence order, so its reply to the batch is two fixed
         strides. The plan lists, per worker in order of first
         appearance, the positions its DECISION and RUN strides answer,
-        then the positions of frames no worker owns (an empty ring).
+        each with how many bulk records it answers (0 for DECISION
+        records), then the positions of frames no worker owns (an empty
+        ring).
         """
         #: verbatim ACQUIRE frame -> this batch's positions, in order
         groups: Dict[bytes, List[int]] = {}
@@ -426,7 +434,7 @@ class _RouterConnection(FramedConnection):
                 )
                 bucket[3].extend(positions)
         router = self.router
-        plan: List[Tuple[Optional[str], np.ndarray, bool]] = []
+        plan: List[Tuple[Optional[str], np.ndarray, int]] = []
         for slot, (lone, singles, records, repeats) in pending.items():
             name = router._names[slot]
             link = router._links.get(name)
@@ -435,12 +443,12 @@ class _RouterConnection(FramedConnection):
                     lone.append(_pack_bulk_frames(records))
                 link.transport.write(b"".join(lone))
             if singles:
-                plan.append((name, np.array(singles, dtype=np.intp), True))
+                plan.append((name, np.array(singles, dtype=np.intp), 0))
             if repeats:
-                plan.append((name, np.array(repeats, dtype=np.intp), False))
+                plan.append((name, np.array(repeats, dtype=np.intp), len(records)))
             router.forwarded += len(singles)
         if orphans:
-            plan.append((None, np.array(orphans, dtype=np.intp), False))
+            plan.append((None, np.array(orphans, dtype=np.intp), 0))
         total = len(frames)
         router.groups += len(groups)
         router.routed += total
@@ -459,7 +467,8 @@ class _RouterConnection(FramedConnection):
         last such batch had repeats sorts at once, without hashing first.
         """
         total = len(rows)
-        #: per worker: (its first group, slot, bytes, singles, repeats)
+        #: per worker: (its first group, slot, bytes, singles, repeats, and
+        #: how many bulk records it is sent)
         shares = []
         frames = None if self._repeats else _row_frames(rows)
         if frames is not None and len(set(frames)) == total:
@@ -470,7 +479,7 @@ class _RouterConnection(FramedConnection):
             for slot in slots:
                 singles = np.flatnonzero(owners == slot)
                 data = rows[singles].tobytes()
-                shares.append((singles[0], slot, data, singles, ()))
+                shares.append((singles[0], slot, data, singles, (), 0))
             orphans = np.flatnonzero(owners < 0) if orphaned else ()
         else:
             first, counts, order = wire.group_rows_first(rows)
@@ -487,22 +496,23 @@ class _RouterConnection(FramedConnection):
                 singles = first[mine ^ bulk]
                 data = rows[singles].tobytes() + _pack_bulk_rows(records[bulk])
                 repeats = order[np.repeat(bulk, counts)]
-                shares.append((mine.argmax(), slot, data, singles, repeats))
+                sent = int(np.count_nonzero(bulk))
+                shares.append((mine.argmax(), slot, data, singles, repeats, sent))
             orphans = order[np.repeat(owners < 0, counts)] if orphaned else ()
         router = self.router
-        plan: List[Tuple[Optional[str], np.ndarray, bool]] = []
-        for _, slot, data, singles, repeats in sorted(shares, key=itemgetter(0)):
+        plan: List[Tuple[Optional[str], np.ndarray, int]] = []
+        for _, slot, data, singles, repeats, sent in sorted(shares, key=itemgetter(0)):
             name = router._names[slot]
             link = router._links.get(name)
             if link is not None and not link.dead:
                 link.transport.write(data)
             if len(singles):
-                plan.append((name, singles, True))
+                plan.append((name, singles, 0))
             if len(repeats):
-                plan.append((name, repeats, False))
+                plan.append((name, repeats, sent))
             router.forwarded += len(singles)
         if len(orphans):
-            plan.append((None, orphans, False))
+            plan.append((None, orphans, 0))
         router.groups += count
         router.routed += total
         self._owe(("B", plan, total), total)
@@ -664,13 +674,14 @@ class ClusterRouter(FramedListener):
             connection._answer(reply, owed, last)
 
     async def _gather_batch(
-        self, plan: List[Tuple[Optional[str], np.ndarray, bool]], total: int
+        self, plan: List[Tuple[Optional[str], np.ndarray, int]], total: int
     ) -> bytes:
         """Collect one batch's worker replies, scattered to client order.
 
         ``plan`` lists, per worker and stride (DECISION records for its
         lone frames, then RUNs for its bulk records), the request
-        positions answered, in the order asked. DECISION records are
+        positions answered, in the order asked, and how many bulk records
+        the stride answers (0: DECISION records). DECISION records are
         scattered as they are read; RUN records are copied out of their
         link and the batch's are expanded together, once. A read failure
         or protocol surprise reports the worker lost and what it still
@@ -680,16 +691,16 @@ class ClusterRouter(FramedListener):
         merged = np.empty(total, dtype=wire.DECISION_RECORD)
         runs: List[bytes] = []
         places: List[np.ndarray] = []
-        for name, positions, lone in plan:
+        for name, positions, bulk in plan:
             link = self._links.get(name) if name is not None else None
             frames = _SYNTH_REJECT
             if link is not None and not link.dead:
                 try:
-                    if lone:
+                    if not bulk:
                         records = await link.decisions(len(positions))
                         frames = records.view(wire.DECISION_RECORD)
                     else:
-                        runs.append((await link.runs(len(positions))).tobytes())
+                        runs.append((await link.runs(len(positions), bulk)).tobytes())
                         places.append(positions)
                         continue
                 except (ConnectionError, OSError):
@@ -770,11 +781,31 @@ def _serve_worker(server: AdmissionServer) -> None:
     It serves until the router stops it or exits. It leaves the router's
     process group first: a signal sent to the group (a terminal's ^C, a
     supervisor's stop) is the router's to act on, and the router reads
-    its workers' counts before it stops them. The child ends in
+    its workers' counts before it stops them. Then it enters the batch
+    scheduling class (:func:`_batch_class`). The child ends in
     ``os._exit`` (``multiprocessing``), never in the router's teardown.
     """
     os.setpgid(0, 0)
+    _batch_class()
     asyncio.run(_until_router_exits(server.serve()))
+
+
+def _batch_class() -> None:
+    """Put this process in ``SCHED_BATCH``, where the OS has it; else keep
+    the class it inherited.
+
+    A batch-class task that wakes does not preempt the one running on its
+    core: a router write to a worker link queues the worker's turn instead
+    of handing it the core in the middle of the router's batch, so the
+    worker wakes once per round and reads everything the router wrote.
+    """
+    policy = getattr(os, "SCHED_BATCH", None)
+    if policy is None:
+        return
+    try:
+        os.sched_setscheduler(0, policy, os.sched_param(0))
+    except OSError:
+        pass
 
 
 async def _until_router_exits(serving) -> None:

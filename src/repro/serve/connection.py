@@ -79,6 +79,13 @@ def stretch_rows(
     return wire.acquire_rows(buffer, start, end, length, least)
 
 
+def _row_frames(rows: np.ndarray) -> List[bytes]:
+    """Each of :func:`~repro.serve.wire.acquire_rows`' rows as one frame's
+    bytes, whole: a void view keeps trailing NUL key bytes (an ``S``
+    dtype would strip them)."""
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
+
+
 class HelloError(ValueError):
     """The peer did not echo the hello (no :class:`OSError`: the host was reached)."""
 

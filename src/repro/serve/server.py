@@ -19,8 +19,10 @@ call whose batch core packs the ``DECISION`` records, written as is —
 except where a stretch of ``_ROWS_MIN`` same-size frames is answered
 byte for byte the same by NumPy rows decided once per key
 (:meth:`~repro.serve.limiter.TokenAccountLimiter.try_acquire_runs`, the
-*grouped road*; ARCHITECTURE.md, *Serving*). Any other frame is a flush
-barrier.
+*grouped road*; ARCHITECTURE.md, *Serving*). Consecutive
+``ACQUIRE_BULK`` frames (a cluster router's) are decided together, by
+one ``try_acquire_runs`` call, at the next barrier. Any other frame is a
+flush barrier.
 
 :class:`ServeConfig` is one ``repro serve``'s settings, in either shape:
 its :meth:`~ServeConfig.limiter` is the one place a served limiter is
@@ -36,7 +38,12 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from repro.serve import wire
-from repro.serve.connection import _ROWS_MIN, FramedConnection, FramedListener
+from repro.serve.connection import (
+    _ROWS_MIN,
+    FramedConnection,
+    FramedListener,
+    _row_frames,
+)
 from repro.serve.limiter import TokenAccountLimiter
 
 #: rows per group above which the grouped road loses to the frame road
@@ -95,11 +102,17 @@ class _AdmissionProtocol(FramedConnection):
         self.limiter = server.limiter
         #: this walk's replies, written together when it ends
         self._out: List[bytes] = []
+        #: ``(key, useful, count)`` groups of the bulk frames met since the
+        #: last barrier, decided together (:meth:`_respond_bulk`)
+        self._bulk: List[tuple] = []
+        #: the last stretch offered the grouped road had too many groups
+        self._sparse = False
 
     # ------------------------------------------------------------------
     def batch(self, parts) -> None:
         """Decide a batch: its frames in one ``try_acquire_frames`` call, cut
         only where a stretch takes the grouped road (:meth:`_grouped`)."""
+        self._respond_bulk()
         buffer, view = self._buffer, self._view
         useful = wire.FLAG_USEFUL
         keys: List[str] = []
@@ -133,13 +146,22 @@ class _AdmissionProtocol(FramedConnection):
         that is byte for byte the frame road's: a closed-form strategy,
         ``_ROWS_MIN`` rows or more, at most one group per ``_ROWS_PER_GROUP``
         rows, distinct decoded keys and — once ``decide`` has decided the
-        frames ahead — no eviction. Else ``None``."""
+        frames ahead — no eviction. Else ``None``. After a stretch with too
+        many groups, the next is sorted only if its first ``count //
+        _ROWS_PER_GROUP + 1`` frames are not all distinct (one ``set``):
+        if they are, so many groups already decline it, and a connection
+        of distinct keys sorts nothing."""
         limiter = self.limiter
         count = len(rows)
         if not limiter._run_closed_form or count < _ROWS_MIN:
             return None
+        if self._sparse:
+            head = count // _ROWS_PER_GROUP + 1
+            if len(set(_row_frames(rows[:head]))) == head:
+                return None
         last, counts, places = wire.group_rows(rows)
-        if len(last) * _ROWS_PER_GROUP > count:
+        self._sparse = len(last) * _ROWS_PER_GROUP > count
+        if self._sparse:
             return None
         # one key under two flags bytes, or two byte strings that decode
         # to one key, would be two groups on one state
@@ -155,20 +177,27 @@ class _AdmissionProtocol(FramedConnection):
         return wire.decisions_from_runs(runs, places)
 
     def frame(self, payload) -> None:
-        """Answer a frame outside the batches: ``ACQUIRE_BULK``, ``STATS``,
-        ``PING``, or an ``ERROR`` for a malformed one."""
+        """Take a frame outside the batches: keep an ``ACQUIRE_BULK`` frame's
+        groups for :meth:`_respond_bulk`; answer ``STATS``, ``PING``, or an
+        ``ERROR`` for a malformed frame, after the groups kept so far."""
         try:
             if len(payload) >= 7 and payload[0] == wire.OP_ACQUIRE_BULK:
-                self._respond_bulk(payload)
-            elif wire.parse_request_binary(payload)[0] == "S":
-                self._reply(wire.STATUS_STATS, self._stats_json())
-            else:
-                self._reply(wire.STATUS_PONG)
+                self._bulk += wire.parse_bulk_binary(payload)
+                return
+            stats = wire.parse_request_binary(payload)[0] == "S"
         except ValueError as error:
+            self._respond_bulk()
             self._reply(wire.STATUS_ERROR, str(error).encode())
+            return
+        self._respond_bulk()
+        if stats:
+            self._reply(wire.STATUS_STATS, self._stats_json())
+        else:
+            self._reply(wire.STATUS_PONG)
 
     def drained(self, oversized: bool) -> None:
         """Write the walk's replies at once; a bad prefix also ends the connection."""
+        self._respond_bulk()
         if oversized:
             self._reply(wire.STATUS_ERROR, b"frame exceeds %d bytes" % wire.MAX_FRAME)
         out = self._out
@@ -181,16 +210,23 @@ class _AdmissionProtocol(FramedConnection):
     def _reply(self, status: int, body: bytes = b"") -> None:
         self._out.append(wire.encode_status_binary(status, body))
 
-    def _respond_bulk(self, payload) -> None:
-        """Answer one ``ACQUIRE_BULK`` frame with ``RUN`` frames only.
+    def _respond_bulk(self) -> None:
+        """Answer the kept ``ACQUIRE_BULK`` groups with ``RUN`` frames only.
 
-        One ``try_acquire_runs`` call for the whole frame; where the
-        strategy has no closed form, each group's ``count`` decisions
+        The groups of every bulk frame since the last barrier, in frame
+        order, go to one ``try_acquire_runs`` call (a key in two frames is
+        two groups on one state, each with its own records): the RUN
+        stream is the one those frames would get one at a time. Where the
+        strategy has no closed form, each group's ``count`` decisions go
         through ``try_acquire_frames``, re-framed as single-decision
         ``RUN`` frames — so the router reads one fixed stride whatever
-        the strategy. One clock read covers the whole frame.
+        the strategy. One clock read covers every group kept, the whole
+        walk's bulk frames up to the barrier.
         """
-        groups = wire.parse_bulk_binary(payload)
+        groups = self._bulk
+        if not groups:
+            return
+        self._bulk = []
         keys, flags, counts = zip(*groups)
         limiter, out = self.limiter, self._out
         runs = limiter.try_acquire_runs(keys, counts, flags)

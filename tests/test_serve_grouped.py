@@ -312,6 +312,37 @@ def test_rows_end_at_the_first_other_frame(run):
     assert rows[:, 4:].tobytes() == b"".join(width_keys(4, run))
 
 
+def test_a_connection_sorts_no_stretch_after_a_sparse_one_that_cannot_group(
+    monkeypatch,
+):
+    sorts = []
+    group_rows = wire.group_rows
+
+    def counted(rows):
+        sorts.append(len(rows))
+        return group_rows(rows)
+
+    monkeypatch.setattr(wire, "group_rows", counted)
+    twin = Twin("generalized", shards=8)
+    sparse = frames(width_keys(6, ROWS))
+    dense = run_frames(width_keys(6, 8), ROWS // 8)
+    for chunk, sorted_ in [
+        (sparse, 1),  # sorted, and too many groups
+        (sparse, 1),  # counted by a set instead
+        (dense, 2),
+        (sparse, 3),  # the last stretch grouped: sorted again
+        (sparse, 3),
+        (sparse, 3),
+        (dense, 4),
+    ]:
+        twin.clock.advance(0.75)
+        served, reference = twin.feed(chunk)
+        assert served == reference
+        assert len(sorts) == sorted_
+    twin.assert_same_state()
+    assert twin.limiter.grouped == 2 * ROWS
+
+
 def test_a_table_that_would_evict_mid_batch_takes_the_frame_road():
     twin = Twin("generalized", shards=2, max_keys=8)
     chunk = run_frames(width_keys(6, 6), ROWS // 6 + 1)  # 6 keys, 4-key shards
