@@ -39,6 +39,15 @@ Fidelity notes
   to banking the token and a reactive send refunds unspent tokens; both
   paths keep the §3.4 burst bound intact (see
   :mod:`repro.core.account`).
+* ``proactive(a)`` and ``randRound(reactive(a, u))`` are read from the
+  strategy's :class:`~repro.core.kernel.DecisionKernel` tables, the same
+  lists the serving limiter reads, for boolean ``u`` and balances in
+  ``[0, lut_max]``. Graded usefulness, other flags and balances outside
+  the tables go through the formulas and :func:`rand_round`, as
+  :meth:`~repro.core.kernel.DecisionKernel.decide_one_drawn` does. The
+  draws are the formulas' own either way: one uniform per online tick
+  (even when the probability is 0 or 1) and one per reaction whose
+  budget has a fractional part.
 """
 
 from __future__ import annotations
@@ -92,6 +101,7 @@ class TokenAccountNode(SimNode):
         "app",
         "rng",
         "account",
+        "kernel",
         "process",
         "proactive_sends",
         "reactive_sends",
@@ -125,6 +135,7 @@ class TokenAccountNode(SimNode):
             capacity=strategy.token_capacity,
             allow_overdraft=strategy.requires_overdraft,
         )
+        self.kernel = strategy.decision_kernel
         self.process = PeriodicProcess(sim, period, self._on_tick, rng=rng)
         self.proactive_sends = 0
         self.reactive_sends = 0
@@ -159,7 +170,13 @@ class TokenAccountNode(SimNode):
         if not self.online:
             return  # offline nodes neither bank nor spend tokens
         account = self.account
-        if self.rng.random() < self.strategy.proactive(account.balance):
+        balance = account.balance
+        kernel = self.kernel
+        if 0 <= balance <= kernel.lut_max:
+            probability = kernel._pro_list[balance]
+        else:
+            probability = self.strategy.proactive(balance)
+        if self.rng.random() < probability:
             peer = self.peer_sampler.select_peer(self.node_id)
             if peer is None:
                 # No online neighbor: the send is impossible; bank the
@@ -197,8 +214,16 @@ class TokenAccountNode(SimNode):
         directly into a node, §4.1.2 ablation) can trigger the reactive
         response without a network message.
         """
-        desired = self.strategy.reactive(self.account.balance, useful)
-        count = rand_round(desired, self.rng)
+        balance = self.account.balance
+        kernel = self.kernel
+        if (useful is True or useful is False) and 0 <= balance <= kernel.lut_max:
+            key = balance + kernel.lut_span if useful else balance
+            count = kernel._int_list[key]
+            fraction = kernel._frac_list[key]
+            if fraction > 0.0 and self.rng.random() < fraction:
+                count += 1
+        else:
+            count = rand_round(self.strategy.reactive(balance, useful), self.rng)
         if count == 0:
             return 0
         self.account.withdraw(count)

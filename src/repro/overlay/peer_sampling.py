@@ -12,6 +12,13 @@ honours those assumptions over a static overlay with churn:
 For mostly-online populations a couple of rejection-sampling draws are
 cheapest; when rejections pile up we fall back to materializing the
 online subset, which also detects the all-offline case exactly.
+
+Each draw is one ``rng.choice`` on the adjacency tuple. On CPython
+3.10–3.12 ``choice(seq)`` is ``seq[self._randbelow(len(seq))]``: the
+same index as the integer-range draw this module used to make, without
+that draw's argument conversion and checks, so no simulated number
+changes (``tests/test_peer_sampling.py`` holds the two spellings to the
+same generator state).
 """
 
 from __future__ import annotations
@@ -39,15 +46,15 @@ class PeerSampler:
         if not neighbors:
             return None
         nodes = self.network.nodes
-        rng = self.rng
+        choice = self.rng.choice
         for _ in range(_REJECTION_ATTEMPTS):
-            candidate = neighbors[rng.randrange(len(neighbors))]
+            candidate = choice(neighbors)
             if nodes[candidate].online:
                 return candidate
         online = [peer for peer in neighbors if nodes[peer].online]
         if not online:
             return None
-        return online[rng.randrange(len(online))]
+        return choice(online)
 
     def online_neighbors(self, node_id: int) -> list[int]:
         """All currently online out-neighbors (used by tests and metrics)."""

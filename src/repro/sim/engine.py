@@ -150,8 +150,10 @@ class Simulator:
         until:
             Inclusive virtual-time horizon. Events scheduled exactly at
             ``until`` are processed; later events remain queued. When the
-            horizon is reached the clock is advanced to ``until`` even if
-            no event fired exactly there.
+            horizon is reached (or the heap drains) the clock is advanced
+            to ``until`` even if no event fired exactly there; a run cut
+            short by ``max_events`` or :meth:`stop` leaves the clock at
+            the last event it processed.
         max_events:
             Optional safety valve on the number of events processed in
             this call.
@@ -169,6 +171,9 @@ class Simulator:
         horizon = inf if until is None else until
         bounded = max_events is not None
         processed = 0
+        # Only the horizon or an empty heap lets the clock jump to
+        # ``until``: a cap or ``stop()`` leaves earlier events queued.
+        reached = True
         while heap:
             time, seq, handle = heap[0]
             if handle.cancelled or handle.seq != seq:
@@ -177,14 +182,16 @@ class Simulator:
             if time > horizon:
                 break
             if bounded and processed >= max_events:
+                reached = False
                 break
             heappop(heap)
             self.now = time
             handle.fn(*handle.args)
             processed += 1
             if self._stopped:
+                reached = False
                 break
-        if until is not None and not self._stopped and self.now < until:
+        if until is not None and reached and self.now < until:
             self.now = until
         self.processed += processed
         return processed

@@ -34,9 +34,12 @@ from repro.sim.node import SimNode
 class Message(NamedTuple):
     """An application-layer message in flight.
 
-    Immutable, and built once per send: a named tuple is constructed in
-    one C call, where a frozen dataclass pays ``object.__setattr__`` per
-    field.
+    Immutable, and built once per send. :meth:`Network.send` builds it
+    with ``tuple.__new__`` in one C call: the named tuple's own
+    ``__new__`` is a generated Python function (one more frame per
+    send), and a frozen dataclass would pay ``object.__setattr__`` per
+    field. Keyword construction (``Message(src=..., ...)``) works as
+    for any named tuple.
 
     Attributes
     ----------
@@ -59,6 +62,10 @@ class Message(NamedTuple):
     payload: Any
     kind: str
     sent_at: float
+
+
+#: builds a :class:`Message` from its five fields in one C call
+_new_tuple = tuple.__new__
 
 
 @dataclass
@@ -181,7 +188,7 @@ class Network:
             raise KeyError(f"unknown destination node {dst}")
         sim = self.sim
         now = sim.now
-        message = Message(src, dst, payload, kind, now)
+        message = _new_tuple(Message, (src, dst, payload, kind, now))
         stats = self.stats
         stats.sent += 1
         stats.by_kind[kind] = stats.by_kind.get(kind, 0) + 1

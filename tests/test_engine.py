@@ -128,6 +128,38 @@ def test_max_events_limits_processing(sim):
     assert sim.run() == 6
 
 
+def test_a_capped_run_leaves_the_clock_at_its_last_event(sim):
+    """``max_events`` stops before ``until``: the clock must not jump there."""
+    fired = []
+    sim.schedule_at(1.0, fired.append, 1.0)
+    sim.schedule_at(2.0, fired.append, 2.0)
+    assert sim.run(until=10.0, max_events=1) == 1
+    assert sim.now == 1.0
+    # t = 5 lies between the clock and the horizon: still schedulable
+    sim.schedule_at(5.0, fired.append, 5.0)
+    assert sim.run() == 2
+    assert fired == [1.0, 2.0, 5.0]
+    assert sim.now == 5.0
+
+
+def test_a_stopped_run_leaves_the_clock_at_its_last_event(sim):
+    sim.schedule_at(1.0, sim.stop)
+    sim.schedule_at(2.0, lambda: None)
+    assert sim.run(until=10.0) == 1
+    assert sim.now == 1.0
+
+
+def test_a_capped_run_that_meets_the_horizon_advances_the_clock(sim):
+    """Nothing else is due before ``until``, so the cap changes nothing."""
+    sim.schedule_at(1.0, lambda: None)
+    sim.schedule_at(20.0, lambda: None)
+    sim.schedule_at(3.0, lambda: None).cancel()
+    assert sim.run(until=10.0, max_events=1) == 1
+    assert sim.now == 10.0
+    assert sim.run(until=15.0, max_events=0) == 0
+    assert sim.now == 15.0
+
+
 def test_step_processes_single_event(sim):
     fired = []
     sim.schedule(1.0, fired.append, "a")
@@ -265,6 +297,9 @@ OPERATIONS = st.one_of(
     st.tuples(st.just("step")),
     st.tuples(st.just("run_until"), OFFSETS),
     st.tuples(st.just("run_max"), st.integers(min_value=0, max_value=4)),
+    st.tuples(
+        st.just("run_until_max"), OFFSETS, st.integers(min_value=0, max_value=4)
+    ),
 )
 
 
@@ -294,6 +329,10 @@ class ReferenceQueue:
         self.processed += 1
         self.fired.append((tag, time))
         return True
+
+    def due(self, until):
+        """Whether a live event is scheduled at or before ``until``."""
+        return any(time <= until for time, _ in self.live.values())
 
 
 @given(st.lists(OPERATIONS, max_size=60))
@@ -340,6 +379,14 @@ def test_engine_matches_a_sorted_list_reference(operations):
         elif name == "run_max":
             count = sum(ref.fire_next() for _ in range(params[0]))
             assert sim.run(max_events=params[0]) == count
+        elif name == "run_until_max":
+            until, cap = ref.now + params[0], params[1]
+            count = 0
+            while count < cap and ref.fire_next(until):
+                count += 1
+            if not ref.due(until):
+                ref.now = until  # only the horizon moves the clock there
+            assert sim.run(until=until, max_events=cap) == count
 
         assert fired == ref.fired
         assert sim.now == ref.now

@@ -3,6 +3,8 @@
 import random
 from collections import Counter
 
+import pytest
+
 from repro.overlay.graph import Overlay
 from repro.overlay.peer_sampling import PeerSampler
 from repro.sim.engine import Simulator
@@ -66,3 +68,35 @@ def test_online_neighbors_helper():
     nodes[2].set_online(False)
     assert sampler.online_neighbors(0) == [1, 3]
     assert sampler.online_neighbors(1) == [0]
+
+
+def reference_select(neighbors, nodes, rng):
+    """``select_peer`` as spelled with ``randrange``: the numbers it must keep."""
+    if not neighbors:
+        return None
+    for _ in range(8):
+        candidate = neighbors[rng.randrange(len(neighbors))]
+        if nodes[candidate].online:
+            return candidate
+    online = [peer for peer in neighbors if nodes[peer].online]
+    if not online:
+        return None
+    return online[rng.randrange(len(online))]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 7, 20, 1000])
+@pytest.mark.parametrize("online_share", [1.0, 0.5, 0.1, 0.0])
+def test_draws_leave_the_generator_where_randrange_did(degree, online_share):
+    """Same peers and the same generator state as the ``randrange`` spelling,
+    on the rejection draws and on the fallback over the online subset."""
+    out = [list(range(1, degree + 1))] + [[0]] * degree
+    sampler, nodes = wired(out, seed=degree)
+    layout = random.Random(7)
+    for node in nodes[1:]:
+        node.set_online(layout.random() < online_share)
+    if online_share == 0.1:
+        nodes[degree].set_online(True)  # at least one peer: the fallback finds it
+    twin = random.Random(degree)
+    for _ in range(300):
+        assert sampler.select_peer(0) == reference_select(out[0], nodes, twin)
+        assert sampler.rng.getstate() == twin.getstate()

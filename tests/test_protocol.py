@@ -1,15 +1,24 @@
 """Unit tests for Algorithm 4 mechanics (the TokenAccountNode)."""
 
+import random
+
 import pytest
 
+from repro.core.grading import (
+    GradedGeneralizedTokenAccount,
+    GradedRandomizedTokenAccount,
+)
 from repro.core.protocol import DATA
 from repro.core.ratelimit import RateLimitAuditor
+from repro.core.rounding import rand_round
 from repro.core.strategies import (
     GeneralizedTokenAccount,
     ProactiveStrategy,
     PureReactiveStrategy,
+    RandomizedTokenAccount,
     SimpleTokenAccount,
 )
+from repro.registry import strategies as strategy_registry
 from tests.conftest import MiniSystem, ring_overlay
 
 
@@ -260,3 +269,71 @@ def test_app_bind_rejects_double_binding():
     system = MiniSystem(ProactiveStrategy(), n=2, period=10.0)
     with pytest.raises(RuntimeError):
         system.apps[0].bind(system.nodes[1])
+
+
+# ----------------------------------------------------------------------
+# Decisions from the kernel's tables against the formulas
+# ----------------------------------------------------------------------
+#: one or more instances of every registered strategy; fractional
+#: proactive ramps and reactive budgets (``randomized``), floors
+#: (``generalized``), overdraft (``reactive``) and graded budgets all appear
+DECIDERS = {
+    "proactive": [ProactiveStrategy()],
+    "simple": [SimpleTokenAccount(4)],
+    "generalized": [GeneralizedTokenAccount(2, 5)],
+    "randomized": [RandomizedTokenAccount(3, 7), RandomizedTokenAccount(1, 1)],
+    "reactive": [
+        PureReactiveStrategy(fanout=2, useful_only=False),
+        PureReactiveStrategy(fanout=1, useful_only=True),
+    ],
+    "graded-randomized": [GradedRandomizedTokenAccount(3, 7)],
+    "graded-generalized": [GradedGeneralizedTokenAccount(2, 5)],
+}
+
+
+def test_every_registered_strategy_is_checked_against_the_formulas():
+    assert set(DECIDERS) == set(strategy_registry.names())
+
+
+def decision_cases(strategy):
+    """Balances 0 … lut_max + 1 (from -3 where overdraft allows) × usefulness."""
+    low = -3 if strategy.requires_overdraft else 0
+    balances = range(low, strategy.decision_kernel.lut_max + 2)
+    return [(b, u) for b in balances for u in (True, False, 0.5)]
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [s for instances in DECIDERS.values() for s in instances],
+    ids=lambda s: s.describe(),
+)
+def test_tick_and_react_match_the_formulas_draw_for_draw(strategy):
+    """``_on_tick`` / ``react`` against ``proactive`` / ``reactive`` +
+    ``rand_round`` on a twin generator: same sends, same balance, and the
+    node's generator left exactly where the formulas leave the twin's."""
+    system = MiniSystem(strategy, n=3, period=10.0)
+    node = system.nodes[0]
+    account = node.account
+    capacity = strategy.token_capacity
+    for _ in range(4):
+        for balance, useful in decision_cases(strategy):
+            twin = random.Random()
+
+            # one uniform per online tick, even at probability 0 or 1
+            account.balance = balance
+            twin.setstate(node.rng.getstate())
+            sends = node.proactive_sends
+            node._on_tick()
+            sent = twin.random() < strategy.proactive(balance)
+            banked = not sent and (capacity is None or balance < capacity)
+            assert node.proactive_sends - sends == sent
+            assert account.balance == balance + banked
+            assert node.rng.getstate() == twin.getstate()
+
+            # one uniform per reaction, only for a fractional budget
+            account.balance = balance
+            twin.setstate(node.rng.getstate())
+            count = rand_round(strategy.reactive(balance, useful), twin)
+            assert node.react(useful) == count
+            assert account.balance == balance - count
+            assert node.rng.getstate() == twin.getstate()
